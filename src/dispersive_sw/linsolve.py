@@ -1,18 +1,27 @@
 """Reusable factorizations for the elliptic systems of both models.
 
 Matrices assembled from bounded operators are banded and go through
-LAPACK's banded LU (gbtrf/gbtrs); periodic operators produce circulant
-wrap-around corners, which fall back to dense LU.  The bandwidth is
-measured from the assembled matrix, never assumed.
+LAPACK's banded LU (gbtrf/gbtrs).  Periodic operators produce a
+circulant band with wrap-around corners; those go through
+``PeriodicBandedFactorization``: a banded LU of the core plus a
+Woodbury correction for the two corner blocks, whose small capacitance
+matrix is factored with LAPACK getrf/getrs.  Dense LU is the last
+resort, for matrices without a narrow band or when the banded path
+fails; ``ShiftedSolver`` logs and counts that fallback.  The bandwidth
+is measured from the assembled matrix, never assumed.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, FactorizationError
+
+log = logging.getLogger(__name__)
 
 #: use the banded path when the total band width stays below this fraction of N
 BANDED_FRACTION = 0.5
@@ -50,6 +59,14 @@ def _pack_banded(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
     return ab
 
 
+def _getrs(lu, piv, rhs):
+    """Solve with a getrf LU through LAPACK getrs directly."""
+    x, info = lapack.dgetrs(lu, piv, rhs)
+    if info != 0:
+        raise FactorizationError(f"getrs failed with info={info}")
+    return x
+
+
 class DenseFactorization:
     """Pivoted dense LU, reusable across right-hand sides."""
 
@@ -75,7 +92,7 @@ class DenseFactorization:
             raise DimensionError(
                 f"rhs of length {rhs.shape[0]} does not match system size {self.n}"
             )
-        return sla.lu_solve((self.lu, self.piv), rhs, check_finite=False)
+        return _getrs(self.lu, self.piv, rhs)
 
 
 class BandedFactorization:
@@ -120,6 +137,36 @@ class BandedFactorization:
         return x
 
 
+class _WoodburyCorners:
+    """The static Woodbury pieces of a circulant band of half-width w.
+
+    A = B + U V, with B the banded core, U = [e_0..e_{w-1}, e_{n-w}..e_{n-1}]
+    and V holding the top-right and bottom-left corner blocks.  They depend
+    only on the corners, so a solver that re-factors the same corners
+    with a changing diagonal builds them once.
+    """
+
+    def __init__(self, a: np.ndarray, w: int):
+        n = a.shape[0]
+        self.w = w
+        self.u = np.zeros((n, 2 * w))
+        self.u[:w, :w] = np.eye(w)
+        self.u[n - w :, w:] = np.eye(w)
+        self.v = np.zeros((2 * w, n))
+        self.v[:w, n - w :] = a[:w, n - w :]
+        self.v[w:, :w] = a[n - w :, :w]
+        self.eye = np.eye(2 * w)
+
+
+def _banded_core(a: np.ndarray, w: int) -> np.ndarray:
+    """a without its two wrap-around corner blocks."""
+    n = a.shape[0]
+    core = a.copy()
+    core[:w, n - w :] = 0.0
+    core[n - w :, :w] = 0.0
+    return core
+
+
 class PeriodicBandedFactorization:
     """Circulant-banded matrix with wrap-around corners (Woodbury).
 
@@ -135,30 +182,29 @@ class PeriodicBandedFactorization:
             raise FactorizationError(
                 f"circulant width {w} too large for the periodic-banded path"
             )
-        self.n, self.w = n, w
-        core = a.copy()
-        top_right = a[:w, n - w :].copy()
-        bottom_left = a[n - w :, :w].copy()
-        core[:w, n - w :] = 0.0
-        core[n - w :, :w] = 0.0
-        self._finish(BandedFactorization(core, w, w), top_right, bottom_left)
+        core = BandedFactorization(_banded_core(a, w), w, w)
+        self._finish(core, _WoodburyCorners(a, w))
 
-    def _finish(self, core_fact, top_right, bottom_left):
-        n, w = self.n, self.w
-        self._core = core_fact
-        u = np.zeros((n, 2 * w))
-        u[:w, :w] = np.eye(w)
-        u[n - w :, w:] = np.eye(w)
-        v = np.zeros((2 * w, n))
-        v[:w, n - w :] = top_right
-        v[w:, :w] = bottom_left
-        bu = self._core.solve(u)
-        capacitance = np.eye(2 * w) + v @ bu
-        try:
-            self._cap = sla.lu_factor(capacitance, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise FactorizationError(f"singular capacitance block: {exc}") from exc
-        self._bu, self._v = bu, v
+    @classmethod
+    def from_core(cls, core: BandedFactorization, corners: _WoodburyCorners):
+        """Factorization from an already factored core and prebuilt corners."""
+        fact = cls.__new__(cls)
+        fact._finish(core, corners)
+        return fact
+
+    def _finish(self, core: BandedFactorization, corners: _WoodburyCorners):
+        self.n, self.w = core.n, corners.w
+        self._core = core
+        bu = core.solve(corners.u)
+        capacitance = corners.eye + corners.v @ bu
+        lu, piv, info = lapack.dgetrf(capacitance, overwrite_a=True)
+        if info != 0:
+            raise FactorizationError(
+                f"singular capacitance block (getrf info={info})",
+                pivot=0.0 if info > 0 else None,
+            )
+        self._cap_lu, self._cap_piv = lu, piv
+        self._bu, self._v = bu, corners.v
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -167,34 +213,37 @@ class PeriodicBandedFactorization:
                 f"rhs of length {rhs.shape[0]} does not match system size {self.n}"
             )
         z = self._core.solve(rhs)
-        small = sla.lu_solve(self._cap, self._v @ z, check_finite=False)
+        small = _getrs(self._cap_lu, self._cap_piv, self._v @ z)
         return z - self._bu @ small
 
 
 class ShiftedSolver:
     """Repeatedly factor (static + diag(d)) for changing diagonals d.
 
-    The static part is analyzed once; per call only the diagonal moves,
-    which keeps banded and periodic-banded systems cheap to re-factor.
-    Used by the velocity equation of the Svärd-Kalisch model, whose
-    system matrix depends on the water height.
+    The static part is analyzed once, and for periodic systems the
+    Woodbury corner pieces are built once too; per call only the diagonal
+    moves, so a re-factor is one gbtrf, one banded solve for B^-1 U and
+    the LU of the small capacitance matrix.  Used by the velocity
+    equation of the Svärd-Kalisch model, whose system matrix depends on
+    the water height.
+
+    When the banded path fails for some diagonal, that call falls back to
+    dense LU; the fallback is logged as a warning and counted in
+    ``dense_fallbacks``.
     """
 
     def __init__(self, static_part: np.ndarray):
         self.n = static_part.shape[0]
         self._mode = "dense"
+        self.dense_fallbacks = 0
         self._static = np.asarray(static_part, dtype=float)
         cw = circulant_band_width(self._static)
         lower, upper = measure_bandwidth(self._static)
         if 0 < cw and 4 * cw < self.n and lower + upper > 2 * cw:
             self._mode = "periodic"
             self.w = cw
-            core = self._static.copy()
-            self._top_right = core[: self.w, self.n - self.w :].copy()
-            self._bottom_left = core[self.n - self.w :, : self.w].copy()
-            core[: self.w, self.n - self.w :] = 0.0
-            core[self.n - self.w :, : self.w] = 0.0
-            self._ab0 = _pack_banded(core, self.w, self.w)
+            self._corners = _WoodburyCorners(self._static, cw)
+            self._ab0 = _pack_banded(_banded_core(self._static, cw), cw, cw)
         elif lower + upper + 1 <= BANDED_FRACTION * self.n:
             self._mode = "banded"
             self._lower, self._upper = lower, upper
@@ -208,20 +257,18 @@ class ShiftedSolver:
             if self._mode == "periodic":
                 ab = self._ab0.copy()
                 ab[2 * self.w, :] += diagonal
-                fact = PeriodicBandedFactorization.__new__(PeriodicBandedFactorization)
-                fact.n, fact.w = self.n, self.w
-                fact._finish(
-                    BandedFactorization(ab, self.w, self.w, packed=True),
-                    self._top_right,
-                    self._bottom_left,
-                )
-                return fact
+                core = BandedFactorization(ab, self.w, self.w, packed=True)
+                return PeriodicBandedFactorization.from_core(core, self._corners)
             if self._mode == "banded":
                 ab = self._ab0.copy()
                 ab[self._lower + self._upper, :] += diagonal
                 return BandedFactorization(ab, self._lower, self._upper, packed=True)
-        except FactorizationError:
-            pass  # fall through to the dense path
+        except FactorizationError as exc:
+            self.dense_fallbacks += 1
+            log.warning(
+                "%s factorization failed (%s; pivot %s); falling back to dense LU",
+                self._mode, exc, exc.pivot,
+            )
         full = self._static.copy()
         np.fill_diagonal(full, np.diagonal(full) + diagonal)
         return DenseFactorization(full)

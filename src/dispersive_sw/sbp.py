@@ -1,7 +1,19 @@
 """Finite difference summation-by-parts (SBP) operators on uniform grids.
 
 Periodic operators are circulant and stored as a stencil (offset /
-coefficient pair); application costs O(N * width).  Bounded operators
+coefficient pair).  Each one plans its application once, when it is
+built: the centre coefficient, the (k, c_+k, c_-k) offset pairs in
+ascending |k|, and the halo width h = max |k|.  ``apply`` then pads u
+once with a wrap-around halo and sums paired slices,
+
+    out = c_0 u + sum_k (c_+k up[h+k : h+k+N] + c_-k up[h-k : h-k+N]),
+
+in O(N * width).  The pairing is part of the result, not an
+implementation detail: each pair is summed before it is added to the
+accumulator, so the two halves of an antisymmetric stencil cancel
+elementwise and constants map to exactly 0.0.  That is what keeps the
+lake at rest exactly at rest; a matrix-vector product that sums the
+same terms in another order leaves roundoff-sized velocities.  Bounded
 repeat the interior stencil and replace an antisymmetric corner block of
 Q = M D1, which keeps M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by
 construction.  All norm matrices are diagonal.
@@ -20,7 +32,7 @@ dissipation sign via the circulant symbol) before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -87,15 +99,41 @@ class DerivativeOperator:
     offsets: np.ndarray | None = None  # set for circulant (periodic) operators
     coefficients: np.ndarray | None = None
     closure_rows: int = 0  # boundary rows with reduced order (bounded only)
+    # stencil plan of a circulant operator, see _StencilPlan
+    _plan: _StencilPlan | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.offsets is not None:
+            plan = _StencilPlan(self.offsets, self.coefficients, self.grid.n_nodes)
+            object.__setattr__(self, "_plan", plan)
 
     @property
     def n(self) -> int:
         return self.grid.n_nodes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self.offsets is not None:
-            return apply_circulant(u, self.offsets, self.coefficients)
-        return self.matrix @ u
+        if self._plan is None:
+            return self.matrix @ u
+        plan = self._plan
+        n = plan.n
+        u = np.asarray(u)
+        up = u[plan.wrap]
+        out = None if plan.centre is None else plan.centre * u
+        for start_plus, c_plus, start_minus, c_minus in plan.pairs:
+            if c_minus is None:
+                term = c_plus * up[start_plus : start_plus + n]
+            elif c_plus is None:
+                term = c_minus * up[start_minus : start_minus + n]
+            else:
+                term = c_plus * up[start_plus : start_plus + n]
+                term += c_minus * up[start_minus : start_minus + n]
+            if out is None:
+                # the sum starts from zeros: 0.0 + x turns a -0.0 into 0.0
+                term += 0.0
+                out = term
+            else:
+                out += term
+        return np.zeros_like(u, dtype=float) if out is None else out
 
     __call__ = apply
 
@@ -135,24 +173,27 @@ class UpwindOperatorPair:
 # circulant helpers
 
 
-def apply_circulant(u, offsets, coefficients):
-    """Apply a circulant stencil via rolls, pairing +/- offsets.
+class _StencilPlan:
+    """What a circulant apply needs, derived once from the stencil.
 
-    Accumulating each offset pair together makes antisymmetric stencils
-    annihilate constants exactly in floating point (the two contributions
-    cancel elementwise before they are added to the accumulator).
+    ``centre`` is c_0 (None when zero); ``pairs`` holds, for each |k| > 0
+    in ascending order, the slice starts h+k and h-k into the padded
+    vector with their coefficients (None where that side is zero);
+    ``wrap`` gathers u (length ``n``) into the padded vector of length
+    n + 2h.  Coefficients stay NumPy float64 scalars, so products keep the
+    dtype promotion of the stencil arrays.
     """
-    u = np.asarray(u)
-    table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
-    out = table[0] * u if 0 in table else np.zeros_like(u, dtype=float)
-    for k in sorted({abs(k) for k in table if k != 0}):
-        if k in table and -k in table:
-            out = out + (table[k] * np.roll(u, -k) + table[-k] * np.roll(u, k))
-        elif k in table:
-            out = out + table[k] * np.roll(u, -k)
-        else:
-            out = out + table[-k] * np.roll(u, k)
-    return out
+
+    def __init__(self, offsets, coefficients, n):
+        table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
+        distances = sorted({abs(k) for k in table if k != 0})
+        halo = distances[-1] if distances else 0
+        self.n = n
+        self.centre = table.get(0)
+        self.pairs = tuple(
+            (halo + k, table.get(k), halo - k, table.get(-k)) for k in distances
+        )
+        self.wrap = np.arange(-halo, n + halo) % n
 
 
 def circulant_matrix(n, offsets, coefficients):

@@ -28,7 +28,7 @@ the water height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,6 +139,14 @@ class SkDiscretization:
     _velocity_solver: linsolve.ShiftedSolver = None  # static part analyzed once
     _interior_mask: np.ndarray | None = None
     _entropy_deriv: Callable = None  # derivative entering the modified entropy
+    # whether the alpha / gamma dispersion terms are present; the coefficient
+    # fields are fixed, so this is decided once instead of on every RHS call
+    _has_alpha: bool = field(init=False, repr=False)
+    _has_gamma: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._has_alpha = bool(np.any(self.alpha_hat))
+        self._has_gamma = bool(np.any(self.gamma_hat))
 
     @property
     def n(self) -> int:
@@ -182,7 +190,7 @@ class SkDiscretization:
             rhs_v = -(d1(hv * v) - v * d1(hv))
         rhs_v = rhs_v - self.gravity * h * d1(eta)
 
-        if y_disp is not None and np.any(self.alpha_hat):
+        if y_disp is not None and self._has_alpha:
             if self.variant == "periodic_upwind":
                 if self.split_form:
                     rhs_v = rhs_v + 0.5 * (
@@ -198,7 +206,7 @@ class SkDiscretization:
                 else:
                     rhs_v = rhs_v + d1(v * y_disp) - v * d1(y_disp)
 
-        if not reflecting and np.any(self.gamma_hat):
+        if not reflecting and self._has_gamma:
             d2 = self.operators.d2.apply
             rhs_v = rhs_v + 0.5 * (
                 d2(self.gamma_hat * d1_v) + d1(self.gamma_hat * d2(v))

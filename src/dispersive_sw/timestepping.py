@@ -35,6 +35,9 @@ class ButcherTableau:
     order: int
     b_embedded: np.ndarray | None = None
     embedded_order: int | None = None
+    # first stage of a step equals the last stage of the previous one;
+    # decided once here because integrate reads it on every step
+    is_fsal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.b.size
@@ -44,6 +47,8 @@ class ButcherTableau:
             raise ConfigurationError("tableau must be explicit")
         if abs(self.b.sum() - 1.0) > 1e-13:
             raise ConfigurationError("tableau weights must sum to one")
+        fsal = bool(np.allclose(self.a[-1], self.b) and abs(self.c[-1] - 1.0) < 1e-14)
+        object.__setattr__(self, "is_fsal", fsal)
 
     @property
     def stages(self) -> int:
@@ -52,12 +57,6 @@ class ButcherTableau:
     @property
     def is_embedded(self) -> bool:
         return self.b_embedded is not None
-
-    @property
-    def is_fsal(self) -> bool:
-        return bool(
-            np.allclose(self.a[-1], self.b) and abs(self.c[-1] - 1.0) < 1e-14
-        )
 
 
 def _tab(name, a, b, c, order, b_emb=None, emb_order=None):
@@ -190,7 +189,9 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
     increment at all (then gamma = 1 conserves it already).
 
     Returns (gamma, converged); converged=False means no sign change was
-    found, and callers fall back to gamma = 1 with a logged warning.
+    found, or the iteration ran out of ``max_iter`` with the best residual
+    still above ``tol``.  Callers then fall back to gamma = 1 with a logged
+    warning.
     """
     r1 = residual(1.0)
     if r1 == 0.0:
@@ -231,6 +232,8 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
             if side == 1:
                 ra *= 0.5
             side = 1
+    else:
+        return best, abs(r_best) <= tol
     return best, True
 
 
@@ -257,7 +260,7 @@ def _relax_increment(y, du, relax, functional):
     gamma, converged = _solve_gamma(residual, relax.bracket_half_width, tol)
     if not converged:
         log.warning(
-            "relaxation root not bracketed (r(1) = %.3e); falling back to gamma = 1",
+            "relaxation root not found (r(1) = %.3e); falling back to gamma = 1",
             residual(1.0),
         )
         return 1.0, True

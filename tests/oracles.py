@@ -1,7 +1,8 @@
 """Independent reference computations used by several test modules.
 
 These stay deliberately separate from the library code paths they check:
-dense matrix algebra, matrix exponentials, and direct Fourier fits.
+dense matrix algebra, matrix exponentials, direct Fourier fits, and the
+np.roll form of the circulant stencil apply.
 """
 
 import numpy as np
@@ -73,6 +74,26 @@ def fitted_phase_speed(k, params, h0, gravity=GRAVITY, n_nodes=128, order=4):
     times = t_step * np.arange(n_samples + 1)
     slope = np.polyfit(times, phases, 1)[0]
     return -slope / k
+
+
+def roll_apply(u, offsets, coefficients):
+    """Apply a circulant stencil via rolls, pairing +/- offsets.
+
+    This is the reference for ``DerivativeOperator.apply`` on periodic
+    operators: the same products, each offset pair summed before it is
+    added to an accumulator that starts from c_0 u or from zeros.
+    """
+    u = np.asarray(u)
+    table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
+    out = table[0] * u if 0 in table else np.zeros_like(u, dtype=float)
+    for k in sorted({abs(k) for k in table if k != 0}):
+        if k in table and -k in table:
+            out = out + (table[k] * np.roll(u, -k) + table[-k] * np.roll(u, k))
+        elif k in table:
+            out = out + table[k] * np.roll(u, -k)
+        else:
+            out = out + table[-k] * np.roll(u, k)
+    return out
 
 
 def dense_inverse_solve(a, rhs):

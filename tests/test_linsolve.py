@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,44 @@ def test_mass_weighted_elliptic_matrices_are_spd():
     for _ in range(20):
         x = rng.normal(size=48)
         assert x @ weighted @ x > 0.0
+
+
+def _periodic_static_part(n=64):
+    grid = make_uniform_grid(0.0, 1.0, n, "periodic")
+    d1 = build_periodic_central_d1(grid, 4).matrix
+    return -(d1 * 0.3) @ d1
+
+
+def test_shifted_solver_matches_direct_periodic_factorization_bitwise():
+    # prebuilt Woodbury pieces must not change a single bit of the solve
+    rng = np.random.default_rng(8)
+    static = _periodic_static_part()
+    solver = linsolve.ShiftedSolver(static)
+    rhs = rng.normal(size=64)
+    for _ in range(3):
+        diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
+        full = static.copy()
+        np.fill_diagonal(full, np.diagonal(full) + diag)
+        direct = linsolve.PeriodicBandedFactorization(full)
+        assert np.array_equal(solver.factor(diag).solve(rhs), direct.solve(rhs))
+
+
+def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
+    static = _periodic_static_part()
+    solver = linsolve.ShiftedSolver(static)
+    diag = np.full(64, 2.0)
+    assert isinstance(solver.factor(diag), linsolve.PeriodicBandedFactorization)
+    assert solver.dense_fallbacks == 0
+
+    def failing_banded(*args, **kwargs):
+        raise FactorizationError("banded matrix singular", pivot=1.5e-300)
+
+    monkeypatch.setattr(linsolve, "BandedFactorization", failing_banded)
+    with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
+        fact = solver.factor(diag)
+    assert isinstance(fact, linsolve.DenseFactorization)
+    assert solver.dense_fallbacks == 1
+    assert "pivot 1.5e-300" in caplog.text and "dense LU" in caplog.text
+    full = static + np.diag(diag)
+    rhs = np.linspace(-1.0, 1.0, 64)
+    np.testing.assert_allclose(fact.solve(rhs), np.linalg.solve(full, rhs), atol=1e-11)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dispersive_sw.errors import ConfigurationError
 from dispersive_sw.grid import make_uniform_grid
@@ -16,6 +19,8 @@ from dispersive_sw.sbp import (
     periodic_operators,
     verify_sbp_identity,
 )
+
+from .oracles import roll_apply
 
 PGRID = make_uniform_grid(0.0, 1.0, 64, "periodic")
 BGRID = make_uniform_grid(-1.0, 1.0, 64, "bounded")
@@ -276,3 +281,73 @@ def test_operator_set_requirements():
     ops.require("d1", "d2")
     with pytest.raises(ConfigurationError):
         ops.require("upwind")
+
+
+# every periodic operator family: (family, order)
+PERIODIC_STENCILS = (
+    [("central", p) for p in PERIODIC_CENTRAL_ORDERS]
+    + [(flavor, p) for flavor in ("narrow", "wide") for p in PERIODIC_CENTRAL_ORDERS]
+    + [("upwind_composite", p) for p in UPWIND_ORDERS]
+    + [(side, p) for side in ("plus", "minus", "average") for p in UPWIND_ORDERS]
+)
+ANTISYMMETRIC_STENCILS = [
+    (family, p) for family, p in PERIODIC_STENCILS if family in ("central", "average")
+]
+
+
+def _periodic_operator(family, order, n):
+    """The operator of a family on n nodes; rejects n below the stencil width."""
+    grid = make_uniform_grid(0.0, 1.0, n, "periodic")
+    try:
+        if family == "central":
+            return build_periodic_central_d1(grid, order)
+        if family in ("narrow", "wide", "upwind_composite"):
+            return build_periodic_d2(grid, order, family)
+        pair = build_periodic_upwind(grid, order)
+    except ConfigurationError:
+        reject()
+    if family == "plus":
+        return pair.d_plus
+    if family == "minus":
+        return pair.d_minus
+    return pair.central_average()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_padded_slice_apply_matches_roll_oracle(data):
+    family, order = data.draw(st.sampled_from(PERIODIC_STENCILS))
+    n = data.draw(st.integers(3, 80))
+    op = _periodic_operator(family, order, n)
+    # signed zeros often, so that pair sums of -0.0 occur
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    u = data.draw(arrays(np.float64, n, elements=elements))
+    before = u.copy()
+    out = op.apply(u)
+    ref = roll_apply(u, op.offsets, op.coefficients)
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()  # signed zeros included
+    assert np.array_equal(u, before)  # the input is not modified
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_antisymmetric_stencils_map_constants_to_zero(data):
+    family, order = data.draw(st.sampled_from(ANTISYMMETRIC_STENCILS))
+    n = data.draw(st.integers(3, 80))
+    op = _periodic_operator(family, order, n)
+    table = dict(zip(op.offsets.tolist(), op.coefficients))
+    assert all(table.get(-k, 0.0) == -c for k, c in table.items())
+    value = data.draw(st.floats(-1e6, 1e6))
+    out = op.apply(np.full(n, value))
+    assert out.tobytes() == np.zeros(n).tobytes()
+
+
+def test_apply_sums_into_zero_like_the_oracle():
+    # -0.0 + +0.0 pairs: the first pair sum is -0.0 wherever u[i+1] = -0.0 and
+    # u[i-1] = +0.0; a sum that starts from zeros turns it into +0.0
+    op = build_periodic_central_d1(PGRID, 2)
+    u = np.tile([0.0, 0.0, -0.0, -0.0], 16)
+    out = op.apply(u)
+    assert out.tobytes() == roll_apply(u, op.offsets, op.coefficients).tobytes()
+    assert not np.any(np.signbit(out))

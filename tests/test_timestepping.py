@@ -11,6 +11,7 @@ from dispersive_sw.timestepping import (
     FunctionalFromCallable,
     IntegratorConfig,
     RelaxationConfig,
+    _solve_gamma,
     adaptive_controller,
     integrate,
     relaxation_step,
@@ -201,6 +202,20 @@ def test_relaxation_fallback_warns_and_counts():
     )
     assert res.relaxation_fallbacks == 1
     assert res.gammas == [1.0]
+
+
+def test_solve_gamma_reports_exhausted_iterations_as_not_converged():
+    # a steep residual whose root 1.004 lies inside the bracket: three
+    # false-position iterations do not reach it, the default budget does
+    def residual(gamma):
+        return np.tanh(200.0 * (gamma - 1.004))
+
+    gamma, converged = _solve_gamma(residual, 1e-2, 1e-14, max_iter=3)
+    assert not converged
+    assert abs(residual(gamma)) > 1e-14
+    gamma, converged = _solve_gamma(residual, 1e-2, 1e-14)
+    assert converged
+    assert abs(residual(gamma)) <= 1e-14
 
 
 def test_dissipative_mode_accepts_decay():
