@@ -24,7 +24,7 @@ import numpy as np
 from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
-from .sbp import SbpOperatorSet
+from .sbp import SbpOperatorSet, periodic_band
 
 VARIANTS = (
     "periodic_central_wide",
@@ -212,14 +212,12 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
             f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
         )
     kdiag = depth**2
-    n = grid.n_nodes
-    eye = np.eye(n)
 
     if variant in ("periodic_central_wide", "periodic_central_narrow",
                    "periodic_const_narrow", "reflecting_central"):
         operators.require("d1")
-        d1m = operators.d1.matrix
-        d_outer_mass = d_outer_vel = operators.d1.apply
+        d1 = operators.d1
+        d_outer_mass = d_outer_vel = d1.apply
     if variant in ("periodic_central_narrow", "periodic_const_narrow"):
         operators.require("d2")
         if operators.d2.kind != "periodic_d2_narrow":
@@ -229,32 +227,31 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
             )
 
     interior_mask = None
+    # periodic systems are I - A/6 with A assembled from the stencils
     if variant == "periodic_central_wide":
-        a_mass = eye - (d1m * kdiag) @ d1m / 6.0
-        a_vel = eye - d1m @ d1m * kdiag / 6.0
+        a_mass = periodic_band(d1, d1, inner=kdiag)
+        a_vel = periodic_band(d1, d1, outer=kdiag)
     elif variant == "periodic_central_narrow":
-        a_mass = eye - (d1m * kdiag) @ d1m / 6.0
-        a_vel = eye - operators.d2.matrix * kdiag / 6.0
+        a_mass = periodic_band(d1, d1, inner=kdiag)
+        a_vel = periodic_band(operators.d2, outer=kdiag)
     elif variant == "periodic_const_narrow":
         if np.ptp(depth) > 1e-13 * np.max(depth):
             raise ConfigurationError(
                 "periodic_const_narrow requires constant bathymetry"
             )
-        d2m = operators.d2.matrix
-        a_mass = eye - d2m * kdiag / 6.0
-        a_vel = eye - d2m * kdiag / 6.0
+        a_mass = a_vel = periodic_band(operators.d2, outer=kdiag)
     elif variant == "periodic_upwind":
         operators.require("upwind")
         pair = operators.upwind
         dp, dm = pair.d_plus, pair.d_minus
         if swap_upwind:
             dp, dm = dm, dp
-        a_mass = eye - (dm.matrix * kdiag) @ dp.matrix / 6.0
-        a_vel = eye - dp.matrix @ dm.matrix * kdiag / 6.0
+        a_mass = periodic_band(dm, dp, inner=kdiag)
+        a_vel = periodic_band(dp, dm, outer=kdiag)
         d_outer_mass, d_outer_vel = dm.apply, dp.apply
     elif variant == "reflecting_central":
         a_mass, a_vel, interior_mask = _reflecting_operators(
-            eye, d1m, d1m, kdiag
+            d1.matrix, d1.matrix, kdiag
         )
     elif variant == "reflecting_upwind":
         operators.require("upwind")
@@ -263,9 +260,11 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         if swap_upwind:
             dp, dm = dm, dp
         a_mass, a_vel, interior_mask = _reflecting_operators(
-            eye, dp.matrix, dm.matrix, kdiag
+            dp.matrix, dm.matrix, kdiag
         )
         d_outer_mass, d_outer_vel = dm.apply, dp.apply
+    if grid.is_periodic:
+        a_mass, a_vel = _identity_minus_sixth(a_mass), _identity_minus_sixth(a_vel)
 
     disc = BbmBbmDiscretization(
         grid=grid,
@@ -285,7 +284,14 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
     return disc
 
 
-def _reflecting_operators(eye, dp, dm, kdiag):
+def _identity_minus_sixth(band):
+    """I - A/6 as a new periodic band, entrywise equal to dense eye - A / 6.0."""
+    diagonals = band.diagonals / -6.0
+    diagonals[band.w] += 1.0
+    return linsolve.PeriodicBand(diagonals)
+
+
+def _reflecting_operators(dp, dm, kdiag):
     """Elliptic matrices for reflecting walls.
 
     Mass equation: I - D- P_D K D+ / 6 with P_D = diag(0, 1, ..., 1, 0)
@@ -295,7 +301,8 @@ def _reflecting_operators(eye, dp, dm, kdiag):
     wall values of v_t stay exactly zero.  The central variant passes
     dp = dm = D1.
     """
-    n = eye.shape[0]
+    n = dp.shape[0]
+    eye = np.eye(n)
     p_d = np.ones(n)
     p_d[0] = p_d[-1] = 0.0
     a_mass = eye - (dm * (p_d * kdiag)) @ dp / 6.0

@@ -1,10 +1,11 @@
 """Finite difference summation-by-parts (SBP) operators on uniform grids.
 
-Periodic operators are circulant and stored as a stencil (offset /
-coefficient pair).  Each one plans its application once, when it is
-built: the centre coefficient, the (k, c_+k, c_-k) offset pairs in
-ascending |k|, and the halo width h = max |k|.  ``apply`` then pads u
-once with a wrap-around halo and sums paired slices,
+Periodic operators are circulant and stored only as a stencil (offset /
+coefficient pair); no N x N matrix is formed (``to_dense`` makes one for
+tests).  Each one plans its application once, when it is built: the
+centre coefficient, the (k, c_+k, c_-k) offset pairs in ascending |k|,
+and the halo width h = max |k|.  ``apply`` then pads u once with a
+wrap-around halo and sums paired slices,
 
     out = c_0 u + sum_k (c_+k up[h+k : h+k+N] + c_-k up[h-k : h-k+N]),
 
@@ -14,9 +15,10 @@ accumulator, so the two halves of an antisymmetric stencil cancel
 elementwise and constants map to exactly 0.0.  That is what keeps the
 lake at rest exactly at rest; a matrix-vector product that sums the
 same terms in another order leaves roundoff-sized velocities.  Bounded
-repeat the interior stencil and replace an antisymmetric corner block of
-Q = M D1, which keeps M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by
-construction.  All norm matrices are diagonal.
+operators are dense matrices that repeat the interior stencil and
+replace an antisymmetric corner block of Q = M D1, which keeps
+M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by construction.  All norm
+matrices are diagonal.
 
 The defining identities are
 
@@ -27,7 +29,10 @@ The defining identities are
 * periodic second derivative:  M D2 = D2^T M
 
 and every builder verifies its identity (and, for upwind pairs, the
-dissipation sign via the circulant symbol) before returning.
+dissipation sign via the circulant symbol) before returning.  Periodic
+identities are checked on the stencil in O(width): with M = dx I they
+read c_+k + c_-k = 0 (D1), c_+k = c_-k (D2), c+_k + c-_-k = 0 (upwind
+pair) and sum_k c_k = 0 (consistency).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Grid, MassMatrix
+from .linsolve import PeriodicBand
 
 # interior central first-derivative stencils (unit spacing, offsets -p/2..p/2)
 _CENTRAL_D1 = {
@@ -89,13 +95,14 @@ UPWIND_ORDERS = (1, 2, 3, 4)
 
 @dataclass(frozen=True, eq=False)
 class DerivativeOperator:
-    """Derivative matrix together with the norm it satisfies SBP against."""
+    """Derivative operator (periodic: a stencil; bounded: a dense matrix)
+    together with the norm it satisfies SBP against."""
 
     kind: str
     accuracy_order: int
     grid: Grid
     mass: MassMatrix
-    matrix: np.ndarray
+    matrix: np.ndarray | None = None  # set for bounded operators
     offsets: np.ndarray | None = None  # set for circulant (periodic) operators
     coefficients: np.ndarray | None = None
     closure_rows: int = 0  # boundary rows with reduced order (bounded only)
@@ -137,6 +144,10 @@ class DerivativeOperator:
 
     __call__ = apply
 
+    def to_dense(self) -> np.ndarray:
+        """The operator as an N x N matrix, for tests and reference checks."""
+        return self.apply(np.eye(self.n))
+
 
 @dataclass(frozen=True, eq=False)
 class UpwindOperatorPair:
@@ -152,20 +163,18 @@ class UpwindOperatorPair:
         """(D+ + D-)/2, a valid central first-derivative SBP operator."""
         if self.d_plus.offsets is None:
             mat = 0.5 * (self.d_plus.matrix + self.d_minus.matrix)
-            order = self.accuracy_order
-            kind = "bounded_central_d1"
             return DerivativeOperator(
-                kind, order, self.grid, self.mass, mat,
-                closure_rows=self.d_plus.closure_rows,
+                "bounded_central_d1", self.accuracy_order, self.grid, self.mass,
+                mat, closure_rows=self.d_plus.closure_rows,
             )
         off, coef = _add_stencils(
             (self.d_plus.offsets, 0.5 * self.d_plus.coefficients),
             (self.d_minus.offsets, 0.5 * self.d_minus.coefficients),
         )
         order = self.accuracy_order + (self.accuracy_order % 2)
-        mat = circulant_matrix(self.grid.n_nodes, off, coef)
         return DerivativeOperator(
-            "periodic_central_d1", order, self.grid, self.mass, mat, off, coef
+            "periodic_central_d1", order, self.grid, self.mass,
+            offsets=off, coefficients=coef,
         )
 
 
@@ -196,14 +205,6 @@ class _StencilPlan:
         self.wrap = np.arange(-halo, n + halo) % n
 
 
-def circulant_matrix(n, offsets, coefficients):
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    for k, c in zip(offsets, coefficients):
-        mat[idx, (idx + int(k)) % n] += c
-    return mat
-
-
 def _trim_stencil(offsets, coefficients):
     keep = np.abs(coefficients) > 0.0
     if not np.any(keep):
@@ -231,6 +232,35 @@ def _convolve_stencils(off1, coef1, off2, coef2):
         for kb, cb in zip(off2, coef2):
             acc[int(ka + kb) - lo] += ca * cb
     return _trim_stencil(np.arange(lo, hi + 1), acc)
+
+
+def periodic_band(left, right=None, *, inner=None, outer=None) -> PeriodicBand:
+    """Offset diagonals of L diag(inner) R diag(outer), L and R circulant.
+
+    Assembled from the stencils in O(N * width^2): entry (i, i+a+b) gains
+    (l_a inner_(i+a)) r_b outer_(i+a+b).  ``right`` defaults to the
+    identity, ``inner`` and ``outer`` to ones; without ``inner`` the
+    stencil product L R is formed first.
+    """
+    n = left.n
+    idx = np.arange(n)
+    if inner is None:
+        off, coef = (left.offsets, left.coefficients) if right is None else (
+            _convolve_stencils(left.offsets, left.coefficients,
+                               right.offsets, right.coefficients))
+        terms = [(int(k), c, 1.0) for k, c in zip(off, coef)]
+    else:
+        terms = [
+            (int(a + b), cb, ca * inner[(idx + a) % n])
+            for a, ca in zip(left.offsets, left.coefficients)
+            for b, cb in zip(right.offsets, right.coefficients)
+        ]
+    w = max(abs(k) for k, _, _ in terms)
+    diagonals = np.zeros((2 * w + 1, n))
+    for k, c, row in terms:
+        term = row * c if outer is None else row * c * outer[(idx + k) % n]
+        diagonals[k + w] += term
+    return PeriodicBand(diagonals)
 
 
 def _symbol(offsets, coefficients, thetas):
@@ -308,10 +338,9 @@ def build_periodic_central_d1(grid: Grid, order: int) -> DerivativeOperator:
     offsets = np.arange(-half, half + 1)
     _require_periodic(grid, offsets.size)
     offsets, coef = _trim_stencil(offsets, coef)
-    mass = _periodic_mass(grid)
-    mat = circulant_matrix(grid.n_nodes, offsets, coef)
     op = DerivativeOperator(
-        "periodic_central_d1", order, grid, mass, mat, offsets, coef
+        "periodic_central_d1", order, grid, _periodic_mass(grid),
+        offsets=offsets, coefficients=coef,
     )
     _assert_report(verify_sbp_identity(op))
     return op
@@ -329,14 +358,13 @@ def build_periodic_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
     _check_upwind_symbol(off_p, coef_p)
     off_m, coef_m = -off_p[::-1], -coef_p[::-1]  # -D+^T as a stencil
     mass = _periodic_mass(grid)
-    n = grid.n_nodes
     dp = DerivativeOperator(
         "periodic_upwind_d1_plus", order, grid, mass,
-        circulant_matrix(n, off_p, coef_p), off_p, coef_p,
+        offsets=off_p, coefficients=coef_p,
     )
     dm = DerivativeOperator(
         "periodic_upwind_d1_minus", order, grid, mass,
-        circulant_matrix(n, off_m, coef_m), off_m, coef_m,
+        offsets=off_m, coefficients=coef_m,
     )
     pair = UpwindOperatorPair(dp, dm, mass, order, grid)
     _assert_report(verify_sbp_identity(pair))
@@ -372,10 +400,8 @@ def build_periodic_d2(grid: Grid, order: int, flavor="narrow") -> DerivativeOper
     else:
         raise ConfigurationError(f"unknown D2 flavor {flavor!r}")
     _require_periodic(grid, offsets.size)
-    mass = _periodic_mass(grid)
     op = DerivativeOperator(
-        kind, order, grid, mass, circulant_matrix(grid.n_nodes, offsets, coef),
-        offsets, coef,
+        kind, order, grid, _periodic_mass(grid), offsets=offsets, coefficients=coef
     )
     _assert_report(verify_sbp_identity(op))
     return op
@@ -514,7 +540,7 @@ def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
     central = build_bounded_central_d1(grid, order)
     n = grid.n_nodes
     diff = np.zeros((n - order, n))
-    binom = np.array([(-1) ** j * _binomial(order, j) for j in range(order + 1)])
+    binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)])
     for i in range(n - order):
         diff[i, i : i + order + 1] = binom
     strength = 4.0 ** (-order) / grid.spacing
@@ -531,10 +557,6 @@ def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
     pair = UpwindOperatorPair(dp, dm, central.mass, order, grid)
     _assert_report(verify_sbp_identity(pair))
     return pair
-
-
-def _binomial(n, k):
-    return comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -556,67 +578,72 @@ def _assert_report(report: IdentityReport):
         )
 
 
+def _adjoint_residual(h, left, right, sign):
+    """max_k |h l_k + sign (r_-k h)|: entries of M L + sign R^T M, M = h I."""
+    lt = dict(zip(left.offsets.tolist(), left.coefficients))
+    rt = dict(zip(right.offsets.tolist(), right.coefficients))
+    keys = set(lt) | {-k for k in rt}
+    return float(max(
+        abs(h * lt.get(k, 0.0) + sign * (rt.get(-k, 0.0) * h)) for k in keys
+    ))
+
+
+def _bounded_adjoint_residual(m, left, right):
+    """max |M L + R^T M - diag(-1, 0, ..., 0, 1)| by row and column scaling."""
+    res = m[:, None] * left + right.T * m
+    res[-1, -1] -= 1.0
+    res[0, 0] += 1.0
+    return float(np.max(np.abs(res)))
+
+
+def _row_sum_and_consistency(op):
+    """(max row sum of |D|, max |D 1|), from the stencil where there is one."""
+    if op.offsets is not None:
+        return np.sum(np.abs(op.coefficients)), abs(float(np.sum(op.coefficients)))
+    d = op.matrix
+    return np.max(np.sum(np.abs(d), axis=1)), float(np.max(np.abs(d @ np.ones(op.n))))
+
+
 def verify_sbp_identity(op) -> IdentityReport:
     """Residuals of the defining SBP identities, with a PASS flag.
 
     The threshold is 1e-12 * scale with scale = max|M| * max-row-sum|D|.
+    Periodic operators are checked on their stencils in O(width) (their
+    norm is dx I), bounded ones on their matrices in O(N^2).
     """
+    m = op.mass.diagonal
     if isinstance(op, UpwindOperatorPair):
-        m = np.diag(op.mass.diagonal)
-        dp, dm = op.d_plus.matrix, op.d_minus.matrix
-        res = m @ dp + dm.T @ m
-        if not op.grid.is_periodic:
-            n = op.grid.n_nodes
-            res = res.copy()
-            res[n - 1, n - 1] -= 1.0
-            res[0, 0] += 1.0
-        scale = np.max(op.mass.diagonal) * max(
-            np.max(np.sum(np.abs(dp), axis=1)), 1.0
-        )
+        kind, dp, dm = "upwind_pair", op.d_plus, op.d_minus
+        row_sum, consistency_plus = _row_sum_and_consistency(dp)
         residuals = {
-            "adjoint": float(np.max(np.abs(res))),
-            "consistency_plus": float(np.max(np.abs(dp @ np.ones(dp.shape[0])))),
-            "consistency_minus": float(np.max(np.abs(dm @ np.ones(dp.shape[0])))),
+            "adjoint": _adjoint_residual(m[0], dp, dm, 1.0) if dp.offsets is not None
+            else _bounded_adjoint_residual(m, dp.matrix, dm.matrix),
+            "consistency_plus": consistency_plus,
+            "consistency_minus": _row_sum_and_consistency(dm)[1],
         }
-        if op.d_plus.offsets is not None:
+        if dp.offsets is not None:
             thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-            sym = _symbol(op.d_plus.offsets, op.d_plus.coefficients, thetas).real
+            sym = _symbol(dp.offsets, dp.coefficients, thetas).real
             # S eigenvalues are dx * Re(symbol of D+); must be <= 0
-            residuals["dissipation"] = float(
-                max(np.max(sym) * np.max(op.mass.diagonal), 0.0)
-            )
-        threshold = 1e-12 * scale
-        passed = all(v <= threshold for v in residuals.values())
-        return IdentityReport("upwind_pair", residuals, threshold, passed)
-
-    m = np.diag(op.mass.diagonal)
-    d = op.matrix
-    n = d.shape[0]
-    scale = np.max(op.mass.diagonal) * max(np.max(np.sum(np.abs(d), axis=1)), 1.0)
-    residuals = {}
-    if op.kind == "periodic_central_d1":
-        residuals["periodic_sbp"] = float(np.max(np.abs(m @ d + d.T @ m)))
-        residuals["consistency"] = float(np.max(np.abs(d @ np.ones(n))))
-    elif op.kind == "bounded_central_d1":
-        res = m @ d + d.T @ m
-        res = res.copy()
-        res[n - 1, n - 1] -= 1.0
-        res[0, 0] += 1.0
-        residuals["bounded_sbp"] = float(np.max(np.abs(res)))
-        residuals["consistency"] = float(np.max(np.abs(d @ np.ones(n))))
-    elif op.kind.startswith("periodic_d2"):
-        residuals["symmetry"] = float(np.max(np.abs(m @ d - d.T @ m)))
-        residuals["consistency"] = float(np.max(np.abs(d @ np.ones(n))))
-        moments = _stencil_moments(op.offsets, op.coefficients, 1)
-        residuals["annihilates_linears"] = float(abs(moments[1]))
-    elif op.kind.startswith("bounded_upwind"):
-        # handled through the pair report
-        residuals["consistency"] = float(np.max(np.abs(d @ np.ones(n))))
+            residuals["dissipation"] = float(max(np.max(sym) * np.max(m), 0.0))
     else:
-        raise ConfigurationError(f"cannot verify operator kind {op.kind!r}")
-    threshold = 1e-12 * scale
+        kind, residuals = op.kind, {}
+        row_sum, consistency = _row_sum_and_consistency(op)
+        if kind == "periodic_central_d1":
+            residuals["periodic_sbp"] = _adjoint_residual(m[0], op, op, 1.0)
+        elif kind == "bounded_central_d1":
+            residuals["bounded_sbp"] = _bounded_adjoint_residual(m, op.matrix, op.matrix)
+        elif kind.startswith("periodic_d2"):
+            residuals["symmetry"] = _adjoint_residual(m[0], op, op, -1.0)
+        elif not kind.startswith("bounded_upwind"):  # those: see the pair report
+            raise ConfigurationError(f"cannot verify operator kind {kind!r}")
+        residuals["consistency"] = consistency
+        if kind.startswith("periodic_d2"):
+            moments = _stencil_moments(op.offsets, op.coefficients, 1)
+            residuals["annihilates_linears"] = float(abs(moments[1]))
+    threshold = 1e-12 * (np.max(m) * max(row_sum, 1.0))
     passed = all(v <= threshold for v in residuals.values())
-    return IdentityReport(op.kind, residuals, threshold, passed)
+    return IdentityReport(kind, residuals, threshold, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,7 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
     errs = _state_error(grid, ops, run.y, soliton_reference(run.t, grid))
     result.info.update(
         final_time=run.t,
+        end_time_overshoot=run.t - t_end,
         l2_error_eta=errs[0],
         l2_error_v=errs[1],
         n_steps=run.n_steps,

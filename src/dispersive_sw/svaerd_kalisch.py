@@ -36,7 +36,7 @@ import numpy as np
 from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
-from .sbp import SbpOperatorSet
+from .sbp import SbpOperatorSet, periodic_band
 
 VARIANTS = ("periodic_central_split", "periodic_upwind", "reflecting_beta_only")
 
@@ -168,6 +168,7 @@ class SkDiscretization:
         d1 = self.operators.d1.apply
         hv = h * v
         reflecting = self.variant == "reflecting_beta_only"
+        d1_eta = d1(eta)  # shared by the dispersion and the gravity term
 
         if self.variant == "periodic_upwind":
             pair = self.operators.upwind
@@ -178,7 +179,7 @@ class SkDiscretization:
             y_disp = None
             deta = -d1(hv)
         else:
-            y_disp = self.alpha_hat * d1(self.alpha_hat * d1(eta))
+            y_disp = self.alpha_hat * d1(self.alpha_hat * d1_eta)
             deta = d1(y_disp - hv)
 
         # split-form shallow water terms (advective part, after the time
@@ -188,7 +189,7 @@ class SkDiscretization:
             rhs_v = -0.5 * (d1(hv * v) + hv * d1_v - v * d1(hv))
         else:
             rhs_v = -(d1(hv * v) - v * d1(hv))
-        rhs_v = rhs_v - self.gravity * h * d1(eta)
+        rhs_v = rhs_v - self.gravity * h * d1_eta
 
         if y_disp is not None and self._has_alpha:
             if self.variant == "periodic_upwind":
@@ -363,19 +364,20 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
 
     operators.require("d1")
     n = grid.n_nodes
-    d1m = operators.d1.matrix
+    d1 = operators.d1
     interior_mask = None
-    entropy_deriv = operators.d1.apply
+    entropy_deriv = d1.apply
+    # static block -(D beta D), or -(D+ beta D-) for upwind
     if variant == "periodic_central_split":
         operators.require("d2")
-        beta_block = -(d1m * beta_hat) @ d1m
+        beta_block = periodic_band(d1, d1, inner=-beta_hat)
     elif variant == "periodic_upwind":
         operators.require("upwind", "d2")
         pair = operators.upwind
-        beta_block = -(pair.d_plus.matrix * beta_hat) @ pair.d_minus.matrix
+        beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
         entropy_deriv = pair.d_minus.apply
     else:  # reflecting_beta_only
-        beta_block = -(d1m * beta_hat) @ d1m
+        beta_block = -(d1.matrix * beta_hat) @ d1.matrix
         interior_mask = np.ones(n)
         interior_mask[0] = interior_mask[-1] = 0.0
         beta_block = beta_block * interior_mask[:, None]

@@ -352,6 +352,12 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     dense_output=True the record carries endpoint derivatives so callers
     can sample gauges by Hermite interpolation.  Fixed-dt mode is selected
     by config.dt; otherwise the embedded estimate feeds the PI controller.
+
+    End time: the last step is cut to t_end - t, but a relaxed step
+    advances t by gamma * dt, so a relaxed run ends at
+    t_end + (gamma_last - 1) * dt_last rather than exactly at t_end (the
+    state is not interpolated back).  ``IntegrationResult.t`` is that true
+    end time; scenarios report the difference as ``end_time_overshoot``.
     """
     t0, t_end = float(t_span[0]), float(t_span[-1])
     if not t_end > t0:

@@ -26,8 +26,8 @@ def linearized_sk_matrix(k, params, h0, gravity=GRAVITY, n_nodes=128, order=4):
     length = 2 * np.pi / k
     grid = make_uniform_grid(0.0, length, n_nodes, "periodic")
     ops = periodic_operators(grid, order, d2_flavor="narrow")
-    d1 = ops.d1.matrix
-    d2 = ops.d2.matrix
+    d1 = ops.d1.to_dense()
+    d2 = ops.d2.to_dense()
     root_gh = np.sqrt(gravity * h0)
     alpha = params.alpha_tilde * root_gh * h0**2
     beta = params.beta_tilde * h0**3
@@ -103,3 +103,43 @@ def dense_inverse_solve(a, rhs):
 
 def matrix_exponential_reference(a, y0, t):
     return sla.expm(t * a) @ y0
+
+
+def dense_sbp_residuals(op):
+    """Residual dict of ``sbp.verify_sbp_identity`` in its dense O(N^3) form.
+
+    Forms np.diag(M) @ D and D^T @ M explicitly, from ``to_dense()``, as
+    the identity check did before it moved to the stencil (periodic) and
+    to row and column scaling (bounded).
+    """
+    from dispersive_sw.sbp import UpwindOperatorPair
+
+    m = np.diag(op.mass.diagonal)
+    n = m.shape[0]
+    ones = np.ones(n)
+
+    def boundary_corrected(res):
+        if not op.grid.is_periodic:
+            res[n - 1, n - 1] -= 1.0
+            res[0, 0] += 1.0
+        return res
+
+    if isinstance(op, UpwindOperatorPair):
+        dp, dm = op.d_plus.to_dense(), op.d_minus.to_dense()
+        return {
+            "adjoint": float(np.max(np.abs(boundary_corrected(m @ dp + dm.T @ m)))),
+            "consistency_plus": float(np.max(np.abs(dp @ ones))),
+            "consistency_minus": float(np.max(np.abs(dm @ ones))),
+        }
+    d = op.to_dense()
+    residuals = {}
+    if op.kind == "periodic_central_d1":
+        residuals["periodic_sbp"] = float(np.max(np.abs(m @ d + d.T @ m)))
+    elif op.kind == "bounded_central_d1":
+        residuals["bounded_sbp"] = float(
+            np.max(np.abs(boundary_corrected(m @ d + d.T @ m)))
+        )
+    elif op.kind.startswith("periodic_d2"):
+        residuals["symmetry"] = float(np.max(np.abs(m @ d - d.T @ m)))
+    residuals["consistency"] = float(np.max(np.abs(d @ ones)))
+    return residuals

@@ -64,8 +64,9 @@ def test_criterion_01_sbp_identity_suite():
         worst = max(worst, max(report.residuals.values()) / report.threshold)
     # Lemma items 1-3 on 100 random vectors
     for op in checked:
-        lhs = op.mass.diagonal @ op.matrix
-        ok &= np.max(np.abs(lhs)) <= 1e-13 * np.max(np.abs(op.matrix))
+        d = op.to_dense()
+        lhs = op.mass.diagonal @ d
+        ok &= np.max(np.abs(lhs)) <= 1e-13 * np.max(np.abs(d))
     for _ in range(100):
         u = rng.normal(size=64)
         m = checked[0].mass.diagonal

@@ -10,6 +10,7 @@ from dispersive_sw.sbp import (
     build_bounded_central_d1,
     build_periodic_central_d1,
     build_periodic_d2,
+    periodic_band,
 )
 
 from .oracles import dense_inverse_solve
@@ -38,11 +39,14 @@ def test_consistency_rhs_a_times_one():
 def test_bbm_elliptic_matrix_against_dense_inverse():
     # I - (1/6) Dc^2 D2 at N = 32 versus explicit inverse multiplication
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
-    d2 = build_periodic_d2(grid, 2, "narrow").matrix
-    a = np.eye(32) - (2.0**2 / 6.0) * d2
+    d2 = build_periodic_d2(grid, 2, "narrow")
+    band = periodic_band(d2, outer=np.full(32, -(2.0**2) / 6.0))
+    band.diagonals[band.w] += 1.0
+    a = np.eye(32) - (2.0**2 / 6.0) * d2.to_dense()
+    np.testing.assert_allclose(band.to_dense(), a, atol=1e-12)
     rng = np.random.default_rng(2)
     rhs = rng.normal(size=32)
-    f = linsolve.factor(a)
+    f = linsolve.factor(band)
     np.testing.assert_allclose(
         f.solve(rhs), dense_inverse_solve(a, rhs), atol=1e-11
     )
@@ -92,24 +96,25 @@ def test_banded_path_used_for_bounded_operators():
 
 def test_periodic_banded_path_matches_dense():
     grid = make_uniform_grid(0.0, 1.0, 96, "periodic")
-    d1 = build_periodic_central_d1(grid, 4).matrix
+    op = build_periodic_central_d1(grid, 4)
     beta = 1.0 + 0.2 * np.cos(2 * np.pi * grid.nodes)
-    a = np.diag(2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes)) - (d1 * beta) @ d1
-    f = linsolve.factor(a)
-    assert isinstance(f, linsolve.PeriodicBandedFactorization)
+    band = periodic_band(op, op, inner=-beta)
+    band.diagonals[band.w] += 2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes)
+    f = linsolve.factor(band)
+    assert isinstance(f, linsolve.BandedFactorization)
+    assert (f.lower, f.upper) == (2 * band.w, 2 * band.w)
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=96)
-    dense = linsolve.DenseFactorization(a)
+    dense = linsolve.DenseFactorization(band.to_dense())
     np.testing.assert_allclose(f.solve(rhs), dense.solve(rhs), atol=1e-11)
 
 
 def test_shifted_solver_modes_and_agreement():
     rng = np.random.default_rng(6)
-    grid = make_uniform_grid(0.0, 1.0, 64, "periodic")
-    d1 = build_periodic_central_d1(grid, 4).matrix
-    static = -(d1 * 0.3) @ d1
-    solver = linsolve.ShiftedSolver(static)
-    assert solver._mode == "periodic"
+    band = _periodic_static_part()
+    solver = linsolve.ShiftedSolver(band)
+    assert solver._mode == "periodic banded"
+    static = band.to_dense()
     diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
     full = static.copy()
     np.fill_diagonal(full, np.diagonal(full) + diag)
@@ -135,7 +140,7 @@ def test_mass_weighted_elliptic_matrices_are_spd():
     # BBM mass-equation operator: M (I - D1 K D1 / 6) symmetric positive definite
     grid = make_uniform_grid(-1.0, 1.0, 48, "periodic")
     op = build_periodic_central_d1(grid, 4)
-    d1 = op.matrix
+    d1 = op.to_dense()
     kdiag = (1.0 + 0.3 * np.cos(np.pi * grid.nodes)) ** 2
     a = np.eye(48) - (d1 * kdiag) @ d1 / 6.0
     ma = np.diag(op.mass.diagonal) @ a
@@ -154,22 +159,23 @@ def test_mass_weighted_elliptic_matrices_are_spd():
 
 
 def _periodic_static_part(n=64):
+    """-(D 0.3 D) for the periodic fourth-order D1, as a periodic band."""
     grid = make_uniform_grid(0.0, 1.0, n, "periodic")
-    d1 = build_periodic_central_d1(grid, 4).matrix
-    return -(d1 * 0.3) @ d1
+    d1 = build_periodic_central_d1(grid, 4)
+    return periodic_band(d1, d1, inner=np.full(n, -0.3))
 
 
 def test_shifted_solver_matches_direct_periodic_factorization_bitwise():
-    # prebuilt Woodbury pieces must not change a single bit of the solve
+    # the prebuilt folded static band must not change a single bit of the solve
     rng = np.random.default_rng(8)
     static = _periodic_static_part()
     solver = linsolve.ShiftedSolver(static)
     rhs = rng.normal(size=64)
     for _ in range(3):
         diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
-        full = static.copy()
-        np.fill_diagonal(full, np.diagonal(full) + diag)
-        direct = linsolve.PeriodicBandedFactorization(full)
+        full = linsolve.PeriodicBand(static.diagonals.copy())
+        full.diagonals[full.w] += diag
+        direct = linsolve.factor(full)
         assert np.array_equal(solver.factor(diag).solve(rhs), direct.solve(rhs))
 
 
@@ -177,7 +183,7 @@ def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
     static = _periodic_static_part()
     solver = linsolve.ShiftedSolver(static)
     diag = np.full(64, 2.0)
-    assert isinstance(solver.factor(diag), linsolve.PeriodicBandedFactorization)
+    assert isinstance(solver.factor(diag), linsolve.BandedFactorization)
     assert solver.dense_fallbacks == 0
 
     def failing_banded(*args, **kwargs):
@@ -189,6 +195,6 @@ def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
     assert isinstance(fact, linsolve.DenseFactorization)
     assert solver.dense_fallbacks == 1
     assert "pivot 1.5e-300" in caplog.text and "dense LU" in caplog.text
-    full = static + np.diag(diag)
+    full = static.to_dense() + np.diag(diag)
     rhs = np.linspace(-1.0, 1.0, 64)
     np.testing.assert_allclose(fact.solve(rhs), np.linalg.solve(full, rhs), atol=1e-11)

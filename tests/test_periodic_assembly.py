@@ -1,0 +1,199 @@
+"""Periodic elliptic systems: stencil-assembled bands and folded banded LU.
+
+The models assemble their periodic systems as offset diagonals from the
+operator stencils.  These tests check the bands against the dense
+products of ``to_dense()`` matrices, the folded LU and the shifted
+solver against a dense inverse, and that no periodic discretization
+holds an array of N x N size.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dispersive_sw import linsolve
+from dispersive_sw.bbm_bbm import build_bbm_discretization
+from dispersive_sw.grid import make_uniform_grid
+from dispersive_sw.sbp import periodic_operators
+from dispersive_sw.svaerd_kalisch import build_sk_discretization
+
+from .oracles import dense_inverse_solve
+
+G = 9.81
+
+
+def _bathymetry(x):
+    return -2.0 - 0.3 * np.cos(np.pi * x)
+
+
+def _capture(monkeypatch, name):
+    """Record the first argument of every call of linsolve.<name>."""
+    captured, real = [], getattr(linsolve, name)
+
+    def recording(a, *args, **kwargs):
+        captured.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, name, recording)
+    return captured
+
+
+def _assert_band_equals(band, dense, scale):
+    assert isinstance(band, linsolve.PeriodicBand)
+    assert np.max(np.abs(band.to_dense() - dense)) <= 1e-14 * scale
+
+
+# (variant, order, swap_upwind); n = 10 and 11 let the product stencils of
+# half-width 8 (order 8) and 4 (upwind order 4) wrap onto themselves
+BBM_CASES = [
+    ("periodic_central_wide", 8, False),
+    ("periodic_central_wide", 4, False),
+    ("periodic_central_narrow", 8, False),
+    ("periodic_const_narrow", 8, False),
+    ("periodic_upwind", 4, False),
+    ("periodic_upwind", 4, True),
+    ("periodic_upwind", 1, False),
+]
+
+
+@pytest.mark.parametrize("n", [10, 11, 64])
+@pytest.mark.parametrize("variant, order, swap", BBM_CASES)
+def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, swap, n):
+    captured = _capture(monkeypatch, "factor")
+    grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
+    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+    bathymetry = (lambda x: np.full_like(x, -2.0)) if "const" in variant else _bathymetry
+    build_bbm_discretization(grid, ops, bathymetry, G, variant, swap_upwind=swap)
+    k = bathymetry(grid.nodes) ** 2
+    eye = np.eye(n)
+    if variant == "periodic_upwind":
+        dp, dm = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
+        if swap:
+            dp, dm = dm, dp
+        a_mass, a_vel = (dm * k) @ dp, dp @ dm * k
+        scale_mass, scale_vel = (np.abs(dm) * k) @ np.abs(dp), np.abs(dp) @ np.abs(dm) * k
+    else:
+        d1 = ops.d1.to_dense()
+        a_mass = (d1 * k) @ d1
+        scale_mass = (np.abs(d1) * k) @ np.abs(d1)
+        if variant == "periodic_central_wide":
+            a_vel, scale_vel = d1 @ d1 * k, np.abs(d1) @ np.abs(d1) * k
+        else:
+            d2 = ops.d2.to_dense()
+            a_vel, scale_vel = d2 * k, np.abs(d2) * k
+            if variant == "periodic_const_narrow":
+                a_mass, scale_mass = a_vel, scale_vel
+    band_mass, band_vel = captured
+    _assert_band_equals(band_mass, eye - a_mass / 6.0, 1.0 + np.max(scale_mass))
+    _assert_band_equals(band_vel, eye - a_vel / 6.0, 1.0 + np.max(scale_vel))
+
+
+@pytest.mark.parametrize("n", [10, 11, 64])
+@pytest.mark.parametrize("variant, order", [
+    ("periodic_central_split", 8),
+    ("periodic_central_split", 4),
+    ("periodic_upwind", 4),
+    ("periodic_upwind", 2),
+])
+def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
+    captured = _capture(monkeypatch, "ShiftedSolver")
+    grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
+    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+    disc = build_sk_discretization(grid, ops, _bathymetry, G, 0.0, "set2", variant)
+    beta = disc.beta_hat
+    if variant == "periodic_upwind":
+        left, right = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
+    else:
+        left = right = ops.d1.to_dense()
+    (band,) = captured
+    scale = np.max((np.abs(left) * beta) @ np.abs(right))
+    _assert_band_equals(band, -(left * beta) @ right, scale)
+
+
+def _largest_array(root):
+    """Element count of the largest numpy array reachable from a model object."""
+    seen, largest, todo = set(), 0, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            largest = max(largest, obj.size)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif hasattr(obj, "__self__"):  # bound methods stored as callables
+            todo.append(obj.__self__)
+        elif type(obj).__module__.startswith("dispersive_sw") and hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return largest
+
+
+def test_periodic_discretizations_hold_no_dense_array():
+    n = 4096
+    grid = make_uniform_grid(-35.0, 35.0, n, "periodic")
+    for variant, order, _ in BBM_CASES:
+        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+        bathymetry = (
+            (lambda x: np.full_like(x, -2.0)) if "const" in variant
+            else lambda x: -2.0 - 0.3 * np.cos(2 * np.pi * x / 70.0)
+        )
+        disc = build_bbm_discretization(grid, ops, bathymetry, G, variant)
+        assert _largest_array(disc) <= 64 * n, variant
+    for variant, order in (("periodic_central_split", 8), ("periodic_upwind", 4)):
+        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+        disc = build_sk_discretization(
+            grid, ops, lambda x: np.full_like(x, -2.0), G, 0.0, "set2", variant
+        )
+        fact = disc._velocity_solver.factor(np.full(n, 2.0))
+        assert _largest_array(disc) <= 64 * n, variant
+        assert _largest_array(fact) <= 64 * n, variant
+
+
+@st.composite
+def periodic_systems(draw):
+    """(w, n, rng): half-width, size (odd, even, just above 4w, or wrapping)."""
+    w = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(4 * w + 1, 4 * w + 3), st.integers(2, 40)))
+    return w, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_systems())
+def test_folded_lu_matches_dense_inverse(system):
+    w, n, rng = system
+    band = linsolve.PeriodicBand(rng.normal(size=(2 * w + 1, n)))
+    a = band.to_dense()
+    assume(np.linalg.cond(a) < 1e6)
+    fact = linsolve.factor(band)
+    assert fact.lower == fact.upper == min(2 * w, n - 1)
+    rhs = rng.normal(size=(n, 2))
+    expected = dense_inverse_solve(a, rhs)
+    np.testing.assert_allclose(fact.solve(rhs), expected,
+                               atol=1e-9 * np.max(np.abs(expected)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_systems())
+def test_shifted_solver_matches_dense_inverse(system):
+    w, n, rng = system
+    static = linsolve.PeriodicBand(rng.normal(size=(2 * w + 1, n)))
+    solver = linsolve.ShiftedSolver(static)
+    dense_static = static.to_dense()
+    rhs = rng.normal(size=n)
+    for _ in range(2):
+        diagonal = rng.uniform(0.1, 4.0, size=n)
+        if rng.random() < 0.5:  # diagonally dominant: nonsingular by construction
+            diagonal += np.sum(np.abs(dense_static), axis=1)
+        a = dense_static + np.diag(diagonal)
+        if np.linalg.cond(a) > 1e6:
+            continue
+        first = solver.factor(diagonal).solve(rhs)
+        expected = dense_inverse_solve(a, rhs)
+        np.testing.assert_allclose(first, expected, atol=1e-9 * np.max(np.abs(expected)))
+        # the packed static band is reused, never overwritten
+        assert np.array_equal(solver.factor(diagonal).solve(rhs), first)
+    assert solver.dense_fallbacks == 0

@@ -20,7 +20,7 @@ from dispersive_sw.sbp import (
     verify_sbp_identity,
 )
 
-from .oracles import roll_apply
+from .oracles import dense_sbp_residuals, roll_apply
 
 PGRID = make_uniform_grid(0.0, 1.0, 64, "periodic")
 BGRID = make_uniform_grid(-1.0, 1.0, 64, "bounded")
@@ -30,10 +30,11 @@ def test_periodic_p2_is_the_classical_stencil():
     op = build_periodic_central_d1(PGRID, 2)
     dx = PGRID.spacing
     assert np.allclose(op.mass.diagonal, dx)
-    row = op.matrix[3]
+    dense = op.to_dense()
+    row = dense[3]
     assert row[2] == -0.5 / dx and row[4] == 0.5 / dx and row[3] == 0.0
     # wrap-around rows of the displayed circulant
-    assert op.matrix[0, -1] == -0.5 / dx and op.matrix[-1, 0] == 0.5 / dx
+    assert dense[0, -1] == -0.5 / dx and dense[-1, 0] == 0.5 / dx
 
 
 @pytest.mark.parametrize("order", PERIODIC_CENTRAL_ORDERS)
@@ -63,29 +64,30 @@ def test_upwind_pair_identities_and_dissipation(order):
     report = verify_sbp_identity(pair)
     assert report.passed
     m = np.diag(pair.mass.diagonal)
-    residual = m @ pair.d_plus.matrix + pair.d_minus.matrix.T @ m
+    dp, dm = pair.d_plus.to_dense(), pair.d_minus.to_dense()
+    residual = m @ dp + dm.T @ m
     assert np.max(np.abs(residual)) == 0.0  # exact by the transpose construction
     rng = np.random.default_rng(5)
     for _ in range(100):
         u = rng.normal(size=64)
-        quad = float(u @ (m @ (pair.d_minus.matrix @ u)))
+        quad = float(u @ (m @ (dm @ u)))
         tol = 1e-12 * float(u @ (m @ u))
         assert quad >= -tol
-        assert float(u @ (m @ (pair.d_plus.matrix @ u))) <= tol
+        assert float(u @ (m @ (dp @ u))) <= tol
 
 
 def test_upwind_p1_is_forward_backward():
     pair = build_periodic_upwind(PGRID, 1)
     dx = PGRID.spacing
-    row = pair.d_plus.matrix[5]
+    row = pair.d_plus.to_dense()[5]
     assert row[5] == -1.0 / dx and row[6] == 1.0 / dx
-    row = pair.d_minus.matrix[5]
+    row = pair.d_minus.to_dense()[5]
     assert row[5] == 1.0 / dx and row[4] == -1.0 / dx
     # dissipation matrix is dx/2 times the periodic second difference
     s = 0.5 * np.diag(pair.mass.diagonal) @ (
-        pair.d_plus.matrix - pair.d_minus.matrix
+        pair.d_plus.to_dense() - pair.d_minus.to_dense()
     )
-    d2 = build_periodic_d2(PGRID, 2, "narrow").matrix
+    d2 = build_periodic_d2(PGRID, 2, "narrow").to_dense()
     np.testing.assert_allclose(s, 0.5 * dx**2 * d2, atol=1e-14)
 
 
@@ -93,7 +95,7 @@ def test_upwind_p1_average_is_central_p2():
     pair = build_periodic_upwind(PGRID, 1)
     avg = pair.central_average()
     expect = build_periodic_central_d1(PGRID, 2)
-    np.testing.assert_allclose(avg.matrix, expect.matrix, atol=1e-15)
+    np.testing.assert_allclose(avg.to_dense(), expect.to_dense(), atol=1e-15)
     assert avg.accuracy_order == 2
 
 
@@ -109,22 +111,22 @@ def test_periodic_d2_symmetry(flavor):
     op = build_periodic_d2(PGRID, 4, flavor)
     assert verify_sbp_identity(op).passed
     m = np.diag(op.mass.diagonal)
-    assert np.max(np.abs(m @ op.matrix - op.matrix.T @ m)) <= 1e-12 * np.max(
-        np.abs(op.matrix)
-    )
+    d = op.to_dense()
+    assert np.max(np.abs(m @ d - d.T @ m)) <= 1e-12 * np.max(np.abs(d))
 
 
 def test_narrow_d2_p2_stencil():
     op = build_periodic_d2(PGRID, 2, "narrow")
     dx2 = PGRID.spacing**2
-    row = op.matrix[7]
+    row = op.to_dense()[7]
     assert row[6] == 1.0 / dx2 and row[7] == -2.0 / dx2 and row[8] == 1.0 / dx2
 
 
 def test_wide_d2_equals_squared_d1():
     d1 = build_periodic_central_d1(PGRID, 4)
     wide = build_periodic_d2(PGRID, 4, "wide")
-    np.testing.assert_allclose(wide.matrix, d1.matrix @ d1.matrix, atol=1e-10)
+    d = d1.to_dense()
+    np.testing.assert_allclose(wide.to_dense(), d @ d, atol=1e-10)
 
 
 @pytest.mark.parametrize("order", PERIODIC_CENTRAL_ORDERS)
@@ -221,8 +223,9 @@ def test_lemma_one_vector_annihilation():
         pair = build_periodic_upwind(PGRID, pair_order)
         ops += [pair.d_plus, pair.d_minus]
     for op in ops:
-        lhs = op.mass.diagonal @ op.matrix
-        assert np.max(np.abs(lhs)) <= 1e-13 * np.max(np.abs(op.matrix)), op.kind
+        d = op.to_dense()
+        lhs = op.mass.diagonal @ d
+        assert np.max(np.abs(lhs)) <= 1e-13 * np.max(np.abs(d)), op.kind
 
 
 def test_lemma_central_quadratic_form_vanishes():
@@ -236,17 +239,53 @@ def test_lemma_central_quadratic_form_vanishes():
 
 
 def test_verify_flags_perturbed_operator():
+    # perturbing c_+1 breaks c_+1 + c_-1 = 0 by 1e-6, so M D + D^T M has
+    # entries of size 1e-6 * dx, as a perturbed dense entry would
     op = build_periodic_central_d1(PGRID, 4)
-    bad = op.matrix.copy()
-    bad[3, 7] += 1e-6
+    bad = op.coefficients.copy()
+    bad[list(op.offsets).index(1)] += 1e-6
     tampered = DerivativeOperator(
-        op.kind, op.accuracy_order, op.grid, op.mass, bad, op.offsets,
-        op.coefficients,
+        op.kind, op.accuracy_order, op.grid, op.mass,
+        offsets=op.offsets, coefficients=bad,
     )
     report = verify_sbp_identity(tampered)
     assert not report.passed
     expected = 1e-6 * op.mass.diagonal[3]
     assert report.residuals["periodic_sbp"] == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("order", BOUNDED_ORDERS)
+def test_bounded_identity_residuals_equal_dense_form(order):
+    # row and column scaling forms the same products as np.diag(M) @ D
+    for op in (build_bounded_central_d1(BGRID, order),
+               build_bounded_upwind(BGRID, order)):
+        assert verify_sbp_identity(op).residuals == dense_sbp_residuals(op)
+
+
+def _periodic_operators_and_pairs(grid):
+    ops = [build_periodic_central_d1(grid, p) for p in PERIODIC_CENTRAL_ORDERS]
+    for flavor in ("narrow", "wide", "upwind_composite"):
+        orders = UPWIND_ORDERS if flavor == "upwind_composite" else PERIODIC_CENTRAL_ORDERS
+        ops += [build_periodic_d2(grid, p, flavor) for p in orders]
+    ops += [build_periodic_upwind(grid, p) for p in UPWIND_ORDERS]
+    ops += [pair.central_average() for pair in ops[-len(UPWIND_ORDERS):]]
+    return ops
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_periodic_stencil_residuals_match_dense_form(n):
+    # adjoint and symmetry residuals are the same floating-point products
+    # as the dense entries; consistency sums the stencil in another order
+    grid = make_uniform_grid(0.0, 3.0, n, "periodic")
+    for op in _periodic_operators_and_pairs(grid):
+        report = verify_sbp_identity(op)
+        dense = dense_sbp_residuals(op)
+        for key, value in dense.items():
+            if key.startswith("consistency"):
+                # threshold = 1e-12 * scale: agree within 1e-14 * scale
+                assert abs(report.residuals[key] - value) <= 1e-2 * report.threshold
+            else:
+                assert report.residuals[key] == value, (op, key)
 
 
 def test_unsupported_orders_rejected():

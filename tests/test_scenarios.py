@@ -193,3 +193,12 @@ def test_write_outputs_formats_17_digits(tmp_path):
     write_outputs(res, tmp_path)
     text = (tmp_path / "t.csv").read_text()
     assert "3.1415926535897931" in text
+
+
+def test_relaxed_soliton_reports_end_time_overshoot():
+    cfg = ScenarioConfig(scenario="soliton", model="bbm_bbm", order=4,
+                         n_nodes=128, t_end=0.5, relaxation=True)
+    res = run_scenario(cfg)
+    overshoot = res.info["end_time_overshoot"]
+    assert overshoot == res.info["final_time"] - 0.5
+    assert overshoot != 0.0 and abs(overshoot) <= 1e-6 * 0.5

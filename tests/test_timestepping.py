@@ -296,3 +296,25 @@ def test_adaptive_needs_embedded_weights():
     cfg = IntegratorConfig(tableau=RK4, dt=None)
     with pytest.raises(ConfigurationError):
         integrate(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
+
+
+def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
+    # a relaxed step advances t by gamma * dt, so the run ends at
+    # t_end + (gamma_last - 1) * dt_last, and IntegrationResult.t says so
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
+    cfg = IntegratorConfig(
+        tableau=RK4, dt=0.1, relaxation=RelaxationConfig(functional="custom")
+    )
+    records = []
+    t_end = 2.05
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, t_end), cfg,
+                    functional=functional, on_step=records.append)
+    last = records[-1]
+    assert last.gamma != 1.0
+    assert res.t == last.t_new
+    dt_last = t_end - last.t_old
+    assert res.t - t_end == pytest.approx((last.gamma - 1.0) * dt_last, abs=1e-15)
+    assert res.t != t_end
