@@ -264,7 +264,8 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         )
         d_outer_mass, d_outer_vel = dm.apply, dp.apply
     if grid.is_periodic:
-        a_mass, a_vel = _identity_minus_sixth(a_mass), _identity_minus_sixth(a_vel)
+        # entrywise equal to the dense eye - A / 6.0
+        a_mass, a_vel = a_mass.shifted(1.0, -6.0), a_vel.shifted(1.0, -6.0)
 
     disc = BbmBbmDiscretization(
         grid=grid,
@@ -282,13 +283,6 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         _source=source_terms,
     )
     return disc
-
-
-def _identity_minus_sixth(band):
-    """I - A/6 as a new periodic band, entrywise equal to dense eye - A / 6.0."""
-    diagonals = band.diagonals / -6.0
-    diagonals[band.w] += 1.0
-    return linsolve.PeriodicBand(diagonals)
 
 
 def _reflecting_operators(dp, dm, kdiag):

@@ -78,6 +78,13 @@ class PeriodicBand:
         self.w = (diagonals.shape[0] - 1) // 2
         self.n = diagonals.shape[1]
 
+    def shifted(self, shift, divisor=1.0) -> "PeriodicBand":
+        """diag(shift) + A / divisor as a new band; ``shift`` is a scalar or
+        a length-n vector."""
+        diagonals = self.diagonals / divisor
+        diagonals[self.w] += shift
+        return PeriodicBand(diagonals)
+
     def _columns(self):
         """Column index of every stored entry, shaped like ``diagonals``."""
         k = np.arange(-self.w, self.w + 1)[:, None]

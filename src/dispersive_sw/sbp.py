@@ -239,22 +239,18 @@ def periodic_band(left, right=None, *, inner=None, outer=None) -> PeriodicBand:
 
     Assembled from the stencils in O(N * width^2): entry (i, i+a+b) gains
     (l_a inner_(i+a)) r_b outer_(i+a+b).  ``right`` defaults to the
-    identity, ``inner`` and ``outer`` to ones; without ``inner`` the
-    stencil product L R is formed first.
+    identity, ``inner`` and ``outer`` to ones.
     """
     n = left.n
     idx = np.arange(n)
-    if inner is None:
-        off, coef = (left.offsets, left.coefficients) if right is None else (
-            _convolve_stencils(left.offsets, left.coefficients,
-                               right.offsets, right.coefficients))
-        terms = [(int(k), c, 1.0) for k, c in zip(off, coef)]
-    else:
-        terms = [
-            (int(a + b), cb, ca * inner[(idx + a) % n])
-            for a, ca in zip(left.offsets, left.coefficients)
-            for b, cb in zip(right.offsets, right.coefficients)
-        ]
+    inner = np.ones(n) if inner is None else inner
+    r_offsets, r_coefficients = ((0,), (1.0,)) if right is None else (
+        right.offsets, right.coefficients)
+    terms = [
+        (int(a + b), cb, ca * inner[(idx + a) % n])
+        for a, ca in zip(left.offsets, left.coefficients)
+        for b, cb in zip(r_offsets, r_coefficients)
+    ]
     w = max(abs(k) for k, _, _ in terms)
     diagonals = np.zeros((2 * w + 1, n))
     for k, c, row in terms:

@@ -184,7 +184,11 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
 
     The root is refined essentially to machine precision: per-step residual
     tolerances looser than roundoff would accumulate into a visible drift
-    of the conserved functional over long runs.  ``tol`` only classifies
+    of the conserved functional over long runs.  The iteration stops when
+    r(gamma) == 0.0, when the bracket is 16 ulp wide, or when the secant
+    step rounds onto the bracket end with the smallest residual: the
+    estimate can no longer move, and bisecting on would only chase the
+    roundoff of r.  ``tol`` only classifies
     the degenerate case where the functional does not respond to the
     increment at all (then gamma = 1 conserves it already).
 
@@ -215,7 +219,11 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
             cand = (a * rb - b * ra) / (rb - ra)
         else:
             cand = 0.5 * (a + b)
-        if not (a < cand < b) or not np.isfinite(cand):
+        if not np.isfinite(cand):
+            cand = 0.5 * (a + b)
+        elif not a < cand < b:
+            if best == (a if cand <= a else b):
+                break
             cand = 0.5 * (a + b)
         rc = residual(cand)
         if abs(rc) <= abs(r_best):

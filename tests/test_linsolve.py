@@ -40,8 +40,7 @@ def test_bbm_elliptic_matrix_against_dense_inverse():
     # I - (1/6) Dc^2 D2 at N = 32 versus explicit inverse multiplication
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
     d2 = build_periodic_d2(grid, 2, "narrow")
-    band = periodic_band(d2, outer=np.full(32, -(2.0**2) / 6.0))
-    band.diagonals[band.w] += 1.0
+    band = periodic_band(d2, outer=np.full(32, -(2.0**2) / 6.0)).shifted(1.0)
     a = np.eye(32) - (2.0**2 / 6.0) * d2.to_dense()
     np.testing.assert_allclose(band.to_dense(), a, atol=1e-12)
     rng = np.random.default_rng(2)
@@ -94,12 +93,24 @@ def test_banded_path_used_for_bounded_operators():
     np.testing.assert_allclose(f.solve(a @ x), x, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [3, 5, 16])  # 3 and 5: offsets alias (2w + 1 > n)
+def test_periodic_band_shifted_matches_dense(n):
+    rng = np.random.default_rng(n)
+    band = linsolve.PeriodicBand(rng.normal(size=(5, n)))
+    shift = rng.normal(size=n)
+    # aliased entries add up in another order, hence the roundoff tolerance
+    np.testing.assert_allclose(band.shifted(shift, -6.0).to_dense(),
+                               np.diag(shift) + band.to_dense() / -6.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(band.shifted(1.0).to_dense(), np.eye(n) + band.to_dense(),
+                               rtol=0, atol=1e-14)
+
+
 def test_periodic_banded_path_matches_dense():
     grid = make_uniform_grid(0.0, 1.0, 96, "periodic")
     op = build_periodic_central_d1(grid, 4)
     beta = 1.0 + 0.2 * np.cos(2 * np.pi * grid.nodes)
-    band = periodic_band(op, op, inner=-beta)
-    band.diagonals[band.w] += 2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes)
+    band = periodic_band(op, op, inner=-beta).shifted(
+        2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes))
     f = linsolve.factor(band)
     assert isinstance(f, linsolve.BandedFactorization)
     assert (f.lower, f.upper) == (2 * band.w, 2 * band.w)
@@ -173,9 +184,7 @@ def test_shifted_solver_matches_direct_periodic_factorization_bitwise():
     rhs = rng.normal(size=64)
     for _ in range(3):
         diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
-        full = linsolve.PeriodicBand(static.diagonals.copy())
-        full.diagonals[full.w] += diag
-        direct = linsolve.factor(full)
+        direct = linsolve.factor(static.shifted(diag))
         assert np.array_equal(solver.factor(diag).solve(rhs), direct.solve(rhs))
 
 

@@ -218,6 +218,29 @@ def test_solve_gamma_reports_exhausted_iterations_as_not_converged():
     assert abs(residual(gamma)) <= 1e-14
 
 
+def test_solve_gamma_stops_once_the_secant_step_cannot_move():
+    # energy-like cubics r(g) = g (c1 + g (c2 + g c3)) with r(1) small and
+    # |c_i| large, so r carries roundoff of about eps |c1| near its root.
+    # Bisecting that noise down to a 16-ulp bracket took up to 22 calls;
+    # stopping when the secant step rounds onto the best end takes <= 10
+    # and leaves gamma at the roundoff level of r.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        r1, slope, c3 = rng.uniform(1e-6, 1e-5), -rng.uniform(20, 60), rng.uniform(-1, 1)
+        c2 = slope - r1 - 2 * c3
+        c1 = r1 - c2 - c3
+        calls = []
+
+        def residual(gamma):
+            calls.append(gamma)
+            return gamma * (c1 + gamma * (c2 + gamma * c3))
+
+        gamma, converged = _solve_gamma(residual, 1e-2, 1e-11)
+        assert converged
+        assert len(calls) <= 10
+        assert abs(residual(gamma)) <= 16 * np.finfo(float).eps * abs(c1)
+
+
 def test_dissipative_mode_accepts_decay():
     def rhs(t, y):
         return -y
