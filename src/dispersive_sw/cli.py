@@ -4,7 +4,11 @@
     dispersive-sw run --config config.yaml --check
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure,
-3 threshold failure in --check mode.
+3 threshold failure in --check mode.  A run prints its info, including the
+integrator counters summed over its integrations (scenarios.RUN_COUNTERS).
+
+Optional heavy dependencies (sympy, scipy.optimize, yaml) are imported
+inside the functions that need them, never at module level.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated gauge positions")
     run.add_argument("--gauge-interval", dest="gauge_interval", type=float)
     run.add_argument("--output-dir", dest="output_dir")
-    run.add_argument("--seed", type=int)
     run.add_argument("--experimental-data", dest="experimental_data")
     run.add_argument("--relaxation", action="store_true", default=None)
     run.add_argument("--no-relaxation", dest="relaxation", action="store_false")

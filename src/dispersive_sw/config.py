@@ -11,8 +11,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigurationError
 
 SCENARIOS = (
@@ -43,7 +41,6 @@ class ScenarioConfig:
     gauges: list = field(default_factory=list)
     gauge_interval: float = 0.1
     output_dir: str | None = None
-    seed: int | None = None
     orders: list | None = None  # EOC mode: operator orders
     resolutions: list | None = None  # EOC mode: grid sizes
     eoc: bool = False
@@ -95,6 +92,8 @@ def config_from_mapping(mapping) -> ScenarioConfig:
 
 
 def load_config_file(path) -> dict:
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")

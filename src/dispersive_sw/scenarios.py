@@ -4,7 +4,8 @@ Every scenario returns a ScenarioResult holding machine-readable tables
 (written as CSV when an output directory is configured) and a list of
 threshold checks for --check mode.  Floats are written with 17
 significant digits so identical configurations produce byte-identical
-files.
+files.  Optional heavy dependencies (sympy via ``manufactured``,
+scipy.optimize) are imported inside the functions that need them.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bbm_bbm, svaerd_kalisch as sk
 from .config import ScenarioConfig
 from .errors import ConfigurationError, IngestionError
 from .grid import l2_norm, make_uniform_grid, split_flat
-from .manufactured import bbm_manufactured, sk_manufactured
 from .sbp import bounded_operators, periodic_operators
 from .timestepping import (
     DOPRI5,
@@ -267,17 +266,12 @@ def _functional(disc):
     return disc.modified_entropy_functional()
 
 
-def _relax_config(disc):
-    name = (
-        "energy"
-        if isinstance(disc, bbm_bbm.BbmBbmDiscretization)
-        else "modified_entropy"
-    )
-    return RelaxationConfig(functional=name)
+# integrator counters summed over a scenario's integrate calls into its info
+RUN_COUNTERS = ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks")
 
 
-def _run(disc, y0, t_end, cfg: ScenarioConfig, *, dt=None, atol=None, rtol=None,
-         relaxation=None, recorders=(), dt_max=np.inf):
+def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=None,
+         atol=None, rtol=None, relaxation=None, recorders=(), dt_max=np.inf):
     relaxation = cfg.relaxation if relaxation is None else relaxation
     functional = _functional(disc) if relaxation else None
     config = IntegratorConfig(
@@ -285,7 +279,7 @@ def _run(disc, y0, t_end, cfg: ScenarioConfig, *, dt=None, atol=None, rtol=None,
         dt=cfg.dt if cfg.dt is not None else dt,
         atol=cfg.atol if cfg.atol is not None else (atol or 1e-7),
         rtol=cfg.rtol if cfg.rtol is not None else (rtol or 1e-7),
-        relaxation=_relax_config(disc) if relaxation else None,
+        relaxation=RelaxationConfig() if relaxation else None,
         dt_max=dt_max,
     )
     for rec in recorders:
@@ -293,11 +287,13 @@ def _run(disc, y0, t_end, cfg: ScenarioConfig, *, dt=None, atol=None, rtol=None,
             rec.start(0.0, y0)
     on_step = _multi_callback(*recorders) if recorders else None
     dense = any(isinstance(r, GaugeRecorder) for r in recorders)
-    result = integrate(
+    run = integrate(
         disc.rhs, y0, (0.0, t_end), config,
         functional=functional, on_step=on_step, dense_output=dense,
     )
-    return result
+    for name in RUN_COUNTERS:
+        result.info[name] = result.info.get(name, 0) + getattr(run, name)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,7 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
             entries = []
             for n in resolutions:
                 grid, ops, disc, y0 = _soliton_case(cfg, order, n)
-                run = _run(disc, y0, t_end, cfg, atol=1e-11, rtol=1e-11)
+                run = _run(result, disc, y0, t_end, cfg, atol=1e-11, rtol=1e-11)
                 errs = _state_error(
                     grid, ops, run.y, soliton_reference(run.t, grid)
                 )
@@ -369,7 +365,7 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
     t_end = cfg.t_end if cfg.t_end is not None else 5 * soliton_period()
     grid, ops, disc, y0 = _soliton_case(cfg, cfg.order, n)
     recorder = InvariantRecorder(disc, _invariant_names("bbm_bbm"))
-    run = _run(disc, y0, t_end, cfg, recorders=[recorder])
+    run = _run(result, disc, y0, t_end, cfg, recorders=[recorder])
     result.tables["invariants"] = (recorder.header(), recorder.rows)
     eta, v = split_flat(run.y)
     result.tables["snapshot"] = (
@@ -382,8 +378,6 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
         end_time_overshoot=run.t - t_end,
         l2_error_eta=errs[0],
         l2_error_v=errs[1],
-        n_steps=run.n_steps,
-        relaxation_fallbacks=run.relaxation_fallbacks,
     )
     _, mass = recorder.series("mass")
     _, energy = recorder.series("energy")
@@ -419,6 +413,8 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _manufactured_case(cfg, reflecting):
+    from .manufactured import bbm_manufactured, sk_manufactured
+
     bc = "bounded" if reflecting else "periodic"
     if cfg.model == "bbm_bbm":
         return bbm_manufactured(bc, GRAVITY)
@@ -426,7 +422,7 @@ def _manufactured_case(cfg, reflecting):
     return sk_manufactured(bc, GRAVITY, pset, 0.0)
 
 
-def _manufactured_single(cfg, case, order, n, reflecting, t_end):
+def _manufactured_single(result, cfg, case, order, n, reflecting, t_end):
     bc = "bounded" if reflecting else "periodic"
     grid = make_uniform_grid(0.0, 1.0, n, bc)
     bathy = lambda x: case.bathymetry(0.0, x)
@@ -451,7 +447,7 @@ def _manufactured_single(cfg, case, order, n, reflecting, t_end):
         )
     eta0, v0 = case.exact(0.0, grid.nodes)
     y0 = np.concatenate([eta0, v0])
-    run = _run(disc, y0, t_end, cfg, atol=1e-9, rtol=1e-9)
+    run = _run(result, disc, y0, t_end, cfg, atol=1e-9, rtol=1e-9)
     return grid, ops, run
 
 
@@ -476,7 +472,7 @@ def scenario_manufactured(cfg: ScenarioConfig) -> ScenarioResult:
         entries = []
         for n in resolutions:
             grid, ops, run = _manufactured_single(
-                cfg, case, order, n, reflecting, t_end
+                result, cfg, case, order, n, reflecting, t_end
             )
             errs = _state_error(grid, ops, run.y, case.exact(run.t, grid.nodes))
             entries.append((n, *errs))
@@ -536,7 +532,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
         y0 = np.concatenate([np.full(n, LAKE_SURFACE), np.zeros(n)])
         dt = cfg.dt if cfg.dt is not None else 2e-4
         t_end = cfg.t_end if cfg.t_end is not None else 1.0
-    run = _run(disc, y0, t_end, cfg, dt=dt, relaxation=False)
+    run = _run(result, disc, y0, t_end, cfg, dt=dt, relaxation=False)
     eta, v = split_flat(run.y)
     eta_ref, v_ref = split_flat(y0)
     err_eta = l2_norm(eta - eta_ref, ops.mass)
@@ -547,7 +543,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     )
     result.checks.append(CheckResult.at_most("lake_at_rest_eta", err_eta, 1e-12))
     result.checks.append(CheckResult.at_most("lake_at_rest_v", err_v, 1e-12))
-    result.info.update(l2_error_eta=err_eta, l2_error_v=err_v, n_steps=run.n_steps)
+    result.info.update(l2_error_eta=err_eta, l2_error_v=err_v)
     return result
 
 
@@ -585,7 +581,8 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     names = _invariant_names(cfg.model)
     for relaxed in (False, True):
         recorder = InvariantRecorder(disc, names)
-        run = _run(disc, y0, t_end, cfg, relaxation=relaxed, recorders=[recorder])
+        run = _run(result, disc, y0, t_end, cfg, relaxation=relaxed,
+                   recorders=[recorder])
         tag = "relaxed" if relaxed else "baseline"
         result.tables[f"invariants_{tag}"] = (recorder.header(), recorder.rows)
         _, mass = recorder.series("mass")
@@ -670,7 +667,8 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
     )
     y0 = traveling_wave_initial(grid, k)
     recorder = PhaseRecorder(grid, N_WAVES)
-    run = _run(disc, y0, t_end, cfg, recorders=[recorder], dt_max=0.2 / k)
+    result = ScenarioResult("traveling_wave")
+    run = _run(result, disc, y0, t_end, cfg, recorders=[recorder], dt_max=0.2 / k)
 
     omega_fit = recorder.fitted_omega()
     c_fit = omega_fit / k
@@ -683,7 +681,6 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
         else sk.sk_dispersion_omega(k, pset, h0, GRAVITY) / k
     )
     amp = recorder.amplitudes()
-    result = ScenarioResult("traveling_wave")
     result.tables["phase_report"] = (
         ["model", "k", "t_end", "c_fit", "c_model_linear", "c_euler",
          "phase_error_vs_euler", "amplitude_ratio"],
@@ -735,6 +732,8 @@ def dingemans_bathymetry(x):
 
 def dingemans_wavenumber(h0=DINGEMANS_H0, gravity=GRAVITY):
     """k solving omega^2 = g k tanh(k h0) for omega = 2 pi / (2.02 sqrt 2)."""
+    from scipy.optimize import brentq
+
     omega = 2.0 * np.pi / (2.02 * np.sqrt(2.0))
     return brentq(lambda k: gravity * k * np.tanh(k * h0) - omega**2, 1e-6, 10.0)
 
@@ -778,7 +777,7 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
     inv_rec = InvariantRecorder(disc, names)
     gauge_rec = GaugeRecorder(grid, cfg.gauges, 0.0, cfg.gauge_interval,
                               eta_shift=eta_shift)
-    run = _run(disc, y0, t_end, cfg, recorders=[inv_rec, gauge_rec])
+    run = _run(result, disc, y0, t_end, cfg, recorders=[inv_rec, gauge_rec])
     result.tables["invariants"] = (inv_rec.header(), inv_rec.rows)
     for idx, (pos, series) in enumerate(zip(gauge_rec.positions, gauge_rec.samples)):
         result.tables[f"gauge_{idx:02d}"] = (
@@ -814,7 +813,7 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
             )
     if cfg.experimental_data:
         result.tables["experimental"] = read_experimental_gauges(cfg.experimental_data)
-    result.info.update(final_time=run.t, n_steps=run.n_steps)
+    result.info["final_time"] = run.t
     return result
 
 

@@ -160,12 +160,11 @@ def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
 class RelaxationConfig:
     """Settings for the relaxation wrapper.
 
-    functional selects what is conserved ("energy", "modified_entropy", or
-    "custom"); mode "conservative" enforces J(u+du) = J(u), mode
-    "dissipative-estimate" only prevents growth.
+    The conserved functional is passed to ``integrate``; mode
+    "conservative" enforces J(u+du) = J(u), mode "dissipative-estimate"
+    only prevents growth.
     """
 
-    functional: str = "energy"
     mode: str = "conservative"
     root_tolerance: float = 1e-14
     bracket_half_width: float = 1e-2

@@ -1,5 +1,14 @@
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import dispersive_sw
+from dispersive_sw import scenarios
 from dispersive_sw.cli import run_cli
 
 
@@ -84,3 +93,88 @@ def test_check_failure_exits_three(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", fake_run)
     code = run_cli(["run", "--scenario", "soliton", "--check"])
     assert code == 3
+
+
+def test_seed_key_in_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nseed: 3\n")
+    code = run_cli(["run", "--config", str(cfg)])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, integrations",
+    [
+        (["--scenario", "soliton", "--model", "bbm_bbm", "--eoc", "--orders", "2",
+          "--resolutions", "64,128", "--t-end", "0.5", "--relaxation"], 2),
+        (["--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
+          "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"], 1),
+    ],
+)
+def test_cli_prints_run_counters_summed_over_integrations(
+    args, integrations, monkeypatch, capsys
+):
+    runs = []
+    integrate = scenarios.integrate
+
+    def recording_integrate(*a, **kw):
+        runs.append(integrate(*a, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(scenarios, "integrate", recording_integrate)
+    assert run_cli(["run", *args]) == 0
+    assert len(runs) == integrations
+    printed = dict(
+        line.split(": ", 1)
+        for line in capsys.readouterr().out.splitlines() if ": " in line
+    )
+    for name in ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks"):
+        assert printed[name] == str(sum(getattr(r, name) for r in runs)), name
+    assert int(printed["n_steps"]) > 0 and int(printed["n_rhs"]) > 0
+
+
+_IMPORT_PROBE = """
+import json, sys
+HEAVY = ("sympy", "scipy.optimize", "yaml")
+loaded = lambda: sorted(m for m in HEAVY if m in sys.modules)
+steps = {}
+from dispersive_sw.cli import run_cli
+steps["import"] = loaded()
+assert run_cli(["run", "--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
+                "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"]) == 0
+steps["lake_at_rest"] = loaded()
+from dispersive_sw.scenarios import dingemans_wavenumber
+steps["wavenumber"] = repr(dingemans_wavenumber())
+steps["dingemans_wavenumber"] = loaded()
+assert run_cli(["run", "--config", sys.argv[1]]) == 0
+steps["config"] = loaded()
+assert run_cli(["run", "--scenario", "manufactured", "--orders", "2",
+                "--resolutions", "16,32", "--t-end", "0.01"]) == 0
+steps["manufactured"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
+    # a fresh interpreter: this pytest session has long imported all three
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "scenario: lake_at_rest\nmodel: bbm_bbm\nn_nodes: 40\nt_end: 1.0\n"
+    )
+    src = str(Path(dispersive_sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps["import"] == []
+    assert steps["lake_at_rest"] == []
+    assert steps["dingemans_wavenumber"] == ["scipy.optimize"]
+    assert steps["wavenumber"] == "0.8406220896381472"
+    assert steps["config"] == ["scipy.optimize", "yaml"]
+    assert steps["manufactured"] == ["scipy.optimize", "sympy", "yaml"]

@@ -136,7 +136,7 @@ def test_relaxation_gamma_one_for_linear_functional(dt, a, b):
 
     functional = FunctionalFromCallable(lambda y: a * y[0] + b * y[1] + 3.0)
     y = np.array([0.7, -0.2])
-    relax = RelaxationConfig(functional="custom")
+    relax = RelaxationConfig()
     # rotate the linear invariant along with the flow: use the quadratic
     # invariant instead when a or b is large; here just check gamma stays 1
     y_new, t_new, gamma, err, fallback = relaxation_step(
@@ -153,7 +153,7 @@ def test_relaxation_harmonic_oscillator_conserves_quadratic():
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
     cfg = IntegratorConfig(
-        tableau=RK4, dt=0.1, relaxation=RelaxationConfig(functional="custom")
+        tableau=RK4, dt=0.1, relaxation=RelaxationConfig()
     )
     res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0), cfg, functional=functional)
     assert abs(functional.value(res.y) - 1.0) <= 1e-13
@@ -174,7 +174,7 @@ def test_relaxation_preserves_temporal_order():
             cfg = IntegratorConfig(
                 tableau=RK4,
                 dt=dt,
-                relaxation=RelaxationConfig(functional="custom") if relax else None,
+                relaxation=RelaxationConfig() if relax else None,
             )
             res = integrate(
                 rhs, np.array([1.0, 0.0]), (0.0, 5.0), cfg,
@@ -195,7 +195,7 @@ def test_relaxation_fallback_warns_and_counts():
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2))
     cfg = IntegratorConfig(
-        tableau=RK4, dt=0.5, relaxation=RelaxationConfig(functional="custom")
+        tableau=RK4, dt=0.5, relaxation=RelaxationConfig()
     )
     res = integrate(
         rhs, np.array([0.0]), (0.0, 0.5), cfg, functional=functional
@@ -246,7 +246,7 @@ def test_dissipative_mode_accepts_decay():
         return -y
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2))
-    relax = RelaxationConfig(functional="custom", mode="dissipative-estimate")
+    relax = RelaxationConfig(mode="dissipative-estimate")
     cfg = IntegratorConfig(tableau=RK4, dt=0.1, relaxation=relax)
     res = integrate(rhs, np.array([1.0]), (0.0, 1.0), cfg, functional=functional)
     assert all(g == 1.0 for g in res.gammas)
@@ -265,7 +265,7 @@ def test_fsal_reevaluated_after_relaxed_step():
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
     cfg = IntegratorConfig(
         tableau=DOPRI5, dt=0.25,
-        relaxation=RelaxationConfig(functional="custom"),
+        relaxation=RelaxationConfig(),
     )
     res = integrate(
         rhs, np.array([1.0, 0.0]), (0.0, 1.0), cfg, functional=functional
@@ -309,7 +309,7 @@ def test_empty_time_span_rejected():
 
 def test_relaxation_requires_functional():
     cfg = IntegratorConfig(
-        tableau=RK4, dt=0.1, relaxation=RelaxationConfig(functional="energy")
+        tableau=RK4, dt=0.1, relaxation=RelaxationConfig()
     )
     with pytest.raises(ConfigurationError):
         integrate(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
@@ -329,7 +329,7 @@ def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
     cfg = IntegratorConfig(
-        tableau=RK4, dt=0.1, relaxation=RelaxationConfig(functional="custom")
+        tableau=RK4, dt=0.1, relaxation=RelaxationConfig()
     )
     records = []
     t_end = 2.05
