@@ -15,11 +15,9 @@ from .bbm_bbm import (
 from .grid import (
     Grid,
     MassMatrix,
-    State,
     integral,
     l2_norm,
     linf_norm,
-    make_state,
     make_uniform_grid,
     weighted_inner_product,
 )

@@ -7,16 +7,22 @@ The system evolves the total water height eta and the velocity v,
 
 with still water depth D(x) = -b(x) (the reference level is fixed at
 eta0 = 0; scenarios shift their data when another level is wanted).
-Semidiscretizations invert the two elliptic operators once at build time
+Semidiscretizations factor the two elliptic operators once at build time
 and conserve the total mass, the total velocity, and (for the
 energy-conservative variants) the quadratic energy
 
     E = sum_i M_ii (g eta_i^2 + (eta_i + D_i) v_i^2) / 2.
+
+With K = D^2, the SBP property makes the periodic elliptic systems
+symmetric positive definite: the mass systems I - L K R / 6 (L K R =
+D1 K D1 or D- K D+, that is -R^T K R) as assembled, the velocity systems
+I - S K / 6 (S = D1 D1, D2 or D+ D-, symmetric negative semidefinite)
+once scaled to diag(1/K) - S / 6.  Reflecting systems are not symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,13 +92,19 @@ class BbmBbmDiscretization:
     _d_outer_vel: Callable = None
     _solver_mass: object = None
     _solver_vel: object = None
+    _vel_divisor: np.ndarray | None = None  # K of a rescaled velocity system
     _interior_mask: np.ndarray | None = None
     _source: Optional[Callable] = None
-    _source_solvers: tuple | None = None
 
     @property
     def n(self) -> int:
         return self.grid.n_nodes
+
+    def solver_report(self) -> dict:
+        """Factorization type of each system; factored once, no fallback."""
+        return {"solver_mass": type(self._solver_mass).__name__,
+                "solver_velocity": type(self._solver_vel).__name__,
+                "dense_fallbacks": 0}
 
     # -- right-hand side -----------------------------------------------------
 
@@ -110,6 +122,8 @@ class BbmBbmDiscretization:
         if self._interior_mask is not None:
             rhs_v = rhs_v * self._interior_mask
         dv = self._solver_vel.solve(rhs_v)
+        if self._vel_divisor is not None:
+            dv /= self._vel_divisor
         if self._interior_mask is not None:
             # strong Dirichlet data: the wall values are zero by construction,
             # not merely up to solver roundoff
@@ -192,8 +206,9 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
                              *, swap_upwind=False, source_terms=None):
     """Assemble and factor one of the BBM-BBM semidiscretizations.
 
-    The elliptic operators are time independent, so both factorizations
-    happen here.  ``swap_upwind`` exchanges the roles of the biased
+    The elliptic operators are time independent, so they are factored
+    here, once each (once in all for ``periodic_const_narrow``, whose two
+    systems coincide).  ``swap_upwind`` exchanges the roles of the biased
     operators in the upwind variants (both assignments conserve energy).
     ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
     """
@@ -225,47 +240,47 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
                 f"{variant} needs a narrow second-derivative operator, "
                 f"got {operators.d2.kind}"
             )
+    if variant.endswith("upwind"):
+        operators.require("upwind")
+        dp, dm = operators.upwind.d_plus, operators.upwind.d_minus
+        if swap_upwind:
+            dp, dm = dm, dp
+        d_outer_mass, d_outer_vel = dm.apply, dp.apply
 
-    interior_mask = None
-    # periodic systems are I - A/6 with A assembled from the stencils
+    interior_mask = vel_divisor = None
+    # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and
+    # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: dense
     if variant == "periodic_central_wide":
         a_mass = periodic_band(d1, d1, inner=kdiag)
-        a_vel = periodic_band(d1, d1, outer=kdiag)
+        a_vel = periodic_band(d1, d1)
     elif variant == "periodic_central_narrow":
         a_mass = periodic_band(d1, d1, inner=kdiag)
-        a_vel = periodic_band(operators.d2, outer=kdiag)
+        a_vel = periodic_band(operators.d2)
     elif variant == "periodic_const_narrow":
         if np.ptp(depth) > 1e-13 * np.max(depth):
             raise ConfigurationError(
                 "periodic_const_narrow requires constant bathymetry"
             )
-        a_mass = a_vel = periodic_band(operators.d2, outer=kdiag)
+        # K is constant, so I - D2 K / 6 is symmetric: one system for both
+        a_mass = a_vel = periodic_band(operators.d2, inner=kdiag)
     elif variant == "periodic_upwind":
-        operators.require("upwind")
-        pair = operators.upwind
-        dp, dm = pair.d_plus, pair.d_minus
-        if swap_upwind:
-            dp, dm = dm, dp
         a_mass = periodic_band(dm, dp, inner=kdiag)
-        a_vel = periodic_band(dp, dm, outer=kdiag)
-        d_outer_mass, d_outer_vel = dm.apply, dp.apply
+        a_vel = periodic_band(dp, dm)
     elif variant == "reflecting_central":
         a_mass, a_vel, interior_mask = _reflecting_operators(
             d1.matrix, d1.matrix, kdiag
         )
     elif variant == "reflecting_upwind":
-        operators.require("upwind")
-        pair = operators.upwind
-        dp, dm = pair.d_plus, pair.d_minus
-        if swap_upwind:
-            dp, dm = dm, dp
         a_mass, a_vel, interior_mask = _reflecting_operators(
             dp.matrix, dm.matrix, kdiag
         )
-        d_outer_mass, d_outer_vel = dm.apply, dp.apply
-    if grid.is_periodic:
-        # entrywise equal to the dense eye - A / 6.0
-        a_mass, a_vel = a_mass.shifted(1.0, -6.0), a_vel.shifted(1.0, -6.0)
+    solver_mass = solver_vel = linsolve.factor(
+        a_mass.shifted(1.0, -6.0) if grid.is_periodic else a_mass
+    )
+    if a_vel is not a_mass:
+        if grid.is_periodic:
+            a_vel, vel_divisor = a_vel.shifted(1.0 / kdiag, -6.0), kdiag
+        solver_vel = linsolve.factor(a_vel)
 
     disc = BbmBbmDiscretization(
         grid=grid,
@@ -277,8 +292,9 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         energy_conservative=variant in ENERGY_CONSERVATIVE_VARIANTS,
         _d_outer_mass=d_outer_mass,
         _d_outer_vel=d_outer_vel,
-        _solver_mass=linsolve.factor(a_mass),
-        _solver_vel=linsolve.factor(a_vel),
+        _solver_mass=solver_mass,
+        _solver_vel=solver_vel,
+        _vel_divisor=vel_divisor,
         _interior_mask=interior_mask,
         _source=source_terms,
     )

@@ -5,7 +5,9 @@
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure,
 3 threshold failure in --check mode.  A run prints its info, including the
-integrator counters summed over its integrations (scenarios.RUN_COUNTERS).
+integrator counters summed over its integrations (scenarios.RUN_COUNTERS),
+the factorization type of each elliptic system (solver_<system>) and the
+dense fallbacks taken (dense_fallbacks).
 
 Optional heavy dependencies (sympy, scipy.optimize, yaml) are imported
 inside the functions that need them, never at module level.

@@ -1,4 +1,4 @@
-"""Uniform 1-D grids, diagonal-norm quadrature, and the two-field state.
+"""Uniform 1-D grids, diagonal-norm quadrature, and the flat two-field state.
 
 Conventions: bounded grids contain both interval endpoints with
 ``dx = (x_max - x_min) / (N - 1)``.  Periodic grids identify ``x_max``
@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
-
-#: below this water height the conservative -> primitive conversion refuses
-#: to divide (fully wet states are assumed throughout)
-H_FLOOR = 1e-12
+from .errors import ConfigurationError, DimensionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,66 +101,8 @@ def linf_norm(u) -> float:
     return float(np.max(np.abs(u))) if np.size(u) else 0.0
 
 
-@dataclass(eq=False)
-class State:
-    """Two-field solution vector.
-
-    ``representation`` is either "primitive" (total water height eta and
-    velocity v) or "conservative" (water height h and discharge P = h v).
-    The container stores raw fields; interpretation of eta0/bathymetry is
-    left to the owning model.
-    """
-
-    field_a: np.ndarray
-    field_b: np.ndarray
-    representation: str = "primitive"
-
-    def __post_init__(self):
-        if self.representation not in ("primitive", "conservative"):
-            raise ConfigurationError(
-                f"unknown state representation {self.representation!r}"
-            )
-        _check_lengths(self.field_a, self.field_b)
-
-    @property
-    def n(self) -> int:
-        return self.field_a.size
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.field_a, self.field_b])
-
-
-def make_state(grid: Grid, field_a, field_b, representation="primitive") -> State:
-    field_a = np.asarray(field_a, dtype=float)
-    field_b = np.asarray(field_b, dtype=float)
-    if field_a.size != grid.n_nodes or field_b.size != grid.n_nodes:
-        raise DimensionError(
-            f"state fields of length {field_a.size}/{field_b.size} "
-            f"do not match grid with {grid.n_nodes} nodes"
-        )
-    return State(field_a, field_b, representation)
-
-
 def split_flat(y):
     """Split a flat 2N vector into its two length-N fields (views)."""
     y = np.asarray(y)
     n = y.size // 2
     return y[:n], y[n:]
-
-
-def primitive_to_conservative(eta, v, still_depth, eta0=0.0):
-    """(eta, v) -> (h, P) with h = eta + D - eta0 and P = h v."""
-    h = np.asarray(eta, dtype=float) + np.asarray(still_depth, dtype=float) - eta0
-    return h, h * np.asarray(v, dtype=float)
-
-
-def conservative_to_primitive(h, p, still_depth, eta0=0.0):
-    """(h, P) -> (eta, v); errors on dry or near-dry states instead of clamping."""
-    h = np.asarray(h, dtype=float)
-    if np.min(h) <= H_FLOOR:
-        raise DomainError(
-            f"water height {np.min(h):.3e} at or below floor {H_FLOOR:.0e}; "
-            "conversion requires a fully wet state"
-        )
-    eta = h - np.asarray(still_depth, dtype=float) + eta0
-    return eta, np.asarray(p, dtype=float) / h

@@ -1,13 +1,17 @@
 """Reusable factorizations for the elliptic systems of both models.
 
-Every system goes through one banded LU, LAPACK's gbtrf/gbtrs.  Periodic
-systems arrive as a ``PeriodicBand``, their offset diagonals assembled
-from the operator stencils; no N x N array is formed.  A periodic band
-of half-width w is reordered by the fold permutation 0, N-1, 1, N-2, ...,
-which places the wrap-around neighbours of every node within 2w folded
-positions, so it factors as an ordinary band of half-width 2w in
-O(N w^2).  Dense matrices (assembled from bounded operators) have their
-bandwidth measured and are packed when the band is narrow.  Dense LU is
+Periodic systems are symmetric positive definite (SPD) by the SBP
+property (see ``sbp.periodic_band``): BBM-BBM's I - L K R / 6 and its
+K-scaled diag(1/K) - S / 6 (see ``bbm_bbm``), and the Svärd-Kalisch
+diag(h) - D beta D.  They arrive as a ``PeriodicBand`` of upper offset
+diagonals, so the storage itself states the symmetry, and take one
+banded Cholesky, LAPACK's pbtrf/pbtrs.  The fold permutation 0, N-1, 1,
+N-2, ... places the wrap-around neighbours of every node within 2w
+folded positions, so a periodic band of half-width w factors as an
+ordinary band of half-width 2w in O(N w^2); no N x N array is formed.
+Dense matrices (assembled from bounded operators, not symmetric because
+of their identity wall rows) have their bandwidth measured and take the
+banded LU, LAPACK's gbtrf/gbtrs, when the band is narrow.  Dense LU is
 the last resort, for dense matrices without a narrow band or when the
 banded path fails inside ``ShiftedSolver``, which logs and counts that
 fallback.
@@ -67,45 +71,52 @@ class Fold:
 
 
 class PeriodicBand:
-    """Periodic band matrix stored by its offset diagonals.
+    """Symmetric periodic band matrix stored by its upper offset diagonals.
 
-    A[i, (i + k) % n] = diagonals[k + w, i] for |k| <= w.  When 2w + 1 > n
-    some offsets meet in the same column; their entries add up.
+    A[i, (i + k) % n] = A[(i + k) % n, i] = diagonals[k, i] for 0 <= k <= w,
+    so no lower half can disagree with the upper one.  When offsets wrap
+    (2w + 1 > n), entries that meet in the same position add up.
     """
 
     def __init__(self, diagonals: np.ndarray):
         self.diagonals = diagonals
-        self.w = (diagonals.shape[0] - 1) // 2
+        self.w = diagonals.shape[0] - 1
         self.n = diagonals.shape[1]
 
     def shifted(self, shift, divisor=1.0) -> "PeriodicBand":
         """diag(shift) + A / divisor as a new band; ``shift`` is a scalar or
         a length-n vector."""
         diagonals = self.diagonals / divisor
-        diagonals[self.w] += shift
+        diagonals[0] += shift
         return PeriodicBand(diagonals)
 
     def _columns(self):
         """Column index of every stored entry, shaped like ``diagonals``."""
-        k = np.arange(-self.w, self.w + 1)[:, None]
-        return (np.arange(self.n) + k) % self.n
+        return (np.arange(self.n) + np.arange(self.w + 1)[:, None]) % self.n
 
     def pack(self):
-        """(ab, b, fold): gbtrf storage of the folded matrix, half-width b."""
+        """(ab, fold): pbtrf upper storage (b + 1, n) of the folded matrix,
+        half-width b = min(2w, n - 1)."""
         n = self.n
         fold = Fold(n)
         b = min(2 * self.w, n - 1)
         rows = fold.position[None, :]
         cols = fold.position[self._columns()]
-        flat = (2 * b + rows - cols) * n + cols
-        ab = np.bincount(flat.ravel(), self.diagonals.ravel(), (3 * b + 1) * n)
-        return np.asfortranarray(ab.reshape(3 * b + 1, n)), b, fold
+        # an offset k > 0 with k % n == 0 lands on the diagonal with its mirror
+        k = np.arange(self.w + 1)[:, None]
+        values = np.where((k > 0) & (k % n == 0), 2.0, 1.0) * self.diagonals
+        flat = (b - np.abs(rows - cols)) * n + np.maximum(rows, cols)
+        ab = np.bincount(flat.ravel(), values.ravel(), (b + 1) * n)
+        return np.asfortranarray(ab.reshape(b + 1, n)), fold
 
     def to_dense(self) -> np.ndarray:
+        """Both halves as an N x N matrix, for tests and reference checks."""
         a = np.zeros((self.n, self.n))
         rows = np.arange(self.n)
-        for cols, diagonal in zip(self._columns(), self.diagonals):
+        for k, (cols, diagonal) in enumerate(zip(self._columns(), self.diagonals)):
             a[rows, cols] += diagonal
+            if k:
+                a[cols, rows] += diagonal
         return a
 
 
@@ -116,24 +127,25 @@ def _check_length(n, rhs):
         )
 
 
+def _check_pivots(pivots, scale):
+    """Raise unless the smallest pivot exceeds n eps max|A| (a NaN fails)."""
+    floor = pivots.size * np.finfo(float).eps * max(scale, 1e-300)
+    smallest = float(pivots.min()) if pivots.size else 0.0
+    if not smallest > floor:
+        raise FactorizationError(
+            f"matrix singular to working precision (pivot {smallest:.3e})",
+            pivot=smallest,
+        )
+
+
 class DenseFactorization:
     """Pivoted dense LU, reusable across right-hand sides."""
 
     def __init__(self, a: np.ndarray):
         self.n = a.shape[0]
-        self._scale = np.max(np.abs(a))
         lu, piv = sla.lu_factor(a, check_finite=False)
-        self._check_pivots(np.abs(np.diag(lu)))
+        _check_pivots(np.abs(np.diag(lu)), np.max(np.abs(a)))
         self.lu, self.piv = lu, piv
-
-    def _check_pivots(self, pivots):
-        floor = self.n * np.finfo(float).eps * max(self._scale, 1e-300)
-        smallest = float(pivots.min()) if pivots.size else 0.0
-        if smallest <= floor:
-            raise FactorizationError(
-                f"matrix singular to working precision (pivot {smallest:.3e})",
-                pivot=smallest,
-            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -145,47 +157,62 @@ class DenseFactorization:
 
 
 class BandedFactorization:
-    """Banded LU via LAPACK gbtrf/gbtrs.
+    """Banded LU via LAPACK gbtrf/gbtrs, for the bounded systems.
 
     ``ab`` is gbtrf storage (2*lower + upper + 1, n) and is factored in
-    place.  With a ``fold`` it stores the folded matrix A[order][:, order];
-    ``solve`` then folds the right-hand side and unfolds the solution.
+    place.
     """
 
-    def __init__(self, ab: np.ndarray, lower: int, upper: int, fold: Fold | None = None):
-        self.lower, self.upper, self._fold = lower, upper, fold
+    def __init__(self, ab: np.ndarray, lower: int, upper: int):
+        self.lower, self.upper = lower, upper
         self.n = ab.shape[1]
-        self._scale = np.max(np.abs(ab))
+        scale = np.max(np.abs(ab))
         lu, piv, info = lapack.dgbtrf(ab, kl=lower, ku=upper, overwrite_ab=True)
-        if info > 0:
-            raise FactorizationError(
-                f"banded matrix singular to working precision (U[{info - 1}] = 0)",
-                pivot=0.0,
-            )
         if info < 0:
             raise FactorizationError(f"gbtrf failed with info={info}")
-        diag = np.abs(lu[lower + upper, :])
-        floor = self.n * np.finfo(float).eps * max(self._scale, 1e-300)
-        if diag.size and float(diag.min()) <= floor:
-            raise FactorizationError(
-                f"banded matrix singular to working precision (pivot {diag.min():.3e})",
-                pivot=float(diag.min()),
-            )
+        _check_pivots(np.abs(lu[lower + upper, :]), scale)  # info > 0: a zero pivot
         self.lu, self.piv = lu, piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         _check_length(self.n, rhs)
-        fold = self._fold
-        if fold is not None:
-            rhs = rhs[fold.order]
-        x, info = lapack.dgbtrs(
-            self.lu, self.lower, self.upper, rhs, self.piv,
-            overwrite_b=fold is not None,
-        )
+        x, info = lapack.dgbtrs(self.lu, self.lower, self.upper, rhs, self.piv)
         if info != 0:
             raise FactorizationError(f"gbtrs failed with info={info}")
-        return x if fold is None else x[fold.position]
+        return x
+
+
+class FoldedCholesky:
+    """Banded Cholesky A = U^T U of a folded SPD periodic band (pbtrf/pbtrs).
+
+    ``ab`` is pbtrf upper storage (b + 1, n) of A[order][:, order], factored
+    in place; ``solve`` folds the right-hand side and unfolds the solution.
+    ``FactorizationError`` when A is not positive definite or a pivot
+    u_ii^2 is at or below n eps max|A|.
+    """
+
+    def __init__(self, ab: np.ndarray, fold: Fold):
+        self.half_width = ab.shape[0] - 1
+        self.n = ab.shape[1]
+        self._fold = fold
+        scale = ab[-1].max()  # |a_ij| <= sqrt(a_ii a_jj) when A is SPD
+        u, info = lapack.dpbtrf(ab, lower=0, overwrite_ab=True)
+        if info > 0:  # pbtrf leaves the non-positive pivot in place of U[info - 1]
+            raise FactorizationError("band not positive definite",
+                                     pivot=float(u[-1, info - 1]))
+        if info < 0:
+            raise FactorizationError(f"pbtrf failed with info={info}")
+        _check_pivots(u[-1] ** 2, scale)
+        self.u = u
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        _check_length(self.n, rhs)
+        fold = self._fold
+        x, info = lapack.dpbtrs(self.u, rhs[fold.order], lower=0, overwrite_b=True)
+        if info != 0:
+            raise FactorizationError(f"pbtrs failed with info={info}")
+        return x[fold.position]
 
 
 class ShiftedSolver:
@@ -193,12 +220,13 @@ class ShiftedSolver:
 
     The static part is packed once (folded, for a periodic band); per call
     only the diagonal moves, so a re-factor adds the (folded) diagonal to
-    a copy of the packed band and runs one gbtrf.  Used by the velocity
-    equation of the Svärd-Kalisch model, whose system matrix depends on
-    the water height.
+    a copy of the packed band and runs one pbtrf (periodic) or gbtrf
+    (bounded).  Used by the velocity equation of the Svärd-Kalisch model,
+    whose system matrix diag(h) - D beta D depends on the water height;
+    ``path`` is the factorization type its calls return.
 
-    When the banded path fails for some diagonal, that call falls back to
-    dense LU; the fallback is logged as a warning and counted in
+    When that path fails for some diagonal, the call falls back to dense
+    LU; the fallback is logged as a warning and counted in
     ``dense_fallbacks``.
     """
 
@@ -207,15 +235,15 @@ class ShiftedSolver:
         self._static, self._fold = static_part, None
         if isinstance(static_part, PeriodicBand):
             self.n = static_part.n
-            self._ab0, b, self._fold = static_part.pack()
-            self._mode, self._lower, self._upper = "periodic banded", b, b
+            self._ab0, self._fold = static_part.pack()
+            self.path = FoldedCholesky
         else:
             self._static = np.asarray(static_part, dtype=float)
             self.n = self._static.shape[0]
-            self._mode = "dense"
+            self.path = DenseFactorization
             lower, upper = measure_bandwidth(self._static)
             if lower + upper + 1 <= BANDED_FRACTION * self.n:
-                self._mode, self._lower, self._upper = "banded", lower, upper
+                self.path, self._lower, self._upper = BandedFactorization, lower, upper
                 self._ab0 = _pack_banded(self._static, lower, upper)
 
     def factor(self, diagonal: np.ndarray):
@@ -223,18 +251,18 @@ class ShiftedSolver:
         if diagonal.shape[0] != self.n:
             raise DimensionError("diagonal length does not match system size")
         try:
-            if self._mode != "dense":
+            if self.path is not DenseFactorization:
                 ab = self._ab0.copy(order="F")
-                fold = self._fold
-                ab[self._lower + self._upper] += (
-                    diagonal if fold is None else diagonal[fold.order]
-                )
-                return BandedFactorization(ab, self._lower, self._upper, fold)
+                if self._fold is None:
+                    ab[self._lower + self._upper] += diagonal
+                    return BandedFactorization(ab, self._lower, self._upper)
+                ab[-1] += diagonal[self._fold.order]
+                return FoldedCholesky(ab, self._fold)
         except FactorizationError as exc:
             self.dense_fallbacks += 1
             log.warning(
-                "%s factorization failed (%s; pivot %s); falling back to dense LU",
-                self._mode, exc, exc.pivot,
+                "%s failed (%s; pivot %s); falling back to dense LU",
+                self.path.__name__, exc, exc.pivot,
             )
         static = self._static
         full = static.to_dense() if isinstance(static, PeriodicBand) else static.copy()
@@ -245,12 +273,12 @@ class ShiftedSolver:
 def factor(a):
     """Factor a periodic band, or a dense square matrix.
 
-    A ``PeriodicBand`` takes the folded banded LU.  A dense matrix takes
-    the banded LU when its measured band is narrow, dense LU otherwise.
+    A ``PeriodicBand`` takes the folded banded Cholesky.  A dense matrix
+    takes the banded LU when its measured band is narrow, dense LU
+    otherwise.
     """
     if isinstance(a, PeriodicBand):
-        ab, b, fold = a.pack()
-        return BandedFactorization(ab, b, b, fold)
+        return FoldedCholesky(*a.pack())
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")

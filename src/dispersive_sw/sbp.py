@@ -234,12 +234,14 @@ def _convolve_stencils(off1, coef1, off2, coef2):
     return _trim_stencil(np.arange(lo, hi + 1), acc)
 
 
-def periodic_band(left, right=None, *, inner=None, outer=None) -> PeriodicBand:
-    """Offset diagonals of L diag(inner) R diag(outer), L and R circulant.
+def periodic_band(left, right=None, *, inner=None) -> PeriodicBand:
+    """Upper offset diagonals of the symmetric L diag(inner) R, L, R circulant.
 
-    Assembled from the stencils in O(N * width^2): entry (i, i+a+b) gains
-    (l_a inner_(i+a)) r_b outer_(i+a+b).  ``right`` defaults to the
-    identity, ``inner`` and ``outer`` to ones.
+    Only offsets k >= 0 are assembled.  The SBP property (M = dx I) makes
+    every product the models form symmetric: D1 K D1 = -D1^T K D1,
+    D- K D+ = -D+^T K D+, D+ beta D- = -D+ beta D+^T, D1 D1, D+ D- and D2.
+    Assembled in O(N * width^2): entry (i, i+a+b) gains (l_a inner_(i+a))
+    r_b.  ``right`` defaults to the identity, ``inner`` to ones.
     """
     n = left.n
     idx = np.arange(n)
@@ -250,12 +252,11 @@ def periodic_band(left, right=None, *, inner=None, outer=None) -> PeriodicBand:
         (int(a + b), cb, ca * inner[(idx + a) % n])
         for a, ca in zip(left.offsets, left.coefficients)
         for b, cb in zip(r_offsets, r_coefficients)
+        if a + b >= 0
     ]
-    w = max(abs(k) for k, _, _ in terms)
-    diagonals = np.zeros((2 * w + 1, n))
+    diagonals = np.zeros((max(k for k, _, _ in terms) + 1, n))
     for k, c, row in terms:
-        term = row * c if outer is None else row * c * outer[(idx + k) % n]
-        diagonals[k + w] += term
+        diagonals[k] += row * c
     return PeriodicBand(diagonals)
 
 

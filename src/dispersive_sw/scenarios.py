@@ -266,7 +266,8 @@ def _functional(disc):
     return disc.modified_entropy_functional()
 
 
-# integrator counters summed over a scenario's integrate calls into its info
+# integrator counters summed over a scenario's integrate calls into its info,
+# with the dense fallbacks and the solver_<system> paths of solver_report()
 RUN_COUNTERS = ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks")
 
 
@@ -287,12 +288,19 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
             rec.start(0.0, y0)
     on_step = _multi_callback(*recorders) if recorders else None
     dense = any(isinstance(r, GaugeRecorder) for r in recorders)
+    fallbacks = disc.solver_report()["dense_fallbacks"]
     run = integrate(
         disc.rhs, y0, (0.0, t_end), config,
         functional=functional, on_step=on_step, dense_output=dense,
     )
-    for name in RUN_COUNTERS:
-        result.info[name] = result.info.get(name, 0) + getattr(run, name)
+    counts = {name: getattr(run, name) for name in RUN_COUNTERS}
+    report = disc.solver_report()
+    counts["dense_fallbacks"] = report.pop("dense_fallbacks") - fallbacks
+    for name, count in counts.items():
+        result.info[name] = result.info.get(name, 0) + count
+    for key, path in report.items():  # every distinct path if integrations differ
+        paths = {*result.info.get(key, path).split(","), path}
+        result.info[key] = ",".join(sorted(paths))
     return run
 
 

@@ -152,6 +152,12 @@ class SkDiscretization:
     def n(self) -> int:
         return self.grid.n_nodes
 
+    def solver_report(self) -> dict:
+        """Factorization type of the velocity system and its dense fallbacks."""
+        solver = self._velocity_solver
+        return {"solver_velocity": solver.path.__name__,
+                "dense_fallbacks": solver.dense_fallbacks}
+
     def water_height(self, eta):
         return eta + self.still_depth - self.eta0
 
@@ -367,7 +373,8 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
     d1 = operators.d1
     interior_mask = None
     entropy_deriv = d1.apply
-    # static block -(D beta D), or -(D+ beta D-) for upwind
+    # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind:
+    # symmetric positive semidefinite, so diag(h) plus it is SPD for h > 0
     if variant == "periodic_central_split":
         operators.require("d2")
         beta_block = periodic_band(d1, d1, inner=-beta_hat)

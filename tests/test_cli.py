@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import dispersive_sw
-from dispersive_sw import scenarios
+from dispersive_sw import linsolve, scenarios
+from dispersive_sw.bbm_bbm import BbmBbmDiscretization
 from dispersive_sw.cli import run_cli
 
 
@@ -132,6 +133,68 @@ def test_cli_prints_run_counters_summed_over_integrations(
     for name in ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks"):
         assert printed[name] == str(sum(getattr(r, name) for r in runs)), name
     assert int(printed["n_steps"]) > 0 and int(printed["n_rhs"]) > 0
+
+
+def _printed_info(capsys):
+    return dict(
+        line.split(": ", 1)
+        for line in capsys.readouterr().out.splitlines() if ": " in line
+    )
+
+
+_SK_LAKE = ["--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
+            "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"]
+
+
+@pytest.mark.parametrize(
+    "args, failing_cholesky",
+    [
+        (["--scenario", "soliton", "--model", "bbm_bbm", "--variant",
+          "periodic_central_wide", "--n-nodes", "64", "--t-end", "0.1"], False),
+        (["--scenario", "reflecting_bump", "--model", "bbm_bbm", "--n-nodes", "64",
+          "--t-end", "0.01"], False),
+        (_SK_LAKE, False),
+        (_SK_LAKE, True),  # every banded Cholesky fails: each RHS falls back
+    ],
+)
+def test_cli_prints_solver_paths_and_dense_fallbacks(
+    args, failing_cholesky, monkeypatch, capsys
+):
+    discs, factored = [], []
+
+    def recording(build):
+        def wrapper(*a, **kw):
+            discs.append(build(*a, **kw))
+            return discs[-1]
+        return wrapper
+
+    monkeypatch.setattr(scenarios.bbm_bbm, "build_bbm_discretization",
+                        recording(scenarios.bbm_bbm.build_bbm_discretization))
+    monkeypatch.setattr(scenarios.sk, "build_sk_discretization",
+                        recording(scenarios.sk.build_sk_discretization))
+    shifted_factor = linsolve.ShiftedSolver.factor
+
+    def recording_factor(self, diagonal):
+        factored.append(shifted_factor(self, diagonal))
+        return factored[-1]
+
+    monkeypatch.setattr(linsolve.ShiftedSolver, "factor", recording_factor)
+    if failing_cholesky:
+        monkeypatch.setattr(linsolve.lapack, "dpbtrf", lambda ab, **kw: (ab, 1))
+    assert run_cli(["run", *args]) == 0
+    printed = _printed_info(capsys)
+    (disc,) = discs
+    if isinstance(disc, BbmBbmDiscretization):
+        expected = {"solver_mass": type(disc._solver_mass).__name__,
+                    "solver_velocity": type(disc._solver_vel).__name__,
+                    "dense_fallbacks": "0"}
+    else:
+        solver = disc._velocity_solver
+        dense = sum(isinstance(f, linsolve.DenseFactorization) for f in factored)
+        assert solver.dense_fallbacks == dense
+        assert dense == (len(factored) if failing_cholesky else 0)
+        expected = {"solver_velocity": solver.path.__name__, "dense_fallbacks": str(dense)}
+    assert {key: printed.get(key) for key in expected} == expected
 
 
 _IMPORT_PROBE = """

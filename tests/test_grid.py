@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersive_sw.errors import ConfigurationError, DimensionError, DomainError
+from dispersive_sw.errors import ConfigurationError, DimensionError
 from dispersive_sw.grid import (
     MassMatrix,
-    conservative_to_primitive,
     integral,
     l2_norm,
     linf_norm,
-    make_state,
     make_uniform_grid,
-    primitive_to_conservative,
     weighted_inner_product,
 )
 from dispersive_sw.sbp import build_bounded_central_d1, build_periodic_central_d1
@@ -128,33 +125,3 @@ def test_norm_positivity_random_vectors(seed):
     norm = l2_norm(u, mass)
     assert norm >= 0.0
     assert (norm == 0.0) == bool(np.all(u == 0.0))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_representation_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    n = 31
-    depth = rng.uniform(0.5, 3.0, size=n)
-    eta0 = rng.uniform(-1.0, 1.0)
-    eta = eta0 + rng.uniform(-0.3, 0.3, size=n)
-    v = rng.normal(size=n)
-    h, p = primitive_to_conservative(eta, v, depth, eta0)
-    eta2, v2 = conservative_to_primitive(h, p, depth, eta0)
-    np.testing.assert_allclose(eta2, eta, atol=1e-14, rtol=0)
-    np.testing.assert_allclose(v2, v, atol=1e-14, rtol=0)
-
-
-def test_dry_state_conversion_errors():
-    with pytest.raises(DomainError):
-        conservative_to_primitive(
-            np.array([1.0, 0.0, 1.0]), np.zeros(3), np.ones(3)
-        )
-
-
-def test_state_length_checked_against_grid():
-    grid = make_uniform_grid(0.0, 1.0, 8, "periodic")
-    with pytest.raises(DimensionError):
-        make_state(grid, np.zeros(7), np.zeros(8))
-    state = make_state(grid, np.zeros(8), np.ones(8))
-    assert state.flat().size == 16

@@ -40,7 +40,7 @@ def test_bbm_elliptic_matrix_against_dense_inverse():
     # I - (1/6) Dc^2 D2 at N = 32 versus explicit inverse multiplication
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
     d2 = build_periodic_d2(grid, 2, "narrow")
-    band = periodic_band(d2, outer=np.full(32, -(2.0**2) / 6.0)).shifted(1.0)
+    band = periodic_band(d2, inner=np.full(32, -(2.0**2) / 6.0)).shifted(1.0)
     a = np.eye(32) - (2.0**2 / 6.0) * d2.to_dense()
     np.testing.assert_allclose(band.to_dense(), a, atol=1e-12)
     rng = np.random.default_rng(2)
@@ -112,8 +112,8 @@ def test_periodic_banded_path_matches_dense():
     band = periodic_band(op, op, inner=-beta).shifted(
         2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes))
     f = linsolve.factor(band)
-    assert isinstance(f, linsolve.BandedFactorization)
-    assert (f.lower, f.upper) == (2 * band.w, 2 * band.w)
+    assert isinstance(f, linsolve.FoldedCholesky)
+    assert f.half_width == 2 * band.w
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=96)
     dense = linsolve.DenseFactorization(band.to_dense())
@@ -124,7 +124,7 @@ def test_shifted_solver_modes_and_agreement():
     rng = np.random.default_rng(6)
     band = _periodic_static_part()
     solver = linsolve.ShiftedSolver(band)
-    assert solver._mode == "periodic banded"
+    assert solver.path is linsolve.FoldedCholesky
     static = band.to_dense()
     diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
     full = static.copy()
@@ -192,13 +192,13 @@ def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
     static = _periodic_static_part()
     solver = linsolve.ShiftedSolver(static)
     diag = np.full(64, 2.0)
-    assert isinstance(solver.factor(diag), linsolve.BandedFactorization)
+    assert isinstance(solver.factor(diag), linsolve.FoldedCholesky)
     assert solver.dense_fallbacks == 0
 
     def failing_banded(*args, **kwargs):
         raise FactorizationError("banded matrix singular", pivot=1.5e-300)
 
-    monkeypatch.setattr(linsolve, "BandedFactorization", failing_banded)
+    monkeypatch.setattr(linsolve, "FoldedCholesky", failing_banded)
     with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
         fact = solver.factor(diag)
     assert isinstance(fact, linsolve.DenseFactorization)
@@ -207,3 +207,24 @@ def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
     full = static.to_dense() + np.diag(diag)
     rhs = np.linspace(-1.0, 1.0, 64)
     np.testing.assert_allclose(fact.solve(rhs), np.linalg.solve(full, rhs), atol=1e-11)
+
+
+def test_indefinite_band_raises_and_shifted_solver_falls_back(caplog):
+    # -(D 0.3 D) is semidefinite with the constants in its kernel, so a
+    # shift by -1 makes the band indefinite (and leaves it nonsingular)
+    static = _periodic_static_part()
+    with pytest.raises(FactorizationError) as err:
+        linsolve.factor(static.shifted(-1.0))
+    assert "not positive definite" in str(err.value) and err.value.pivot <= 0.0
+    solver = linsolve.ShiftedSolver(static)
+    diag = np.full(64, -1.0)
+    with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
+        fact = solver.factor(diag)
+    assert isinstance(fact, linsolve.DenseFactorization)
+    assert solver.dense_fallbacks == 1
+    assert "FoldedCholesky failed" in caplog.text and "dense LU" in caplog.text
+    a = static.to_dense() + np.diag(diag)
+    rhs = np.linspace(-1.0, 1.0, 64)
+    expected = dense_inverse_solve(a, rhs)
+    np.testing.assert_allclose(fact.solve(rhs), expected,
+                               atol=1e-11 * np.max(np.abs(expected)))

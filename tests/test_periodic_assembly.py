@@ -1,9 +1,10 @@
-"""Periodic elliptic systems: stencil-assembled bands and folded banded LU.
+"""Periodic elliptic systems: stencil-assembled bands and folded banded Cholesky.
 
-The models assemble their periodic systems as offset diagonals from the
-operator stencils.  These tests check the bands against the dense
-products of ``to_dense()`` matrices, the folded LU and the shifted
-solver against a dense inverse, and that no periodic discretization
+The models assemble their periodic systems as upper offset diagonals
+from the operator stencils.  These tests check the bands against the
+dense products of ``to_dense()`` matrices, the folded Cholesky and the
+shifted solver against a dense inverse, the BBM-BBM solves against dense
+solves of the unscaled systems, and that no periodic discretization
 holds an array of N x N size.
 """
 
@@ -57,6 +58,29 @@ BBM_CASES = [
 ]
 
 
+def _dense_bbm_products(ops, variant, swap, k):
+    """Dense L K R (mass) and S K (velocity) with their absolute-value
+    scales, and the outer derivatives of the mass and velocity fluxes."""
+    if variant == "periodic_upwind":
+        dp, dm = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
+        if swap:
+            dp, dm = dm, dp
+        a_mass, a_vel = (dm * k) @ dp, dp @ dm * k
+        scale_mass, scale_vel = (np.abs(dm) * k) @ np.abs(dp), np.abs(dp) @ np.abs(dm) * k
+        return a_mass, scale_mass, a_vel, scale_vel, dm, dp
+    d1 = ops.d1.to_dense()
+    a_mass = (d1 * k) @ d1
+    scale_mass = (np.abs(d1) * k) @ np.abs(d1)
+    if variant == "periodic_central_wide":
+        a_vel, scale_vel = d1 @ d1 * k, np.abs(d1) @ np.abs(d1) * k
+    else:
+        d2 = ops.d2.to_dense()
+        a_vel, scale_vel = d2 * k, np.abs(d2) * k
+        if variant == "periodic_const_narrow":
+            a_mass, scale_mass = a_vel, scale_vel
+    return a_mass, scale_mass, a_vel, scale_vel, d1, d1
+
+
 @pytest.mark.parametrize("n", [10, 11, 64])
 @pytest.mark.parametrize("variant, order, swap", BBM_CASES)
 def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, swap, n):
@@ -67,26 +91,15 @@ def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, swap, n):
     build_bbm_discretization(grid, ops, bathymetry, G, variant, swap_upwind=swap)
     k = bathymetry(grid.nodes) ** 2
     eye = np.eye(n)
-    if variant == "periodic_upwind":
-        dp, dm = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
-        if swap:
-            dp, dm = dm, dp
-        a_mass, a_vel = (dm * k) @ dp, dp @ dm * k
-        scale_mass, scale_vel = (np.abs(dm) * k) @ np.abs(dp), np.abs(dp) @ np.abs(dm) * k
-    else:
-        d1 = ops.d1.to_dense()
-        a_mass = (d1 * k) @ d1
-        scale_mass = (np.abs(d1) * k) @ np.abs(d1)
-        if variant == "periodic_central_wide":
-            a_vel, scale_vel = d1 @ d1 * k, np.abs(d1) @ np.abs(d1) * k
-        else:
-            d2 = ops.d2.to_dense()
-            a_vel, scale_vel = d2 * k, np.abs(d2) * k
-            if variant == "periodic_const_narrow":
-                a_mass, scale_mass = a_vel, scale_vel
-    band_mass, band_vel = captured
+    a_mass, scale_mass, a_vel, scale_vel, _, _ = _dense_bbm_products(ops, variant, swap, k)
+    band_mass, *rest = captured
     _assert_band_equals(band_mass, eye - a_mass / 6.0, 1.0 + np.max(scale_mass))
-    _assert_band_equals(band_vel, eye - a_vel / 6.0, 1.0 + np.max(scale_vel))
+    if variant == "periodic_const_narrow":
+        assert rest == []  # one system, factored once, serves both solves
+    else:
+        # the velocity system I - S K / 6 arrives rescaled: diag(1/K) - S / 6
+        (band_vel,) = rest
+        _assert_band_equals(band_vel, (eye - a_vel / 6.0) / k, 1.0 + np.max(scale_vel))
 
 
 @pytest.mark.parametrize("n", [10, 11, 64])
@@ -109,6 +122,27 @@ def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
     (band,) = captured
     scale = np.max((np.abs(left) * beta) @ np.abs(right))
     _assert_band_equals(band, -(left * beta) @ right, scale)
+
+
+@pytest.mark.parametrize("n", [10, 11, 64])
+@pytest.mark.parametrize(
+    "variant, order, swap", [case for case in BBM_CASES if "const" not in case[0]]
+)
+def test_bbm_solves_equal_dense_solves_of_unscaled_systems(variant, order, swap, n):
+    # the rescaled velocity system must solve I - S K / 6, not diag(1/K) - S / 6
+    grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
+    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant, swap_upwind=swap)
+    depth = disc.still_depth
+    a_mass, _, a_vel, _, d_mass, d_vel = _dense_bbm_products(ops, variant, swap, depth**2)
+    rng = np.random.default_rng(n)
+    eta, v = 0.1 * rng.normal(size=n), rng.normal(size=n)
+    deta, dv = disc.rhs_fields(eta, v)
+    eye = np.eye(n)
+    expected_eta = dense_inverse_solve(eye - a_mass / 6.0, -d_mass @ ((depth + eta) * v))
+    expected_v = dense_inverse_solve(eye - a_vel / 6.0, -d_vel @ (G * eta + 0.5 * v * v))
+    for got, expected in ((deta, expected_eta), (dv, expected_v)):
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _largest_array(root):
@@ -161,15 +195,23 @@ def periodic_systems(draw):
     return w, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
+def _random_symmetric_band(w, n, rng):
+    band = linsolve.PeriodicBand(rng.normal(size=(w + 1, n)))
+    return band, np.linalg.eigvalsh(band.to_dense())[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(periodic_systems())
-def test_folded_lu_matches_dense_inverse(system):
+def test_folded_cholesky_matches_dense_inverse(system):
     w, n, rng = system
-    band = linsolve.PeriodicBand(rng.normal(size=(2 * w + 1, n)))
+    band, lowest = _random_symmetric_band(w, n, rng)
+    # shifted just past its lowest eigenvalue: SPD, at times barely
+    band = band.shifted(rng.uniform(0.05, 2.0) - lowest)
     a = band.to_dense()
     assume(np.linalg.cond(a) < 1e6)
     fact = linsolve.factor(band)
-    assert fact.lower == fact.upper == min(2 * w, n - 1)
+    assert isinstance(fact, linsolve.FoldedCholesky)
+    assert fact.half_width == min(2 * w, n - 1)
     rhs = rng.normal(size=(n, 2))
     expected = dense_inverse_solve(a, rhs)
     np.testing.assert_allclose(fact.solve(rhs), expected,
@@ -180,14 +222,13 @@ def test_folded_lu_matches_dense_inverse(system):
 @given(periodic_systems())
 def test_shifted_solver_matches_dense_inverse(system):
     w, n, rng = system
-    static = linsolve.PeriodicBand(rng.normal(size=(2 * w + 1, n)))
+    static, lowest = _random_symmetric_band(w, n, rng)
     solver = linsolve.ShiftedSolver(static)
     dense_static = static.to_dense()
     rhs = rng.normal(size=n)
     for _ in range(2):
-        diagonal = rng.uniform(0.1, 4.0, size=n)
-        if rng.random() < 0.5:  # diagonally dominant: nonsingular by construction
-            diagonal += np.sum(np.abs(dense_static), axis=1)
+        # every entry past the lowest eigenvalue of the static part: SPD
+        diagonal = rng.uniform(0.1, 4.0, size=n) - lowest
         a = dense_static + np.diag(diagonal)
         if np.linalg.cond(a) > 1e6:
             continue
