@@ -30,7 +30,7 @@ import numpy as np
 from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
-from .sbp import SbpOperatorSet, periodic_band
+from .sbp import DerivativeOperator, SbpOperatorSet, periodic_band
 
 VARIANTS = (
     "periodic_central_wide",
@@ -88,8 +88,9 @@ class BbmBbmDiscretization:
     variant: str
     operators: SbpOperatorSet
     energy_conservative: bool
-    _d_outer_mass: Callable = None  # derivative applied outside the mass flux
-    _d_outer_vel: Callable = None
+    # derivatives applied outside the fluxes; one batched apply when they coincide
+    _d_outer_mass: DerivativeOperator = None
+    _d_outer_vel: DerivativeOperator = None
     _solver_mass: object = None
     _solver_vel: object = None
     _vel_divisor: np.ndarray | None = None  # K of a rescaled velocity system
@@ -113,8 +114,13 @@ class BbmBbmDiscretization:
             raise NumericsError("non-finite state passed to BBM-BBM right-hand side")
         mass_flux = (self.still_depth + eta) * v
         vel_flux = self.gravity * eta + 0.5 * v * v
-        deta = self._solver_mass.solve(-self._d_outer_mass(mass_flux))
-        rhs_v = -self._d_outer_vel(vel_flux)
+        d_mass, d_vel = self._d_outer_mass, self._d_outer_vel
+        if d_mass is d_vel:
+            d_mass_flux, d_vel_flux = d_mass.apply(np.array([mass_flux, vel_flux]))
+        else:
+            d_mass_flux, d_vel_flux = d_mass.apply(mass_flux), d_vel.apply(vel_flux)
+        deta = self._solver_mass.solve(-d_mass_flux)
+        rhs_v = -d_vel_flux
         if self._source is not None:
             s_eta, s_v = self._source(t, self.grid.nodes)
             deta = deta + self._solver_mass.solve(s_eta)
@@ -232,7 +238,7 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
                    "periodic_const_narrow", "reflecting_central"):
         operators.require("d1")
         d1 = operators.d1
-        d_outer_mass = d_outer_vel = d1.apply
+        d_outer_mass = d_outer_vel = d1
     if variant in ("periodic_central_narrow", "periodic_const_narrow"):
         operators.require("d2")
         if operators.d2.kind != "periodic_d2_narrow":
@@ -245,7 +251,7 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         dp, dm = operators.upwind.d_plus, operators.upwind.d_minus
         if swap_upwind:
             dp, dm = dm, dp
-        d_outer_mass, d_outer_vel = dm.apply, dp.apply
+        d_outer_mass, d_outer_vel = dm, dp
 
     interior_mask = vel_divisor = None
     # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and

@@ -20,6 +20,14 @@ replace an antisymmetric corner block of Q = M D1, which keeps
 M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by construction.  All norm
 matrices are diagonal.
 
+``apply`` maps along the last axis.  A (m, N) stack holds m independent
+rows; it is gathered once, and each row is summed over the same paired
+slices in the same order as a single apply, so row i of the result has
+the same bits as ``apply(u[i])``, signed zeros included.  A bounded
+operator forms one matrix-vector product per row, since a matrix-matrix
+product sums in another order.  The models batch the independent
+derivatives of each right-hand side into such stacks.
+
 The defining identities are
 
 * periodic first derivative:   M D1 + D1^T M = 0
@@ -119,21 +127,29 @@ class DerivativeOperator:
         return self.grid.n_nodes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """D u, mapped along the last axis: a (m, N) stack gives m rows D u_i."""
+        u = np.asarray(u)
         if self._plan is None:
-            return self.matrix @ u
+            if u.ndim == 1:
+                return self.matrix @ u
+            # one matrix-vector product per row: a matrix-matrix product
+            # would sum each row in another order
+            out = np.empty(u.shape)
+            for i, row in enumerate(u):
+                out[i] = self.matrix @ row
+            return out
         plan = self._plan
         n = plan.n
-        u = np.asarray(u)
-        up = u[plan.wrap]
+        up = u[..., plan.wrap]
         out = None if plan.centre is None else plan.centre * u
         for start_plus, c_plus, start_minus, c_minus in plan.pairs:
             if c_minus is None:
-                term = c_plus * up[start_plus : start_plus + n]
+                term = c_plus * up[..., start_plus : start_plus + n]
             elif c_plus is None:
-                term = c_minus * up[start_minus : start_minus + n]
+                term = c_minus * up[..., start_minus : start_minus + n]
             else:
-                term = c_plus * up[start_plus : start_plus + n]
-                term += c_minus * up[start_minus : start_minus + n]
+                term = c_plus * up[..., start_plus : start_plus + n]
+                term += c_minus * up[..., start_minus : start_minus + n]
             if out is None:
                 # the sum starts from zeros: 0.0 + x turns a -0.0 into 0.0
                 term += 0.0
@@ -142,11 +158,9 @@ class DerivativeOperator:
                 out += term
         return np.zeros_like(u, dtype=float) if out is None else out
 
-    __call__ = apply
-
     def to_dense(self) -> np.ndarray:
         """The operator as an N x N matrix, for tests and reference checks."""
-        return self.apply(np.eye(self.n))
+        return np.ascontiguousarray(self.apply(np.eye(self.n)).T)
 
 
 @dataclass(frozen=True, eq=False)

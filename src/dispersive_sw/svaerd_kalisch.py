@@ -24,6 +24,20 @@ for the upwind variant).  The right-hand side is evaluated in primitive
 variables (eta, v); the velocity equation solves a symmetric positive
 definite system that is re-factored at every call because it depends on
 the water height.
+
+The right-hand side applies its derivative operators in three dependency
+layers, with one batched ``apply`` per operator and layer (row i of a
+stack has the bits of a single apply, see ``sbp``).  For the central
+split form, with y_disp = ahat D1(ahat D1 eta):
+
+1. D1 of [eta, v, h v, h v^2], and D2 v;
+2. D1 of [ahat D1 eta, ghat D2 v], and D2 (ghat D1 v);
+3. D1 of [y_disp - h v, v y_disp, y_disp].
+
+The upwind variant adds D+ of [eta, v] to layer 1, takes
+y_disp = ahat D-(ahat D+ eta) in layer 2 and applies D- to
+[y_disp, v y_disp] in layer 3; the reflecting variant needs layer 1 only.
+The gamma rows are left out when ghat vanishes.
 """
 
 from __future__ import annotations
@@ -49,11 +63,6 @@ class SkParameterSet:
     alpha_tilde: float
     beta_tilde: float
     gamma_tilde: float
-
-    @property
-    def supports_variable_bathymetry(self) -> bool:
-        # ahat^2 = atilde sqrt(gD) D^2 requires atilde >= 0
-        return self.alpha_tilde >= 0.0
 
 
 PARAMETER_SETS = {
@@ -171,53 +180,67 @@ class SkDiscretization:
             raise DomainError(
                 f"water height must stay positive, min={np.min(h):.3e}"
             )
-        d1 = self.operators.d1.apply
-        hv = h * v
+        ops = self.operators
+        d1 = ops.d1.apply
+        upwind = self.variant == "periodic_upwind"
         reflecting = self.variant == "reflecting_beta_only"
-        d1_eta = d1(eta)  # shared by the dispersion and the gravity term
+        gamma_terms = not reflecting and self._has_gamma
+        hv = h * v
 
-        if self.variant == "periodic_upwind":
-            pair = self.operators.upwind
-            dp, dm = pair.d_plus.apply, pair.d_minus.apply
-            y_disp = self.alpha_hat * dm(self.alpha_hat * dp(eta))
-            deta = -d1(hv) + dm(y_disp)
-        elif reflecting:
-            y_disp = None
-            deta = -d1(hv)
+        # layer 1: derivatives of the state
+        d1_eta, d1_v, d1_hv, d1_hvv = d1(np.array([eta, v, hv, hv * v]))
+        if upwind:
+            dp, dm = ops.upwind.d_plus.apply, ops.upwind.d_minus.apply
+            dp_eta, dp_v = dp(np.array([eta, v]))
+        if gamma_terms:
+            d2 = ops.d2.apply
+            d2_v = d2(v)
+
+        # layer 2: the inner derivative of the displacement
+        # y_disp = ahat D(ahat D eta) and the inner fluxes of the gamma term
+        if upwind:
+            y_disp = self.alpha_hat * dm(self.alpha_hat * dp_eta)
+            if gamma_terms:
+                d1_gamma = d1(self.gamma_hat * d2_v)
+        elif not reflecting:
+            if gamma_terms:
+                d1_alpha, d1_gamma = d1(
+                    np.array([self.alpha_hat * d1_eta, self.gamma_hat * d2_v])
+                )
+            else:
+                d1_alpha = d1(self.alpha_hat * d1_eta)
+            y_disp = self.alpha_hat * d1_alpha
+        if gamma_terms:
+            d2_gamma = d2(self.gamma_hat * d1_v)
+
+        # layer 3: derivatives of y_disp and v * y_disp (d_y, d_vy); the
+        # split alpha term pairs them with the velocity derivative dv_paired
+        if reflecting:
+            deta = -d1_hv
+        elif upwind:
+            d_y, d_vy = dm(np.array([y_disp, v * y_disp]))
+            deta = -d1_hv + d_y
+            dv_paired = dp_v
         else:
-            y_disp = self.alpha_hat * d1(self.alpha_hat * d1_eta)
-            deta = d1(y_disp - hv)
+            deta, d_vy, d_y = d1(np.array([y_disp - hv, v * y_disp, y_disp]))
+            dv_paired = d1_v
 
         # split-form shallow water terms (advective part, after the time
         # product rule moved v * h_t to the left)
-        d1_v = d1(v)
         if self.split_form:
-            rhs_v = -0.5 * (d1(hv * v) + hv * d1_v - v * d1(hv))
+            rhs_v = -0.5 * (d1_hvv + hv * d1_v - v * d1_hv)
         else:
-            rhs_v = -(d1(hv * v) - v * d1(hv))
+            rhs_v = -(d1_hvv - v * d1_hv)
         rhs_v = rhs_v - self.gravity * h * d1_eta
 
-        if y_disp is not None and self._has_alpha:
-            if self.variant == "periodic_upwind":
-                if self.split_form:
-                    rhs_v = rhs_v + 0.5 * (
-                        dm(v * y_disp) - v * dm(y_disp) + y_disp * dp(v)
-                    )
-                else:
-                    rhs_v = rhs_v + dm(v * y_disp) - v * dm(y_disp)
+        if not reflecting and self._has_alpha:
+            if self.split_form:
+                rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dv_paired)
             else:
-                if self.split_form:
-                    rhs_v = rhs_v + 0.5 * (
-                        d1(v * y_disp) - v * d1(y_disp) + y_disp * d1_v
-                    )
-                else:
-                    rhs_v = rhs_v + d1(v * y_disp) - v * d1(y_disp)
+                rhs_v = rhs_v + d_vy - v * d_y
 
-        if not reflecting and self._has_gamma:
-            d2 = self.operators.d2.apply
-            rhs_v = rhs_v + 0.5 * (
-                d2(self.gamma_hat * d1_v) + d1(self.gamma_hat * d2(v))
-            )
+        if gamma_terms:
+            rhs_v = rhs_v + 0.5 * (d2_gamma + d1_gamma)
 
         if self._source is not None:
             s_h, s_hv = self._source(t, self.grid.nodes)

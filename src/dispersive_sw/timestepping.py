@@ -142,18 +142,37 @@ def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
     if not np.all(np.isfinite(k[0])):
         raise _StepFailure("non-finite right-hand side at first stage")
     for i in range(1, s):
-        yi = y + dt * sum(
-            tableau.a[i, j] * k[j] for j in range(i) if tableau.a[i, j] != 0.0
-        )
+        yi = _scaled_stage_sum(dt, tableau.a[i, :i], k)
+        yi += y
         k[i] = rhs(t + tableau.c[i] * dt, yi)
         if not np.all(np.isfinite(k[i])):
             raise _StepFailure(f"non-finite right-hand side at stage {i}")
-    du = dt * sum(tableau.b[i] * k[i] for i in range(s) if tableau.b[i] != 0.0)
+    du = _scaled_stage_sum(dt, tableau.b, k)
     err = None
     if tableau.is_embedded:
-        db = tableau.b - tableau.b_embedded
-        err = dt * sum(db[i] * k[i] for i in range(s) if db[i] != 0.0)
+        err = _scaled_stage_sum(dt, tableau.b - tableau.b_embedded, k)
     return du, err, k
+
+
+def _scaled_stage_sum(dt, weights, k):
+    """dt * sum(w_j k_j over nonzero w_j), accumulated in place.
+
+    The bits equal those of ``dt * sum(generator)``: ``sum`` starts from
+    0, and 0 + x turns a -0.0 into 0.0, hence the ``+= 0.0``.
+    """
+    acc = None
+    for w, kj in zip(weights.tolist(), k):
+        if w == 0.0:
+            continue
+        if acc is None:
+            acc = w * kj
+            acc += 0.0
+        else:
+            acc += w * kj
+    if acc is None:
+        return np.zeros_like(k[0])
+    acc *= dt
+    return acc
 
 
 @dataclass

@@ -1,0 +1,155 @@
+"""Batched right-hand sides against the same right-hand sides applied row by row.
+
+Each model's ``rhs_fields`` stacks the independent derivatives of one
+dependency layer into a single ``DerivativeOperator.apply``.  With
+``apply`` replaced by a loop over the rows of a stack, every variant of
+both models must give the same bytes, signed zeros included; the counts
+pin how many applies one right-hand side makes.
+"""
+
+import numpy as np
+import pytest
+
+from dispersive_sw.bbm_bbm import build_bbm_discretization
+from dispersive_sw.grid import make_uniform_grid
+from dispersive_sw.manufactured import bbm_manufactured, sk_manufactured
+from dispersive_sw.sbp import DerivativeOperator, bounded_operators, periodic_operators
+from dispersive_sw.svaerd_kalisch import build_sk_discretization
+
+G = 9.81
+N = 41
+
+
+def _bathymetry(x):
+    return -2.0 - 0.3 * np.cos(np.pi * x)
+
+
+def _flat(x):
+    return np.full_like(x, -2.0)
+
+
+def _operators(grid, order, upwind):
+    if grid.is_periodic:
+        return periodic_operators(grid, order, upwind=upwind)
+    return bounded_operators(grid, order, upwind=upwind)
+
+
+def _bbm(variant, swap, sourced):
+    bc = "periodic" if variant.startswith("periodic") else "bounded"
+    grid = make_uniform_grid(-1.0, 1.0, N, bc)
+    ops = _operators(grid, 4, variant.endswith("upwind"))
+    source = bbm_manufactured(bc, G).source if sourced else None
+    bathymetry = _flat if variant == "periodic_const_narrow" else _bathymetry
+    return build_bbm_discretization(grid, ops, bathymetry, G, variant,
+                                    swap_upwind=swap, source_terms=source)
+
+
+def _sk(variant, params, split_form, sourced):
+    bc = "periodic" if variant.startswith("periodic") else "bounded"
+    grid = make_uniform_grid(-1.0, 1.0, N, bc)
+    ops = _operators(grid, 4, variant == "periodic_upwind")
+    source = sk_manufactured(bc, G, params).source if sourced else None
+    return build_sk_discretization(grid, ops, _bathymetry, G, 0.0, params, variant,
+                                   split_form=split_form, source_terms=source)
+
+
+BBM_CASES = [
+    (variant, swap, sourced)
+    for variant, swap in [
+        ("periodic_central_wide", False),
+        ("periodic_central_narrow", False),
+        ("periodic_const_narrow", False),
+        ("periodic_upwind", False),
+        ("periodic_upwind", True),
+        ("reflecting_central", False),
+        ("reflecting_upwind", False),
+        ("reflecting_upwind", True),
+    ]
+    for sourced in (False, True)
+]
+
+# set2: alpha and gamma terms; set3: gamma only; set5: neither
+SK_CASES = [
+    (variant, params, split_form, sourced)
+    for variant, params in [
+        ("periodic_central_split", "set2"),
+        ("periodic_central_split", "set3"),
+        ("periodic_central_split", "set5"),
+        ("periodic_upwind", "set2"),
+        ("periodic_upwind", "set3"),
+        ("periodic_upwind", "set5"),
+        ("reflecting_beta_only", "set5"),
+    ]
+    for split_form in (True, False)
+    for sourced in (False, True)
+]
+
+
+def _state(disc):
+    """A wet state with exact zeros of both signs in eta and v."""
+    rng = np.random.default_rng(7)
+    eta, v = 0.1 * rng.normal(size=N), rng.normal(size=N)
+    eta[::5], eta[1::7] = 0.0, -0.0
+    v[::4], v[2::6] = -0.0, 0.0
+    if not disc.grid.is_periodic:
+        v[0] = v[-1] = 0.0
+    return np.concatenate([eta, v])
+
+
+def _rhs_bytes_batched_and_row_by_row(monkeypatch, disc):
+    y = _state(disc)
+    batched = disc.rhs(0.3, y)
+    single = DerivativeOperator.apply
+
+    def row_by_row(self, u):
+        u = np.asarray(u)
+        if u.ndim == 1:
+            return single(self, u)
+        return np.array([single(self, row) for row in u])
+
+    monkeypatch.setattr(DerivativeOperator, "apply", row_by_row)
+    return batched.tobytes(), disc.rhs(0.3, y).tobytes()
+
+
+@pytest.mark.parametrize("variant, swap, sourced", BBM_CASES)
+def test_bbm_batched_rhs_equals_row_by_row(monkeypatch, variant, swap, sourced):
+    batched, looped = _rhs_bytes_batched_and_row_by_row(
+        monkeypatch, _bbm(variant, swap, sourced))
+    assert batched == looped
+
+
+@pytest.mark.parametrize("variant, params, split_form, sourced", SK_CASES)
+def test_sk_batched_rhs_equals_row_by_row(monkeypatch, variant, params, split_form,
+                                          sourced):
+    batched, looped = _rhs_bytes_batched_and_row_by_row(
+        monkeypatch, _sk(variant, params, split_form, sourced))
+    assert batched == looped
+
+
+def _apply_calls_per_rhs(monkeypatch, disc):
+    calls, single = [0], DerivativeOperator.apply
+
+    def counting(self, u):
+        calls[0] += 1
+        return single(self, u)
+
+    monkeypatch.setattr(DerivativeOperator, "apply", counting)
+    disc.rhs(0.0, _state(disc))
+    return calls[0]
+
+
+@pytest.mark.parametrize("disc, calls", [
+    # D1 [eta, v, hv, hv v], D2 v | D1 [ahat D1 eta, ghat D2 v], D2 (ghat D1 v)
+    # | D1 [y - hv, v y, y]
+    (lambda: _sk("periodic_central_split", "set2", True, False), 5),
+    # layer 1 adds D+ [eta, v]; layer 2 D- (ahat D+ eta) and D1 (ghat D2 v)
+    # apart; layer 3 D- [y, v y]
+    (lambda: _sk("periodic_upwind", "set2", True, False), 7),
+    (lambda: _sk("reflecting_beta_only", "set5", True, False), 1),
+    (lambda: _bbm("periodic_const_narrow", False, False), 1),
+    (lambda: _bbm("reflecting_central", False, False), 1),
+    (lambda: _bbm("periodic_upwind", False, False), 2),
+], ids=["sk_central", "sk_upwind", "sk_reflecting", "bbm_const_narrow",
+        "bbm_reflecting_central", "bbm_upwind"])
+def test_one_apply_per_operator_and_layer(monkeypatch, disc, calls):
+    assert _apply_calls_per_rhs(monkeypatch, disc()) == calls

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -390,3 +392,62 @@ def test_apply_sums_into_zero_like_the_oracle():
     out = op.apply(u)
     assert out.tobytes() == roll_apply(u, op.offsets, op.coefficients).tobytes()
     assert not np.any(np.signbit(out))
+
+
+# every bounded operator: (family, order); sizes at and above the order-6 closure
+BOUNDED_FAMILIES = [
+    (family, p) for family in ("central", "plus", "minus", "average") for p in BOUNDED_ORDERS
+]
+BOUNDED_SIZES = (21, 40, 41)
+
+
+@lru_cache(maxsize=None)
+def _bounded_operator(family, order, n):
+    grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
+    if family == "central":
+        return build_bounded_central_d1(grid, order)
+    pair = build_bounded_upwind(grid, order)
+    if family == "plus":
+        return pair.d_plus
+    if family == "minus":
+        return pair.d_minus
+    return pair.central_average()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_stacked_apply_rows_equal_single_applies(data):
+    if data.draw(st.booleans()):
+        family, order = data.draw(st.sampled_from(BOUNDED_FAMILIES))
+        n = data.draw(st.sampled_from(BOUNDED_SIZES))
+        op = _bounded_operator(family, order, n)
+    else:
+        family, order = data.draw(st.sampled_from(PERIODIC_STENCILS))
+        n = data.draw(st.integers(3, 80))
+        op = _periodic_operator(family, order, n)
+    m = data.draw(st.integers(1, 5))
+    # signed zeros often, so that pair sums of -0.0 occur
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    stack = data.draw(arrays(np.float64, (m, n), elements=elements))
+    before = stack.tobytes()
+    out = op.apply(stack)
+    assert out.shape == (m, n)
+    for row, u in zip(out, stack):
+        assert row.tobytes() == op.apply(u).tobytes()
+        if op.offsets is not None:
+            ref = roll_apply(u, op.offsets, op.coefficients)
+            assert row.tobytes() == ref.tobytes()
+    assert stack.tobytes() == before  # the input is not modified
+
+
+@pytest.mark.parametrize("op", [
+    build_periodic_central_d1(PGRID, 4),
+    build_periodic_d2(PGRID, 4, "wide"),
+    build_bounded_upwind(BGRID, 4).d_plus,
+], ids=["periodic_central", "periodic_wide_d2", "bounded_plus"])
+def test_to_dense_is_c_contiguous_and_maps_columns(op):
+    dense = op.to_dense()
+    assert dense.flags.c_contiguous
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=op.n)
+    np.testing.assert_allclose(dense @ u, op.apply(u), rtol=0, atol=1e-10 * np.max(np.abs(dense)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dispersive_sw.errors import ConfigurationError, NumericsError
 from dispersive_sw.timestepping import (
@@ -75,6 +76,40 @@ def test_nan_rhs_signals_step_failure_for_retry():
     res = integrate(rhs, np.array([1.0]), (0.0, 0.5), cfg)
     assert res.n_rejected >= 1
     assert np.isfinite(res.y).all()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_stage_sums_have_the_bits_of_generator_sums(data):
+    # rk_step accumulates its stage sums in place; the bits must equal
+    # y + dt * sum(a_ij k_j ...) as Python's sum forms it, signed zeros included
+    # a stage with an all-zero row of a: y + dt * sum(()) = y + 0.0
+    zero_row = ButcherTableau("zero_row", np.zeros((2, 2)), np.array([0.5, 0.5]),
+                              np.zeros(2), order=1)
+    tab = data.draw(st.sampled_from([RK4, DOPRI5, zero_row]))
+    n = data.draw(st.integers(1, 12))
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    stages = [data.draw(arrays(np.float64, n, elements=elements))
+              for _ in range(tab.stages)]
+    y = data.draw(arrays(np.float64, n, elements=elements))
+    dt = data.draw(st.floats(1e-3, 1.0))
+    seen = []
+
+    def rhs(t, u):
+        seen.append(u.copy())
+        return stages[len(seen) - 1]
+
+    du, err, _ = rk_step(rhs, y, 0.0, dt, tab)
+
+    def generator_sum(weights, upto):
+        return dt * sum(weights[j] * stages[j] for j in range(upto) if weights[j] != 0.0)
+
+    for i in range(1, tab.stages):
+        assert seen[i].tobytes() == (y + generator_sum(tab.a[i], i)).tobytes()
+    assert du.tobytes() == generator_sum(tab.b, tab.stages).tobytes()
+    if tab.is_embedded:
+        db = tab.b - tab.b_embedded
+        assert err.tobytes() == generator_sum(db, tab.stages).tobytes()
 
 
 def test_controller_zero_error_grows_capped():
