@@ -13,11 +13,24 @@ energy-conservative variants) the quadratic energy
 
     E = sum_i M_ii (g eta_i^2 + (eta_i + D_i) v_i^2) / 2.
 
-With K = D^2, the SBP property makes the periodic elliptic systems
-symmetric positive definite: the mass systems I - L K R / 6 (L K R =
-D1 K D1 or D- K D+, that is -R^T K R) as assembled, the velocity systems
-I - S K / 6 (S = D1 D1, D2 or D+ D-, symmetric negative semidefinite)
-once scaled to diag(1/K) - S / 6.  Reflecting systems are not symmetric.
+With K = D^2, the SBP property makes every elliptic system symmetric
+positive definite (SPD).  Periodic: the mass systems I - L K R / 6
+(L K R = D1 K D1 or D- K D+, that is -R^T K R) as assembled, the
+velocity systems I - S K / 6 (S = D1 D1, D2 or D+ D-, symmetric negative
+semidefinite) once scaled to diag(1/K) - S / 6.
+
+Reflecting walls (D+ = D- = D1 for the central variant): the mass system
+I - D- P_D K D+ / 6, P_D = diag(0, 1, ..., 1, 0) (weak-strong Neumann),
+times M is M + D+^T (M P_D K) D+ / 6, because M D- = B - D+^T M and
+B P_D = 0 (B = e_R e_R^T - e_L e_L^T).  The velocity system
+I - D+ D- K / 6 holds in the interior rows, with v_t = 0 at the walls
+(strong Dirichlet); for z = K v_t its interior rows times M read
+(M / K + D-^T M D- / 6) z, and the wall unknowns drop out.  Both are
+assembled in these M-scaled forms.  The solve gives y = eta_t; the
+right-hand side then returns the same value as the divergence of the
+full flux, eta_t = -D-(F - P_D K D+ y / 6), F = (eta + D) v, so that the
+mass changes only by the roundoff of that one derivative, whatever the
+roundoff of the solve.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ import numpy as np
 from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
-from .sbp import DerivativeOperator, SbpOperatorSet, periodic_band
+from .sbp import DerivativeOperator, SbpOperatorSet, bounded_band, periodic_band
 
 VARIANTS = (
     "periodic_central_wide",
@@ -94,7 +107,9 @@ class BbmBbmDiscretization:
     _solver_mass: object = None
     _solver_vel: object = None
     _vel_divisor: np.ndarray | None = None  # K of a rescaled velocity system
-    _interior_mask: np.ndarray | None = None
+    # reflecting only: D+ of the mass system and P_D K / 6 (module docstring)
+    _d_inner_mass: DerivativeOperator | None = None
+    _wall_flux_weight: np.ndarray | None = None
     _source: Optional[Callable] = None
 
     @property
@@ -119,21 +134,30 @@ class BbmBbmDiscretization:
             d_mass_flux, d_vel_flux = d_mass.apply(np.array([mass_flux, vel_flux]))
         else:
             d_mass_flux, d_vel_flux = d_mass.apply(mass_flux), d_vel.apply(vel_flux)
-        deta = self._solver_mass.solve(-d_mass_flux)
         rhs_v = -d_vel_flux
+        s_eta = None
         if self._source is not None:
             s_eta, s_v = self._source(t, self.grid.nodes)
-            deta = deta + self._solver_mass.solve(s_eta)
             rhs_v = rhs_v + s_v
-        if self._interior_mask is not None:
-            rhs_v = rhs_v * self._interior_mask
-        dv = self._solver_vel.solve(rhs_v)
-        if self._vel_divisor is not None:
-            dv /= self._vel_divisor
-        if self._interior_mask is not None:
-            # strong Dirichlet data: the wall values are zero by construction,
-            # not merely up to solver roundoff
-            dv[0] = dv[-1] = 0.0
+        if self._d_inner_mass is None:
+            deta = self._solver_mass.solve(-d_mass_flux)
+            if s_eta is not None:
+                deta = deta + self._solver_mass.solve(s_eta)
+            dv = self._solver_vel.solve(rhs_v)
+            if self._vel_divisor is not None:
+                dv /= self._vel_divisor
+            return deta, dv
+        # reflecting: the M-scaled systems, eta_t as a flux divergence; v_t
+        # is zero at the walls exactly
+        m = self.operators.mass.diagonal
+        rhs_eta = -d_mass_flux if s_eta is None else s_eta - d_mass_flux
+        y = self._solver_mass.solve(m * rhs_eta)
+        flux = mass_flux - self._wall_flux_weight * self._d_inner_mass.apply(y)
+        deta = -d_mass.apply(flux)
+        if s_eta is not None:
+            deta = deta + s_eta
+        dv = np.zeros(self.n)
+        dv[1:-1] = self._solver_vel.solve((m * rhs_v)[1:-1]) / self._vel_divisor
         return deta, dv
 
     def rhs(self, t, y):
@@ -253,9 +277,10 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
             dp, dm = dm, dp
         d_outer_mass, d_outer_vel = dm, dp
 
-    interior_mask = vel_divisor = None
+    vel_divisor = d_inner_mass = wall_flux_weight = None
     # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and
-    # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: dense
+    # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: the
+    # M-scaled SPD forms of the module docstring
     if variant == "periodic_central_wide":
         a_mass = periodic_band(d1, d1, inner=kdiag)
         a_vel = periodic_band(d1, d1)
@@ -272,21 +297,23 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
     elif variant == "periodic_upwind":
         a_mass = periodic_band(dm, dp, inner=kdiag)
         a_vel = periodic_band(dp, dm)
-    elif variant == "reflecting_central":
-        a_mass, a_vel, interior_mask = _reflecting_operators(
-            d1.matrix, d1.matrix, kdiag
+    if grid.is_periodic:
+        solver_mass = solver_vel = linsolve.factor(a_mass.shifted(1.0, -6.0))
+        if a_vel is not a_mass:
+            vel_divisor = kdiag
+            solver_vel = linsolve.factor(a_vel.shifted(1.0 / kdiag, -6.0))
+    else:
+        m = operators.mass.diagonal
+        d_inner_mass = d_outer_vel
+        wall_flux_weight = kdiag / 6.0
+        wall_flux_weight[0] = wall_flux_weight[-1] = 0.0
+        solver_mass = linsolve.factor(
+            bounded_band(d_inner_mass, m * wall_flux_weight).shifted(m)
         )
-    elif variant == "reflecting_upwind":
-        a_mass, a_vel, interior_mask = _reflecting_operators(
-            dp.matrix, dm.matrix, kdiag
+        solver_vel = linsolve.factor(
+            bounded_band(d_outer_mass, m).shifted(m / kdiag, 6.0).interior()
         )
-    solver_mass = solver_vel = linsolve.factor(
-        a_mass.shifted(1.0, -6.0) if grid.is_periodic else a_mass
-    )
-    if a_vel is not a_mass:
-        if grid.is_periodic:
-            a_vel, vel_divisor = a_vel.shifted(1.0 / kdiag, -6.0), kdiag
-        solver_vel = linsolve.factor(a_vel)
+        vel_divisor = kdiag[1:-1]
 
     disc = BbmBbmDiscretization(
         grid=grid,
@@ -301,28 +328,8 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         _solver_mass=solver_mass,
         _solver_vel=solver_vel,
         _vel_divisor=vel_divisor,
-        _interior_mask=interior_mask,
+        _d_inner_mass=d_inner_mass,
+        _wall_flux_weight=wall_flux_weight,
         _source=source_terms,
     )
     return disc
-
-
-def _reflecting_operators(dp, dm, kdiag):
-    """Elliptic matrices for reflecting walls.
-
-    Mass equation: I - D- P_D K D+ / 6 with P_D = diag(0, 1, ..., 1, 0)
-    (weak-strong Neumann).  Velocity equation: interior rows of
-    I - D+ D- K / 6, identity rows at the walls (strong Dirichlet via row
-    replacement); the right-hand side is projected to the interior so the
-    wall values of v_t stay exactly zero.  The central variant passes
-    dp = dm = D1.
-    """
-    n = dp.shape[0]
-    eye = np.eye(n)
-    p_d = np.ones(n)
-    p_d[0] = p_d[-1] = 0.0
-    a_mass = eye - (dm * (p_d * kdiag)) @ dp / 6.0
-    a_vel = eye - dp @ (dm * kdiag) / 6.0
-    a_vel[0, :] = eye[0, :]
-    a_vel[-1, :] = eye[-1, :]
-    return a_mass, a_vel, p_d

@@ -1,11 +1,12 @@
 """Finite difference summation-by-parts (SBP) operators on uniform grids.
 
-Periodic operators are circulant and stored only as a stencil (offset /
-coefficient pair); no N x N matrix is formed (``to_dense`` makes one for
-tests).  Each one plans its application once, when it is built: the
-centre coefficient, the (k, c_+k, c_-k) offset pairs in ascending |k|,
-and the halo width h = max |k|.  ``apply`` then pads u once with a
-wrap-around halo and sums paired slices,
+Every operator is stored as its interior stencil (offset / coefficient
+pair); a bounded one adds its boundary closure rows.  No N x N matrix is
+formed (``to_dense`` makes one for tests).  Each operator plans its
+application once, when it is built: the centre coefficient, the
+(k, c_+k, c_-k) offset pairs in ascending |k|, and the halo width
+h = max |k|.  A periodic ``apply`` then pads u once with a wrap-around
+halo and sums paired slices,
 
     out = c_0 u + sum_k (c_+k up[h+k : h+k+N] + c_-k up[h-k : h-k+N]),
 
@@ -14,33 +15,45 @@ implementation detail: each pair is summed before it is added to the
 accumulator, so the two halves of an antisymmetric stencil cancel
 elementwise and constants map to exactly 0.0.  That is what keeps the
 lake at rest exactly at rest; a matrix-vector product that sums the
-same terms in another order leaves roundoff-sized velocities.  Bounded
-operators are dense matrices that repeat the interior stencil and
-replace an antisymmetric corner block of Q = M D1, which keeps
-M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by construction.  All norm
-matrices are diagonal.
+same terms in another order leaves roundoff-sized velocities.
+
+A bounded ``apply`` pads u with zeros and sums the same slices in
+difference form, c_k (up[h+k : h+k+N] - u), so that constants map to
+exactly 0.0 for any stencil, the non-antisymmetric ones of an upwind
+pair included; it then overwrites the first and last c rows, those the
+padding reaches, with its closure rows: dense c x w blocks, w = c + h,
+applied as sum_j L_ij (u_j - u_i).
+
+The bounded central operators are the classical diagonal-norm ones
+(Strand 1994): Q = M D1 repeats the interior stencil and replaces an
+antisymmetric corner block (Q[0,0] = -1/2), which keeps
+M D1 + D1^T M = diag(-1, 0, ..., 0, 1) exact by construction.  Their
+norm weights and corner blocks are tabulated below as fractions;
+``tests/oracles.py`` re-derives them from the boundary accuracy
+conditions.  All norm matrices are diagonal.
 
 ``apply`` maps along the last axis.  A (m, N) stack holds m independent
-rows; it is gathered once, and each row is summed over the same paired
-slices in the same order as a single apply, so row i of the result has
-the same bits as ``apply(u[i])``, signed zeros included.  A bounded
-operator forms one matrix-vector product per row, since a matrix-matrix
-product sums in another order.  The models batch the independent
-derivatives of each right-hand side into such stacks.
+rows; it is padded once, and each row is summed over the same slices
+(and closure products) in the same order as a single apply, so
+row i of the result has the same bits as ``apply(u[i])``, signed zeros
+included.  The models batch the independent derivatives of each
+right-hand side into such stacks.
 
 The defining identities are
 
 * periodic first derivative:   M D1 + D1^T M = 0
 * bounded first derivative:    M D1 + D1^T M = e_R e_R^T - e_L e_L^T
-* periodic upwind pair:        M D+ + D-^T M = 0,
+* upwind pair:                 M D+ + D-^T M = 0 (periodic) or
+                               e_R e_R^T - e_L e_L^T (bounded),
                                S = M (D+ - D-) / 2 negative semidefinite
 * periodic second derivative:  M D2 = D2^T M
 
-and every builder verifies its identity (and, for upwind pairs, the
-dissipation sign via the circulant symbol) before returning.  Periodic
-identities are checked on the stencil in O(width): with M = dx I they
-read c_+k + c_-k = 0 (D1), c_+k = c_-k (D2), c+_k + c-_-k = 0 (upwind
-pair) and sum_k c_k = 0 (consistency).
+and every builder verifies its identity (and, for periodic upwind pairs,
+the dissipation sign via the circulant symbol) before returning, in
+O(width^2).  With M = dx I away from the boundary, the identities read
+c_+k + c_-k = 0 (D1), c_+k = c_-k (D2), c+_k + c-_-k = 0 (upwind pair)
+and sum_k c_k = 0 (consistency) on the stencils; a bounded operator is
+checked, in addition, on its two dense w x w corner blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Grid, MassMatrix
-from .linsolve import PeriodicBand
+from .linsolve import Band, PeriodicBand
 
 # interior central first-derivative stencils (unit spacing, offsets -p/2..p/2)
 _CENTRAL_D1 = {
@@ -62,15 +75,6 @@ _CENTRAL_D1 = {
     4: [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12],
     6: [-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60],
     8: [1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280],
-}
-
-# rational central stencils used for the exact bounded-closure solve
-_CENTRAL_D1_RATIONAL = {
-    2: [Fraction(-1, 2), Fraction(0), Fraction(1, 2)],
-    4: [Fraction(1, 12), Fraction(-2, 3), Fraction(0), Fraction(2, 3),
-        Fraction(-1, 12)],
-    6: [Fraction(-1, 60), Fraction(3, 20), Fraction(-3, 4), Fraction(0),
-        Fraction(3, 4), Fraction(-3, 20), Fraction(1, 60)],
 }
 
 # interior narrow second-derivative stencils (unit spacing)
@@ -81,8 +85,10 @@ _NARROW_D2 = {
     8: [-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560],
 }
 
-# boundary-modified norm weights of the classical diagonal-norm operators
-# (interior order p, boundary order p/2)
+# closures of the classical diagonal-norm bounded operators (interior order
+# p, boundary order p/2), unit spacing: the boundary-modified norm weights,
+# and the strictly upper entries (i, j) of the antisymmetric c x c corner
+# block of Q = M D1, c = the number of weights, Q[0, 0] = -1/2
 _BOUNDED_NORM = {
     2: [Fraction(1, 2)],
     4: [Fraction(17, 48), Fraction(59, 48), Fraction(43, 48), Fraction(49, 48)],
@@ -95,6 +101,22 @@ _BOUNDED_NORM = {
         Fraction(43801, 43200),
     ],
 }
+_BOUNDED_CORNER = {
+    2: {},
+    4: {
+        (0, 1): Fraction(59, 96), (0, 2): Fraction(-1, 12), (0, 3): Fraction(-1, 32),
+        (1, 2): Fraction(59, 96), (2, 3): Fraction(59, 96),
+    },
+    6: {
+        (0, 1): Fraction(-953, 16200), (0, 2): Fraction(715489, 259200),
+        (0, 3): Fraction(-62639, 14400), (0, 4): Fraction(147127, 51840),
+        (0, 5): Fraction(-89387, 129600), (1, 2): Fraction(-57139, 8640),
+        (1, 3): Fraction(745733, 51840), (1, 4): Fraction(-18343, 1728),
+        (1, 5): Fraction(240569, 86400), (2, 3): Fraction(-176839, 12960),
+        (2, 4): Fraction(242111, 17280), (2, 5): Fraction(-182261, 43200),
+        (3, 4): Fraction(-165041, 25920), (3, 5): Fraction(710473, 259200),
+    },
+}
 
 BOUNDED_ORDERS = (2, 4, 6)
 PERIODIC_CENTRAL_ORDERS = (2, 4, 6, 8)
@@ -103,24 +125,25 @@ UPWIND_ORDERS = (1, 2, 3, 4)
 
 @dataclass(frozen=True, eq=False)
 class DerivativeOperator:
-    """Derivative operator (periodic: a stencil; bounded: a dense matrix)
+    """Derivative operator (interior stencil, plus closure rows when bounded)
     together with the norm it satisfies SBP against."""
 
     kind: str
     accuracy_order: int
     grid: Grid
     mass: MassMatrix
-    matrix: np.ndarray | None = None  # set for bounded operators
-    offsets: np.ndarray | None = None  # set for circulant (periodic) operators
-    coefficients: np.ndarray | None = None
-    closure_rows: int = 0  # boundary rows with reduced order (bounded only)
-    # stencil plan of a circulant operator, see _StencilPlan
-    _plan: _StencilPlan | None = field(init=False, repr=False, default=None)
+    offsets: np.ndarray
+    coefficients: np.ndarray
+    # bounded only: (left, right), the dense first and last c rows over the
+    # first and last w columns, w = c + halo
+    closure: tuple | None = None
+    # stencil plan, see _StencilPlan
+    _plan: _StencilPlan = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.offsets is not None:
-            plan = _StencilPlan(self.offsets, self.coefficients, self.grid.n_nodes)
-            object.__setattr__(self, "_plan", plan)
+        plan = _StencilPlan(self.offsets, self.coefficients, self.grid.n_nodes,
+                            self.closure is None)
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def n(self) -> int:
@@ -129,15 +152,8 @@ class DerivativeOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """D u, mapped along the last axis: a (m, N) stack gives m rows D u_i."""
         u = np.asarray(u)
-        if self._plan is None:
-            if u.ndim == 1:
-                return self.matrix @ u
-            # one matrix-vector product per row: a matrix-matrix product
-            # would sum each row in another order
-            out = np.empty(u.shape)
-            for i, row in enumerate(u):
-                out[i] = self.matrix @ row
-            return out
+        if self.closure is not None:
+            return self._apply_bounded(u)
         plan = self._plan
         n = plan.n
         up = u[..., plan.wrap]
@@ -158,6 +174,33 @@ class DerivativeOperator:
                 out += term
         return np.zeros_like(u, dtype=float) if out is None else out
 
+    def _apply_bounded(self, u):
+        """Difference form: sum_k c_k (u_(i+k) - u_i) over the padded slices,
+        then sum_j L_ij (u_j - u_i) in the closure rows.
+
+        c_0 and L_ii enter as minus the sum of the other entries of their
+        row, equal to the stored ones up to roundoff, so constants map to
+        exactly 0.0 in every row (as antisymmetric stencil pairs do in a
+        periodic apply).  The products are elementwise: a matrix product
+        would sum a stack in another order than a single row.
+        """
+        plan = self._plan
+        n, halo = plan.n, plan.halo
+        up = np.zeros(u.shape[:-1] + (n + 2 * halo,))
+        up[..., halo : halo + n] = u
+        out = np.zeros(u.shape)
+        for start_plus, c_plus, start_minus, c_minus in plan.pairs:
+            for start, c in ((start_plus, c_plus), (start_minus, c_minus)):
+                if c is not None:
+                    out += c * (up[..., start : start + n] - u)
+        left, right = self.closure
+        c, width = left.shape
+        out[..., :c] = ((u[..., None, :width] - u[..., :c, None]) * left).sum(axis=-1)
+        out[..., n - c :] = (
+            (u[..., None, n - width :] - u[..., n - c :, None]) * right
+        ).sum(axis=-1)
+        return out
+
     def to_dense(self) -> np.ndarray:
         """The operator as an N x N matrix, for tests and reference checks."""
         return np.ascontiguousarray(self.apply(np.eye(self.n)).T)
@@ -165,7 +208,8 @@ class DerivativeOperator:
 
 @dataclass(frozen=True, eq=False)
 class UpwindOperatorPair:
-    """Biased derivative pair; M D+ + D-^T M = 0 and M (D+ - D-)/2 <= 0."""
+    """Biased derivative pair; M D+ + D-^T M = 0 (periodic) or
+    e_R e_R^T - e_L e_L^T (bounded), and M (D+ - D-)/2 <= 0."""
 
     d_plus: DerivativeOperator
     d_minus: DerivativeOperator
@@ -174,13 +218,7 @@ class UpwindOperatorPair:
     grid: Grid
 
     def central_average(self) -> DerivativeOperator:
-        """(D+ + D-)/2, a valid central first-derivative SBP operator."""
-        if self.d_plus.offsets is None:
-            mat = 0.5 * (self.d_plus.matrix + self.d_minus.matrix)
-            return DerivativeOperator(
-                "bounded_central_d1", self.accuracy_order, self.grid, self.mass,
-                mat, closure_rows=self.d_plus.closure_rows,
-            )
+        """(D+ + D-)/2 of a periodic pair, a central first-derivative SBP operator."""
         off, coef = _add_stencils(
             (self.d_plus.offsets, 0.5 * self.d_plus.coefficients),
             (self.d_minus.offsets, 0.5 * self.d_minus.coefficients),
@@ -193,30 +231,32 @@ class UpwindOperatorPair:
 
 
 # ---------------------------------------------------------------------------
-# circulant helpers
+# stencil helpers
 
 
 class _StencilPlan:
-    """What a circulant apply needs, derived once from the stencil.
+    """What a stencil apply needs, derived once from the stencil.
 
     ``centre`` is c_0 (None when zero); ``pairs`` holds, for each |k| > 0
     in ascending order, the slice starts h+k and h-k into the padded
     vector with their coefficients (None where that side is zero);
-    ``wrap`` gathers u (length ``n``) into the padded vector of length
-    n + 2h.  Coefficients stay NumPy float64 scalars, so products keep the
-    dtype promotion of the stencil arrays.
+    ``wrap`` gathers u (length ``n``) into the periodic padded vector of
+    length n + 2h, and is None for a bounded operator, whose halo of
+    width ``halo`` = h holds zeros.  Coefficients stay NumPy float64
+    scalars, so products keep the dtype promotion of the stencil arrays.
     """
 
-    def __init__(self, offsets, coefficients, n):
+    def __init__(self, offsets, coefficients, n, periodic):
         table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
         distances = sorted({abs(k) for k in table if k != 0})
         halo = distances[-1] if distances else 0
         self.n = n
+        self.halo = halo
         self.centre = table.get(0)
         self.pairs = tuple(
             (halo + k, table.get(k), halo - k, table.get(-k)) for k in distances
         )
-        self.wrap = np.arange(-halo, n + halo) % n
+        self.wrap = np.arange(-halo, n + halo) % n if periodic else None
 
 
 def _trim_stencil(offsets, coefficients):
@@ -272,6 +312,30 @@ def periodic_band(left, right=None, *, inner=None) -> PeriodicBand:
     for k, c, row in terms:
         diagonals[k] += row * c
     return PeriodicBand(diagonals)
+
+
+def bounded_band(op, inner) -> Band:
+    """Upper offset diagonals of the symmetric D^T diag(inner) D, D bounded.
+
+    Row i of D adds inner_i D[i, a] D[i, b] to entry (a, b): a stencil row
+    adds c_a inner_i c_b at offset b - a, a closure row a dense corner
+    block.  The reflecting systems of both models are of this form plus a
+    diagonal.  Assembled in O(N * width^2).
+    """
+    n = op.n
+    left, right = op.closure
+    c, width = left.shape
+    stencil = list(zip(op.offsets.tolist(), op.coefficients))
+    diagonals = np.zeros((max(int(np.ptp(op.offsets)), width - 1) + 1, n))
+    for a, ca in stencil:
+        for b, cb in stencil:
+            if b >= a:
+                diagonals[b - a, c + a : n - c + a] += ca * inner[c : n - c] * cb
+    for rows, weights, start in ((left, inner[:c], 0), (right, inner[n - c:], n - width)):
+        block = rows.T @ (weights[:, None] * rows)
+        for k in range(width):
+            diagonals[k, start : start + width - k] += np.diagonal(block, k)
+    return Band(diagonals)
 
 
 def _symbol(offsets, coefficients, thetas):
@@ -422,120 +486,54 @@ def build_periodic_d2(grid: Grid, order: int, flavor="narrow") -> DerivativeOper
 # bounded builders
 
 
-@lru_cache(maxsize=None)
-def _bounded_closure(order):
-    """Boundary closure of the diagonal-norm bounded operator (unit spacing).
-
-    With the classical norm weights fixed, Q = M D1 is the interior
-    antisymmetric band everywhere except an antisymmetric corner block
-    (plus Q[0,0] = -1/2); the block entries follow from the boundary
-    accuracy conditions D1 x^k = k x^(k-1), k <= p/2.  The corner size
-    starts at the number of modified norm weights and grows until the
-    linear system is consistent.
-
-    Returns (norm_weights, corner_block) where corner_block is the
-    upper-left c x c block of Q.
-    """
-    if order not in _BOUNDED_NORM:
+def _require_bounded(grid, width):
+    if grid.is_periodic:
+        raise ConfigurationError("bounded operator requires a bounded grid")
+    if grid.n_nodes < 2 * width:
         raise ConfigurationError(
-            f"bounded central order must be one of {BOUNDED_ORDERS}, got {order}"
+            f"grid with {grid.n_nodes} nodes below twice the closure width {width}"
         )
-    hw = _BOUNDED_NORM[order]
-    r = len(hw)
-    tau = order // 2
-    half = order // 2
-    interior = _CENTRAL_D1_RATIONAL[order]
-
-    def stencil_value(offset):
-        return interior[offset + half] if abs(offset) <= half else Fraction(0)
-
-    for c in range(r, r + tau + half + 1):
-        pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
-        index = {pq: m for m, pq in enumerate(pairs)}
-        h_full = list(hw) + [Fraction(1)] * (c - r)
-        rows, rhs = [], []
-        for i in range(c):
-            for k in range(tau + 1):
-                # sum_j Q[i, j] j^k = h_i * k * i^(k-1); move the fixed
-                # diagonal (Q[0,0] = -1/2) and the interior-tail columns
-                # j >= c to the right-hand side
-                if k == 0:
-                    target = Fraction(0)
-                elif k == 1:
-                    target = h_full[i]
-                else:
-                    target = h_full[i] * k * Fraction(i) ** (k - 1)
-                if i == 0 and k == 0:
-                    target += Fraction(1, 2)  # Q[0,0] = -1/2
-                for j in range(c, i + half + 1):
-                    target -= stencil_value(j - i) * Fraction(j) ** k
-                row = [Fraction(0)] * len(pairs)
-                for (a, b), m in index.items():
-                    if a == i:
-                        row[m] += Fraction(b) ** k
-                    elif b == i:
-                        row[m] -= Fraction(a) ** k
-                rows.append(row)
-                rhs.append(target)
-        sol = _solve_rational(rows, rhs)
-        if sol is not None:
-            block = np.zeros((c, c))
-            block[0, 0] = -0.5
-            for (a, b), m in index.items():
-                block[a, b] = float(sol[m])
-                block[b, a] = -float(sol[m])
-            return np.array([float(f) for f in hw]), block
-    raise ConfigurationError(
-        f"no consistent boundary closure found for bounded order {order}"
-    )
 
 
-def _solve_rational(rows, rhs):
-    """Exact particular solution of a rational linear system, or None."""
-    import sympy
-
-    if not rows or not rows[0]:
-        return [] if all(f == 0 for f in rhs) else None
-    mat = sympy.Matrix([[sympy.Rational(f) for f in row] for row in rows])
-    vec = sympy.Matrix([sympy.Rational(f) for f in rhs])
-    try:
-        sol, _params = mat.gauss_jordan_solve(vec)
-    except ValueError:
-        return None
-    sol = sol.subs({p: 0 for p in sol.free_symbols})
-    return [Fraction(int(v.p), int(v.q)) for v in sol]
+def _corner(offsets, coefficients, closure_rows, size):
+    """Upper-left size x size block of a bounded operator: its closure rows,
+    then stencil rows."""
+    c, width = closure_rows.shape
+    block = np.zeros((size, size))
+    block[:c, :width] = closure_rows
+    for i in range(c, size):
+        for k, coef in zip(offsets.tolist(), coefficients):
+            if 0 <= i + k < size:
+                block[i, i + k] = coef
+    return block
 
 
 def build_bounded_central_d1(grid: Grid, order: int) -> DerivativeOperator:
     """Diagonal-norm bounded SBP operator: interior order p, boundary order p/2."""
-    if grid.is_periodic:
-        raise ConfigurationError("bounded operator requires a bounded grid")
-    hw, block = _bounded_closure(order)
-    c = block.shape[0]
-    n = grid.n_nodes
-    if n < 2 * c + 1:
+    if order not in _BOUNDED_NORM:
         raise ConfigurationError(
-            f"grid with {n} nodes below closure size {2 * c + 1} for order {order}"
+            f"bounded central order must be one of {BOUNDED_ORDERS}, got {order}"
         )
-    half = order // 2
+    hw = np.array([float(f) for f in _BOUNDED_NORM[order]])
+    c, half = hw.size, order // 2
+    _require_bounded(grid, c + half)
+    n = grid.n_nodes
     interior = np.array(_CENTRAL_D1[order])
-
-    q = np.zeros((n, n))
-    for k in range(-half, half + 1):
-        val = interior[k + half]
-        if val != 0.0:
-            idx = np.arange(max(0, -k), min(n, n - k))
-            q[idx, idx + k] = val
-    q[:c, :c] = block
-    q[n - c:, n - c:] = -block[::-1, ::-1]
-
+    offsets = np.arange(-half, half + 1)
+    # the first c rows of Q: the corner block, then the interior stencil tails
+    q = _corner(offsets, interior, np.zeros((0, 0)), c + half)[:c]
+    q[:, :c] = 0.0
+    q[0, 0] = -0.5
+    for (i, j), f in _BOUNDED_CORNER[order].items():
+        q[i, j], q[j, i] = float(f), -float(f)
+    left = q / hw[:, None] / grid.spacing
     weights = np.ones(n)
-    weights[: hw.size] = hw
-    weights[n - hw.size:] = hw[::-1]
-    mass = MassMatrix(weights * grid.spacing)
-    mat = q / weights[:, None] / grid.spacing
+    weights[:c] = hw
+    weights[n - c:] = hw[::-1]
+    offsets, coef = _trim_stencil(offsets, interior / grid.spacing)
     op = DerivativeOperator(
-        "bounded_central_d1", order, grid, mass, mat, closure_rows=c
+        "bounded_central_d1", order, grid, MassMatrix(weights * grid.spacing),
+        offsets=offsets, coefficients=coef, closure=(left, -left[::-1, ::-1]),
     )
     _assert_report(verify_sbp_identity(op))
     return op
@@ -546,24 +544,42 @@ def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
 
     Delta is the p-th undivided difference, so S is symmetric negative
     semidefinite and annihilates polynomials below degree p; the pair
-    satisfies M D+ + D-^T M = e_R e_R^T - e_L e_L^T exactly.
+    satisfies M D+ + D-^T M = e_R e_R^T - e_L e_L^T exactly.  Delta^T Delta
+    is the stencil (-1)^k C(2p, p+k), |k| <= p, except in its first and
+    last p rows, so the pair has max(c, p) closure rows over max(c, p) + p
+    columns; the right ones mirror the left ones of the partner,
+    D+[N-1-i, N-1-j] = -D-[i, j].
     """
     central = build_bounded_central_d1(grid, order)
-    n = grid.n_nodes
-    diff = np.zeros((n - order, n))
-    binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)])
-    for i in range(n - order):
-        diff[i, i : i + order + 1] = binom
+    rows = max(central.closure[0].shape[0], order)
+    width = rows + order
+    _require_bounded(grid, width)
     strength = 4.0 ** (-order) / grid.spacing
-    s = -strength * (diff.T @ diff)
+    binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)], float)
+    diff = np.zeros((rows, width))
+    for i in range(rows):
+        diff[i, i : i + order + 1] = binom
+    s_left = -strength * (diff.T @ diff)[:rows]
+    s_stencil = -strength * np.convolve(binom, binom[::-1])
+    offsets = np.arange(-order, order + 1)
+    d1_left = _corner(central.offsets, central.coefficients, central.closure[0],
+                      width)[:rows]
+    d1_stencil = np.zeros(2 * order + 1)
+    d1_stencil[central.offsets + order] = central.coefficients
     minv = 1.0 / central.mass.diagonal
+    plus_left = d1_left + minv[:rows, None] * s_left
+    minus_left = d1_left - minv[:rows, None] * s_left
+    plus_coef = d1_stencil + (1.0 / grid.spacing) * s_stencil
+    minus_coef = d1_stencil - (1.0 / grid.spacing) * s_stencil
     dp = DerivativeOperator(
         "bounded_upwind_d1_plus", order, grid, central.mass,
-        central.matrix + minv[:, None] * s, closure_rows=central.closure_rows,
+        *_trim_stencil(offsets, plus_coef),
+        closure=(plus_left, -minus_left[::-1, ::-1]),
     )
     dm = DerivativeOperator(
         "bounded_upwind_d1_minus", order, grid, central.mass,
-        central.matrix - minv[:, None] * s, closure_rows=central.closure_rows,
+        *_trim_stencil(offsets, minus_coef),
+        closure=(minus_left, -plus_left[::-1, ::-1]),
     )
     pair = UpwindOperatorPair(dp, dm, central.mass, order, grid)
     _assert_report(verify_sbp_identity(pair))
@@ -599,20 +615,40 @@ def _adjoint_residual(h, left, right, sign):
     ))
 
 
-def _bounded_adjoint_residual(m, left, right):
-    """max |M L + R^T M - diag(-1, 0, ..., 0, 1)| by row and column scaling."""
-    res = m[:, None] * left + right.T * m
-    res[-1, -1] -= 1.0
-    res[0, 0] += 1.0
-    return float(np.max(np.abs(res)))
+def _closure_adjoint_residual(left, right):
+    """max |M L + R^T M - diag(-1, 0, ..., 0, 1)| of two bounded operators.
+
+    Entries between stencil rows are those of the stencil check; every
+    entry that involves a closure row lies in one of the two w x w corner
+    blocks, which are formed densely.  The bottom-right block, reversed in
+    rows and columns, is the top-left block of the reflected operator:
+    closure rows reversed, stencil offsets negated.
+    """
+    m = left.mass.diagonal
+    size = left.closure[0].shape[1]
+    residual = _adjoint_residual(m[size], left, right, 1.0)
+    for side, step, boundary in ((0, 1, 1.0), (1, -1, -1.0)):
+        weights = m[::step][:size]
+        corner_left, corner_right = (
+            _corner(step * op.offsets, op.coefficients,
+                    op.closure[side][::step, ::step], size)
+            for op in (left, right)
+        )
+        res = weights[:, None] * corner_left + corner_right.T * weights
+        res[0, 0] += boundary
+        residual = max(residual, float(np.max(np.abs(res))))
+    return residual
 
 
 def _row_sum_and_consistency(op):
-    """(max row sum of |D|, max |D 1|), from the stencil where there is one."""
-    if op.offsets is not None:
-        return np.sum(np.abs(op.coefficients)), abs(float(np.sum(op.coefficients)))
-    d = op.matrix
-    return np.max(np.sum(np.abs(d), axis=1)), float(np.max(np.abs(d @ np.ones(op.n))))
+    """(max row sum of |D|, max |D 1|), from the stencil and closure rows."""
+    row_sum = np.sum(np.abs(op.coefficients))
+    consistency = abs(float(np.sum(op.coefficients)))
+    if op.closure is not None:
+        rows = np.vstack(op.closure)
+        row_sum = max(row_sum, np.max(np.sum(np.abs(rows), axis=1)))
+        consistency = max(consistency, float(np.max(np.abs(np.sum(rows, axis=1)))))
+    return row_sum, consistency
 
 
 def verify_sbp_identity(op) -> IdentityReport:
@@ -620,19 +656,20 @@ def verify_sbp_identity(op) -> IdentityReport:
 
     The threshold is 1e-12 * scale with scale = max|M| * max-row-sum|D|.
     Periodic operators are checked on their stencils in O(width) (their
-    norm is dx I), bounded ones on their matrices in O(N^2).
+    norm is dx I), bounded ones on their stencils and corner blocks in
+    O(width^2).
     """
     m = op.mass.diagonal
     if isinstance(op, UpwindOperatorPair):
         kind, dp, dm = "upwind_pair", op.d_plus, op.d_minus
         row_sum, consistency_plus = _row_sum_and_consistency(dp)
         residuals = {
-            "adjoint": _adjoint_residual(m[0], dp, dm, 1.0) if dp.offsets is not None
-            else _bounded_adjoint_residual(m, dp.matrix, dm.matrix),
+            "adjoint": _adjoint_residual(m[0], dp, dm, 1.0) if dp.closure is None
+            else _closure_adjoint_residual(dp, dm),
             "consistency_plus": consistency_plus,
             "consistency_minus": _row_sum_and_consistency(dm)[1],
         }
-        if dp.offsets is not None:
+        if dp.closure is None:
             thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
             sym = _symbol(dp.offsets, dp.coefficients, thetas).real
             # S eigenvalues are dx * Re(symbol of D+); must be <= 0
@@ -643,7 +680,7 @@ def verify_sbp_identity(op) -> IdentityReport:
         if kind == "periodic_central_d1":
             residuals["periodic_sbp"] = _adjoint_residual(m[0], op, op, 1.0)
         elif kind == "bounded_central_d1":
-            residuals["bounded_sbp"] = _bounded_adjoint_residual(m, op.matrix, op.matrix)
+            residuals["bounded_sbp"] = _closure_adjoint_residual(op, op)
         elif kind.startswith("periodic_d2"):
             residuals["symmetry"] = _adjoint_residual(m[0], op, op, -1.0)
         elif not kind.startswith("bounded_upwind"):  # those: see the pair report

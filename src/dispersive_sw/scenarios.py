@@ -95,11 +95,10 @@ def write_outputs(result: ScenarioResult, output_dir) -> list:
 class InvariantRecorder:
     """Collect (t, invariants..., gamma) rows at every accepted step."""
 
-    def __init__(self, disc, names, eta_shift=0.0):
+    def __init__(self, disc, names):
         self.disc = disc
         self.names = names
         self.rows = []
-        self.eta_shift = eta_shift
 
     def start(self, t, y):
         self._append(t, y, 1.0)
@@ -240,6 +239,16 @@ def _state_error(grid, ops, y, exact_pair):
 # model construction helpers
 
 
+def _operators(grid, variant, order):
+    """The operator set a variant needs: bounded for reflecting_* variants,
+    periodic otherwise, with the upwind pair for *_upwind ones.  Calls go
+    through this module's globals."""
+    upwind = variant.endswith("upwind")
+    if variant.startswith("reflecting"):
+        return bounded_operators(grid, order, upwind=upwind)
+    return periodic_operators(grid, order, upwind=upwind)
+
+
 def _build_model(cfg: ScenarioConfig, grid, ops, bathymetry, *, eta0=0.0,
                  variant=None, source_terms=None, split_form=True):
     variant = variant or cfg.variant
@@ -324,10 +333,7 @@ def soliton_reference(t, grid, gravity=GRAVITY, depth=SOLITON_DEPTH, x0=0.0):
 def _soliton_case(cfg, order, n_nodes):
     grid = make_uniform_grid(*SOLITON_DOMAIN, n_nodes, "periodic")
     variant = cfg.variant or "periodic_const_narrow"
-    if variant == "periodic_upwind":
-        ops = periodic_operators(grid, order, upwind=True)
-    else:
-        ops = periodic_operators(grid, order, d2_flavor="narrow")
+    ops = _operators(grid, variant, order)
     disc = bbm_bbm.build_bbm_discretization(
         grid, ops, lambda x: np.full_like(x, -SOLITON_DEPTH), GRAVITY, variant
     )
@@ -435,14 +441,12 @@ def _manufactured_single(result, cfg, case, order, n, reflecting, t_end):
     grid = make_uniform_grid(0.0, 1.0, n, bc)
     bathy = lambda x: case.bathymetry(0.0, x)
     if reflecting:
-        ops = bounded_operators(grid, order, upwind=False)
         variant = cfg.variant or (
             "reflecting_central" if cfg.model == "bbm_bbm" else "reflecting_beta_only"
         )
     else:
         variant = cfg.variant or "periodic_upwind"
-        upwind = variant in ("periodic_upwind",)
-        ops = periodic_operators(grid, order, upwind=upwind)
+    ops = _operators(grid, variant, order)
     if cfg.model == "bbm_bbm":
         disc = bbm_bbm.build_bbm_discretization(
             grid, ops, bathy, GRAVITY, variant, source_terms=case.source
@@ -522,8 +526,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     result = ScenarioResult("lake_at_rest")
     if cfg.model == "bbm_bbm":
         variant = cfg.variant or "periodic_central_wide"
-        upwind = variant == "periodic_upwind"
-        ops = periodic_operators(grid, order, upwind=upwind)
+        ops = _operators(grid, variant, order)
         # the model fixes eta0 = 0, so shift the surface level into the data
         bathy = lambda x: lake_bathymetry(x) - LAKE_SURFACE
         disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
@@ -532,8 +535,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
         t_end = cfg.t_end if cfg.t_end is not None else 10.0
     else:
         variant = cfg.variant or "periodic_central_split"
-        upwind = variant == "periodic_upwind"
-        ops = periodic_operators(grid, order, upwind=upwind)
+        ops = _operators(grid, variant, order)
         disc = _build_model(
             cfg, grid, ops, lake_bathymetry, eta0=LAKE_SURFACE, variant=variant
         )
@@ -571,14 +573,14 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     result = ScenarioResult("reflecting_bump")
     if cfg.model == "bbm_bbm":
         variant = cfg.variant or "reflecting_central"
-        ops = bounded_operators(grid, cfg.order, upwind=variant == "reflecting_upwind")
+        ops = _operators(grid, variant, cfg.order)
         bathy = lambda x: 0.3 * np.cos(np.pi * x) - BUMP_SURFACE
         disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
         y0 = np.concatenate([bump, np.zeros(n)])
         energy_name = "energy"
     else:
         variant = cfg.variant or "reflecting_beta_only"
-        ops = bounded_operators(grid, cfg.order)
+        ops = _operators(grid, variant, cfg.order)
         pset = cfg.parameter_set or "set5"
         disc = sk.build_sk_discretization(
             grid, ops, lambda x: 0.3 * np.cos(np.pi * x), GRAVITY, BUMP_SURFACE,
@@ -669,7 +671,7 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
         variant = cfg.variant or "periodic_central_wide"
     else:
         variant = cfg.variant or "periodic_central_split"
-    ops = periodic_operators(grid, cfg.order, upwind=variant == "periodic_upwind")
+    ops = _operators(grid, variant, cfg.order)
     disc = _build_model(
         cfg, grid, ops, lambda x: np.full_like(x, -h0), eta0=0.0, variant=variant
     )
@@ -768,7 +770,7 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
         variant = cfg.variant or "periodic_central_wide"
         x_tilde = 2.7
         eta_shift = DINGEMANS_H0  # model runs around 0, outputs shift back
-        ops = periodic_operators(grid, cfg.order, upwind=variant == "periodic_upwind")
+        ops = _operators(grid, variant, cfg.order)
         bathy = lambda x: dingemans_bathymetry(x) - DINGEMANS_H0
         disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
         y0 = dingemans_initial(grid, x_tilde, eta0=0.0)
@@ -776,7 +778,7 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
         variant = cfg.variant or "periodic_central_split"
         x_tilde = 2.2
         eta_shift = 0.0
-        ops = periodic_operators(grid, cfg.order, upwind=variant == "periodic_upwind")
+        ops = _operators(grid, variant, cfg.order)
         disc = _build_model(
             cfg, grid, ops, dingemans_bathymetry, eta0=DINGEMANS_H0, variant=variant
         )

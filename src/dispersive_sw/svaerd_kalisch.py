@@ -22,8 +22,12 @@ biasing of the alpha terms, dissipate) the total modified entropy
 where Dv uses the scheme's matching derivative (central D1, or D1minus
 for the upwind variant).  The right-hand side is evaluated in primitive
 variables (eta, v); the velocity equation solves a symmetric positive
-definite system that is re-factored at every call because it depends on
-the water height.
+definite (SPD) system that is re-factored at every call because it
+depends on the water height: diag(h) - D beta D when periodic.  With
+reflecting walls, v_t = 0 there and diag(h) - D1 beta D1 holds in the
+interior rows; times M these read M diag(h) + D1^T (M beta) D1, because
+M D1 = B - D1^T M and B vanishes off the walls, and the wall unknowns
+drop out of that SPD form.
 
 The right-hand side applies its derivative operators in three dependency
 layers, with one batched ``apply`` per operator and layer (row i of a
@@ -50,7 +54,7 @@ import numpy as np
 from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
-from .sbp import SbpOperatorSet, periodic_band
+from .sbp import SbpOperatorSet, bounded_band, periodic_band
 
 VARIANTS = ("periodic_central_split", "periodic_upwind", "reflecting_beta_only")
 
@@ -145,8 +149,7 @@ class SkDiscretization:
     operators: SbpOperatorSet
     split_form: bool = True
     _source: Optional[Callable] = None
-    _velocity_solver: linsolve.ShiftedSolver = None  # static part analyzed once
-    _interior_mask: np.ndarray | None = None
+    _velocity_solver: linsolve.ShiftedSolver = None  # static part packed once
     _entropy_deriv: Callable = None  # derivative entering the modified entropy
     # whether the alpha / gamma dispersion terms are present; the coefficient
     # fields are fixed, so this is decided once instead of on every RHS call
@@ -247,18 +250,12 @@ class SkDiscretization:
             deta = deta + s_h
             rhs_v = rhs_v + s_hv - v * s_h
 
-        if self._interior_mask is not None:
-            rhs_v = rhs_v * self._interior_mask
-
-        diagonal = h
-        if reflecting:
-            # identity rows at the walls: the static block rows are already
-            # projected out, so the diagonal entry is the full row
-            diagonal = h.copy()
-            diagonal[0] = diagonal[-1] = 1.0
-        dv = self._velocity_solver.factor(diagonal).solve(rhs_v)
-        if reflecting:
-            dv[0] = dv[-1] = 0.0
+        if not reflecting:
+            return deta, self._velocity_solver.factor(h).solve(rhs_v)
+        # the M-scaled interior system; v_t is zero at the walls exactly
+        m = self.operators.mass.diagonal
+        dv = np.zeros(self.n)
+        dv[1:-1] = self._velocity_solver.factor((m * h)[1:-1]).solve((m * rhs_v)[1:-1])
         return deta, dv
 
     def rhs(self, t, y):
@@ -392,12 +389,11 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
     gamma_hat = params.gamma_tilde * root_gd * depth**3
 
     operators.require("d1")
-    n = grid.n_nodes
     d1 = operators.d1
-    interior_mask = None
     entropy_deriv = d1.apply
-    # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind:
-    # symmetric positive semidefinite, so diag(h) plus it is SPD for h > 0
+    # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind,
+    # or D1^T (M beta) D1 without the wall unknowns: symmetric positive
+    # semidefinite, so diag(h) (or M diag(h)) plus it is SPD for h > 0
     if variant == "periodic_central_split":
         operators.require("d2")
         beta_block = periodic_band(d1, d1, inner=-beta_hat)
@@ -407,10 +403,7 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
         beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
         entropy_deriv = pair.d_minus.apply
     else:  # reflecting_beta_only
-        beta_block = -(d1.matrix * beta_hat) @ d1.matrix
-        interior_mask = np.ones(n)
-        interior_mask[0] = interior_mask[-1] = 0.0
-        beta_block = beta_block * interior_mask[:, None]
+        beta_block = bounded_band(d1, operators.mass.diagonal * beta_hat).interior()
 
     return SkDiscretization(
         grid=grid,
@@ -427,6 +420,5 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
         split_form=split_form,
         _source=source_terms,
         _velocity_solver=linsolve.ShiftedSolver(beta_block),
-        _interior_mask=interior_mask,
         _entropy_deriv=entropy_deriv,
     )

@@ -1,9 +1,14 @@
 """Independent reference computations used by several test modules.
 
 These stay deliberately separate from the library code paths they check:
-dense matrix algebra, matrix exponentials, direct Fourier fits, and the
-np.roll form of the circulant stencil apply.
+dense matrix algebra, matrix exponentials, direct Fourier fits, the
+np.roll form of the circulant stencil apply, the exact derivation of the
+bounded closures and the dense bounded operators built from it.
 """
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -105,12 +110,12 @@ def matrix_exponential_reference(a, y0, t):
     return sla.expm(t * a) @ y0
 
 
-def dense_sbp_residuals(op):
+def dense_sbp_residuals(op, dense=None):
     """Residual dict of ``sbp.verify_sbp_identity`` in its dense O(N^3) form.
 
-    Forms np.diag(M) @ D and D^T @ M explicitly, from ``to_dense()``, as
-    the identity check did before it moved to the stencil (periodic) and
-    to row and column scaling (bounded).
+    Forms np.diag(M) @ D and D^T @ M explicitly, as the identity check did
+    before it moved to the stencil and corner blocks, from ``dense``
+    (D, or (D+, D-) for an upwind pair) or else from ``to_dense()``.
     """
     from dispersive_sw.sbp import UpwindOperatorPair
 
@@ -125,13 +130,13 @@ def dense_sbp_residuals(op):
         return res
 
     if isinstance(op, UpwindOperatorPair):
-        dp, dm = op.d_plus.to_dense(), op.d_minus.to_dense()
+        dp, dm = dense or (op.d_plus.to_dense(), op.d_minus.to_dense())
         return {
             "adjoint": float(np.max(np.abs(boundary_corrected(m @ dp + dm.T @ m)))),
             "consistency_plus": float(np.max(np.abs(dp @ ones))),
             "consistency_minus": float(np.max(np.abs(dm @ ones))),
         }
-    d = op.to_dense()
+    d = op.to_dense() if dense is None else dense
     residuals = {}
     if op.kind == "periodic_central_d1":
         residuals["periodic_sbp"] = float(np.max(np.abs(m @ d + d.T @ m)))
@@ -143,3 +148,108 @@ def dense_sbp_residuals(op):
         residuals["symmetry"] = float(np.max(np.abs(m @ d - d.T @ m)))
     residuals["consistency"] = float(np.max(np.abs(d @ ones)))
     return residuals
+
+
+# interior central stencils as fractions (unit spacing, offsets -p/2..p/2)
+_CENTRAL_D1_RATIONAL = {
+    2: [Fraction(-1, 2), Fraction(0), Fraction(1, 2)],
+    4: [Fraction(1, 12), Fraction(-2, 3), Fraction(0), Fraction(2, 3),
+        Fraction(-1, 12)],
+    6: [Fraction(-1, 60), Fraction(3, 20), Fraction(-3, 4), Fraction(0),
+        Fraction(3, 4), Fraction(-3, 20), Fraction(1, 60)],
+}
+
+
+@lru_cache(maxsize=None)
+def bounded_closure_rational(order):
+    """(norm weights, c, {(i, j): Q[i, j]}) of the bounded central operator.
+
+    With the classical norm weights fixed, Q = M D1 (unit spacing) is the
+    interior antisymmetric band everywhere except an antisymmetric corner
+    block (plus Q[0,0] = -1/2); the strictly upper block entries follow
+    from the boundary accuracy conditions D1 x^k = k x^(k-1), k <= p/2,
+    solved exactly with sympy.  The corner size c starts at the number of
+    modified norm weights and grows until the linear system is consistent.
+    Only nonzero entries are returned.
+    """
+    import sympy
+
+    from dispersive_sw.sbp import _BOUNDED_NORM
+
+    hw = _BOUNDED_NORM[order]
+    r = len(hw)
+    tau = half = order // 2
+    interior = _CENTRAL_D1_RATIONAL[order]
+
+    def stencil_value(offset):
+        return interior[offset + half] if abs(offset) <= half else Fraction(0)
+
+    for c in range(r, r + tau + half + 1):
+        pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
+        h_full = list(hw) + [Fraction(1)] * (c - r)
+        rows, rhs = [], []
+        for i in range(c):
+            for k in range(tau + 1):
+                # sum_j Q[i, j] j^k = h_i * k * i^(k-1); the fixed diagonal
+                # (Q[0,0] = -1/2) and the interior-tail columns j >= c go
+                # to the right-hand side
+                target = Fraction(0) if k == 0 else h_full[i] * k * Fraction(i) ** (k - 1)
+                if i == 0 and k == 0:
+                    target += Fraction(1, 2)
+                for j in range(c, i + half + 1):
+                    target -= stencil_value(j - i) * Fraction(j) ** k
+                rows.append([Fraction(b) ** k if a == i else -Fraction(a) ** k if b == i
+                             else Fraction(0) for a, b in pairs])
+                rhs.append(target)
+        if not pairs:
+            if all(f == 0 for f in rhs):
+                return hw, c, {}
+            continue
+        mat = sympy.Matrix([[sympy.Rational(f) for f in row] for row in rows])
+        vec = sympy.Matrix([sympy.Rational(f) for f in rhs])
+        try:
+            sol, _params = mat.gauss_jordan_solve(vec)
+        except ValueError:
+            continue
+        sol = sol.subs({p: 0 for p in sol.free_symbols})
+        entries = {pq: Fraction(int(v.p), int(v.q)) for pq, v in zip(pairs, sol)}
+        return hw, c, {pq: f for pq, f in entries.items() if f != 0}
+    raise ValueError(f"no consistent boundary closure for order {order}")
+
+
+def dense_bounded_central_d1(grid, order):
+    """(D1, M diagonal) of the bounded central operator as a dense matrix,
+    assembled from ``bounded_closure_rational``."""
+    hw, c, corner = bounded_closure_rational(order)
+    hw = np.array([float(f) for f in hw])
+    n, half = grid.n_nodes, order // 2
+    interior = [float(f) for f in _CENTRAL_D1_RATIONAL[order]]
+    q = np.zeros((n, n))
+    for k in range(-half, half + 1):
+        if interior[k + half] != 0.0:
+            idx = np.arange(max(0, -k), min(n, n - k))
+            q[idx, idx + k] = interior[k + half]
+    block = np.zeros((c, c))
+    block[0, 0] = -0.5
+    for (i, j), f in corner.items():
+        block[i, j], block[j, i] = float(f), -float(f)
+    q[:c, :c] = block
+    q[n - c:, n - c:] = -block[::-1, ::-1]
+    weights = np.ones(n)
+    weights[:hw.size] = hw
+    weights[n - hw.size:] = hw[::-1]
+    return q / weights[:, None] / grid.spacing, weights * grid.spacing
+
+
+def dense_bounded_upwind(grid, order):
+    """(D+, D-, M diagonal) of the bounded upwind pair as dense matrices:
+    D+/- = D1 -/+ M^-1 c Delta^T Delta, Delta the p-th undivided difference."""
+    d1, mass = dense_bounded_central_d1(grid, order)
+    n = grid.n_nodes
+    diff = np.zeros((n - order, n))
+    binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)])
+    for i in range(n - order):
+        diff[i, i : i + order + 1] = binom
+    s = -(4.0 ** (-order) / grid.spacing) * (diff.T @ diff)
+    minv = 1.0 / mass
+    return d1 + minv[:, None] * s, d1 - minv[:, None] * s, mass

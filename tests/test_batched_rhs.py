@@ -147,9 +147,12 @@ def _apply_calls_per_rhs(monkeypatch, disc):
     (lambda: _sk("periodic_upwind", "set2", True, False), 7),
     (lambda: _sk("reflecting_beta_only", "set5", True, False), 1),
     (lambda: _bbm("periodic_const_narrow", False, False), 1),
-    (lambda: _bbm("reflecting_central", False, False), 1),
+    # reflecting: D1 [mass flux, velocity flux] | D1 of the solution | D1 of
+    # the full mass flux (eta_t as a flux divergence, see bbm_bbm)
+    (lambda: _bbm("reflecting_central", False, False), 3),
     (lambda: _bbm("periodic_upwind", False, False), 2),
+    (lambda: _bbm("reflecting_upwind", False, False), 4),
 ], ids=["sk_central", "sk_upwind", "sk_reflecting", "bbm_const_narrow",
-        "bbm_reflecting_central", "bbm_upwind"])
+        "bbm_reflecting_central", "bbm_upwind", "bbm_reflecting_upwind"])
 def test_one_apply_per_operator_and_layer(monkeypatch, disc, calls):
     assert _apply_calls_per_rhs(monkeypatch, disc()) == calls

@@ -142,6 +142,33 @@ def _printed_info(capsys):
     )
 
 
+def test_reflecting_upwind_bump_holds_the_mass_gate(capsys):
+    # eta_t is the divergence of the full mass flux, formed after the solve;
+    # taken straight from the solve it drifted 3.7e-13 here (gate 1e-13)
+    code = run_cli(["run", "--scenario", "reflecting_bump", "--model", "bbm_bbm",
+                    "--variant", "reflecting_upwind", "--n-nodes", "512",
+                    "--t-end", "0.02", "--check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS: bump_mass_drift_baseline" in out and "PASS: bump_mass_drift_relaxed" in out
+    printed = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert printed["solver_mass"] == printed["solver_velocity"] == "BandCholesky"
+
+
+@pytest.mark.parametrize("model, variant", [
+    ("bbm_bbm", "reflecting_central"),
+    ("bbm_bbm", "reflecting_upwind"),
+    ("svaerd_kalisch", "reflecting_beta_only"),
+])
+def test_manufactured_reflecting_variants_get_their_operators(model, variant, tmp_path):
+    code = run_cli(["run", "--scenario", "manufactured", "--model", model,
+                    "--variant", variant, "--orders", "4", "--resolutions", "33,65",
+                    "--t-end", "0.01", "--output-dir", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "eoc.csv").read_text().splitlines()
+    assert len(rows) == 3
+
+
 _SK_LAKE = ["--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
             "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"]
 
@@ -212,6 +239,9 @@ steps["wavenumber"] = repr(dingemans_wavenumber())
 steps["dingemans_wavenumber"] = loaded()
 assert run_cli(["run", "--config", sys.argv[1]]) == 0
 steps["config"] = loaded()
+assert run_cli(["run", "--scenario", "reflecting_bump", "--model", "bbm_bbm",
+                "--n-nodes", "64", "--t-end", "0.01"]) == 0
+steps["reflecting_bump"] = loaded()
 assert run_cli(["run", "--scenario", "manufactured", "--orders", "2",
                 "--resolutions", "16,32", "--t-end", "0.01"]) == 0
 steps["manufactured"] = loaded()
@@ -240,4 +270,5 @@ def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
     assert steps["dingemans_wavenumber"] == ["scipy.optimize"]
     assert steps["wavenumber"] == "0.8406220896381472"
     assert steps["config"] == ["scipy.optimize", "yaml"]
+    assert steps["reflecting_bump"] == ["scipy.optimize", "yaml"]  # tabulated closures
     assert steps["manufactured"] == ["scipy.optimize", "sympy", "yaml"]

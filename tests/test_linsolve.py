@@ -7,6 +7,7 @@ from dispersive_sw import linsolve
 from dispersive_sw.errors import DimensionError, FactorizationError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.sbp import (
+    bounded_band,
     build_bounded_central_d1,
     build_periodic_central_d1,
     build_periodic_d2,
@@ -16,24 +17,28 @@ from dispersive_sw.sbp import (
 from .oracles import dense_inverse_solve
 
 
+def _spd_band(n, w, rng, margin=1.0):
+    """A random SPD (bounded) band: symmetric, shifted past its lowest eigenvalue."""
+    band = linsolve.Band(rng.normal(size=(w + 1, n)))
+    return band.shifted(margin - np.linalg.eigvalsh(band.to_dense())[0])
+
+
 def test_identity_solve_returns_rhs():
-    f = linsolve.factor(np.eye(6))
+    f = linsolve.factor(linsolve.Band(np.ones((1, 6))))
     rhs = np.arange(6.0)
     np.testing.assert_allclose(f.solve(rhs), rhs, atol=1e-15)
 
 
 def test_zero_rhs_gives_zero():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(8, 8)) + 8 * np.eye(8)
-    f = linsolve.factor(a)
+    f = linsolve.factor(_spd_band(8, 3, np.random.default_rng(0)))
     np.testing.assert_allclose(f.solve(np.zeros(8)), np.zeros(8), atol=0)
 
 
 def test_consistency_rhs_a_times_one():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(12, 12)) + 12 * np.eye(12)
-    f = linsolve.factor(a)
-    np.testing.assert_allclose(f.solve(a @ np.ones(12)), np.ones(12), atol=1e-11)
+    band = _spd_band(12, 4, np.random.default_rng(1))
+    f = linsolve.factor(band)
+    np.testing.assert_allclose(f.solve(band.to_dense() @ np.ones(12)), np.ones(12),
+                               atol=1e-11)
 
 
 def test_bbm_elliptic_matrix_against_dense_inverse():
@@ -56,7 +61,9 @@ def test_random_spd_residual():
     b = rng.normal(size=(64, 64))
     a = b @ b.T + 64 * np.eye(64)
     x = rng.normal(size=64)
-    f = linsolve.factor(a)
+    # every upper diagonal: the band spans the whole matrix
+    f = linsolve.factor(linsolve.Band(np.array(
+        [np.append(np.diagonal(a, k), np.zeros(k)) for k in range(64)])))
     sol = f.solve(a @ x)
     resid = np.max(np.abs(a @ sol - a @ x))
     assert resid <= 1e-10 * (
@@ -65,31 +72,38 @@ def test_random_spd_residual():
 
 
 def test_singular_matrix_raises_with_pivot():
-    a = np.eye(5)
-    a[2, 2] = 0.0
-    a[2, :] = 0.0
+    diagonals = np.zeros((2, 5))
+    diagonals[0] = 1.0
+    diagonals[0, 2] = 0.0
     with pytest.raises(FactorizationError) as err:
-        linsolve.factor(a)
+        linsolve.factor(linsolve.Band(diagonals))
     assert err.value.pivot is not None and err.value.pivot <= 1e-12
 
 
 def test_dimension_mismatch():
-    f = linsolve.factor(np.eye(4))
+    f = linsolve.factor(linsolve.Band(np.ones((1, 4))))
     with pytest.raises(DimensionError):
         f.solve(np.ones(5))
     with pytest.raises(DimensionError):
-        linsolve.factor(np.ones((3, 4)))
+        linsolve.ShiftedSolver(linsolve.Band(np.zeros((2, 4)))).factor(np.ones(3))
 
 
 def test_banded_path_used_for_bounded_operators():
+    # the M-scaled BBM-BBM velocity system M / K + D1^T M D1 / 6 without the
+    # wall unknowns, against the interior block of the dense product
     grid = make_uniform_grid(0.0, 1.0, 80, "bounded")
-    d1 = build_bounded_central_d1(grid, 4).matrix
-    k = np.diag(1.0 + 0.1 * np.sin(grid.nodes))
-    a = np.eye(80) - d1 @ d1 @ k / 6.0
-    f = linsolve.factor(a)
-    assert isinstance(f, linsolve.BandedFactorization)
+    op = build_bounded_central_d1(grid, 4)
+    m = op.mass.diagonal
+    k = 1.0 + 0.1 * np.sin(grid.nodes)
+    band = bounded_band(op, m).shifted(m / k, 6.0).interior()
+    d1 = op.to_dense()
+    a = (np.diag(m / k) + d1.T @ (m[:, None] * d1) / 6.0)[1:-1, 1:-1]
+    np.testing.assert_allclose(band.to_dense(), a, rtol=0, atol=1e-13 * np.max(np.abs(a)))
+    f = linsolve.factor(band)
+    assert isinstance(f, linsolve.BandCholesky)
+    assert f.half_width == band.w
     rng = np.random.default_rng(4)
-    x = rng.normal(size=80)
+    x = rng.normal(size=78)
     np.testing.assert_allclose(f.solve(a @ x), x, atol=1e-9)
 
 
@@ -112,7 +126,7 @@ def test_periodic_banded_path_matches_dense():
     band = periodic_band(op, op, inner=-beta).shifted(
         2.0 + 0.1 * np.sin(2 * np.pi * grid.nodes))
     f = linsolve.factor(band)
-    assert isinstance(f, linsolve.FoldedCholesky)
+    assert isinstance(f, linsolve.BandCholesky)
     assert f.half_width == 2 * band.w
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=96)
@@ -124,7 +138,7 @@ def test_shifted_solver_modes_and_agreement():
     rng = np.random.default_rng(6)
     band = _periodic_static_part()
     solver = linsolve.ShiftedSolver(band)
-    assert solver.path is linsolve.FoldedCholesky
+    assert solver.path is linsolve.BandCholesky
     static = band.to_dense()
     diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
     full = static.copy()
@@ -139,9 +153,8 @@ def test_shifted_solver_modes_and_agreement():
 
 def test_factor_once_solve_many_bitwise_identical():
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(20, 20)) + 20 * np.eye(20)
     rhs = rng.normal(size=20)
-    f = linsolve.factor(a)
+    f = linsolve.factor(_spd_band(20, 3, rng))
     first = f.solve(rhs)
     for _ in range(3):
         assert np.array_equal(f.solve(rhs), first)
@@ -192,13 +205,13 @@ def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
     static = _periodic_static_part()
     solver = linsolve.ShiftedSolver(static)
     diag = np.full(64, 2.0)
-    assert isinstance(solver.factor(diag), linsolve.FoldedCholesky)
+    assert isinstance(solver.factor(diag), linsolve.BandCholesky)
     assert solver.dense_fallbacks == 0
 
     def failing_banded(*args, **kwargs):
         raise FactorizationError("banded matrix singular", pivot=1.5e-300)
 
-    monkeypatch.setattr(linsolve, "FoldedCholesky", failing_banded)
+    monkeypatch.setattr(linsolve, "BandCholesky", failing_banded)
     with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
         fact = solver.factor(diag)
     assert isinstance(fact, linsolve.DenseFactorization)
@@ -222,9 +235,37 @@ def test_indefinite_band_raises_and_shifted_solver_falls_back(caplog):
         fact = solver.factor(diag)
     assert isinstance(fact, linsolve.DenseFactorization)
     assert solver.dense_fallbacks == 1
-    assert "FoldedCholesky failed" in caplog.text and "dense LU" in caplog.text
+    assert "BandCholesky failed" in caplog.text and "dense LU" in caplog.text
     a = static.to_dense() + np.diag(diag)
     rhs = np.linspace(-1.0, 1.0, 64)
     expected = dense_inverse_solve(a, rhs)
     np.testing.assert_allclose(fact.solve(rhs), expected,
                                atol=1e-11 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n, w", [(1, 0), (2, 3), (9, 2), (40, 5)])  # w >= n: clipped
+def test_bounded_band_cholesky_and_shifted_solver_match_dense_inverse(n, w):
+    rng = np.random.default_rng(10 * n + w)
+    band = _spd_band(n, w, rng, margin=0.5)
+    a = band.to_dense()
+    assert np.array_equal(a, a.T)
+    rhs = rng.normal(size=n)
+    expected = dense_inverse_solve(a, rhs)
+    fact = linsolve.factor(band)
+    assert fact.half_width == min(w, n - 1)
+    np.testing.assert_allclose(fact.solve(rhs), expected, atol=1e-10 * np.max(np.abs(expected)))
+    # the solve leaves its right-hand side alone
+    before = rhs.copy()
+    fact.solve(rhs)
+    assert np.array_equal(rhs, before)
+    diag = rng.uniform(0.0, 1.0, size=n)
+    solver = linsolve.ShiftedSolver(band)
+    shifted = solver.factor(diag)
+    assert isinstance(shifted, linsolve.BandCholesky) and solver.dense_fallbacks == 0
+    np.testing.assert_array_equal(shifted.solve(rhs),
+                                  linsolve.factor(band.shifted(diag)).solve(rhs))
+
+
+def test_band_interior_drops_first_and_last_row_and_column():
+    band = linsolve.Band(np.random.default_rng(11).normal(size=(3, 7)))
+    np.testing.assert_array_equal(band.interior().to_dense(), band.to_dense()[1:-1, 1:-1])

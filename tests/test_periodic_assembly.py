@@ -1,11 +1,13 @@
-"""Periodic elliptic systems: stencil-assembled bands and folded banded Cholesky.
+"""Elliptic systems: stencil-assembled bands and banded Cholesky.
 
-The models assemble their periodic systems as upper offset diagonals
-from the operator stencils.  These tests check the bands against the
-dense products of ``to_dense()`` matrices, the folded Cholesky and the
-shifted solver against a dense inverse, the BBM-BBM solves against dense
-solves of the unscaled systems, and that no periodic discretization
-holds an array of N x N size.
+The models assemble their systems as upper offset diagonals from the
+operator stencils (and, with reflecting walls, closure rows).  These
+tests check the periodic bands against the dense products of
+``to_dense()`` matrices, the folded Cholesky and the shifted solver
+against a dense inverse, the BBM-BBM solves against dense solves of the
+unscaled systems, the reflecting right-hand sides against dense solves
+of the wall-row systems, and that no discretization holds an array of
+N x N size.
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 from dispersive_sw import linsolve
 from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.grid import make_uniform_grid
-from dispersive_sw.sbp import periodic_operators
+from dispersive_sw.sbp import bounded_operators, periodic_operators
 from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
-from .oracles import dense_inverse_solve
+from .oracles import dense_bounded_central_d1, dense_bounded_upwind, dense_inverse_solve
 
 G = 9.81
 
@@ -167,6 +169,7 @@ def _largest_array(root):
 
 
 def test_periodic_discretizations_hold_no_dense_array():
+    # (the reflecting discretizations too)
     n = 4096
     grid = make_uniform_grid(-35.0, 35.0, n, "periodic")
     for variant, order, _ in BBM_CASES:
@@ -185,6 +188,17 @@ def test_periodic_discretizations_hold_no_dense_array():
         fact = disc._velocity_solver.factor(np.full(n, 2.0))
         assert _largest_array(disc) <= 64 * n, variant
         assert _largest_array(fact) <= 64 * n, variant
+    grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
+    for order in (2, 4, 6):
+        for variant in ("reflecting_central", "reflecting_upwind"):
+            ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
+            disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
+            assert _largest_array(disc) <= 64 * n, (variant, order)
+        disc = build_sk_discretization(grid, bounded_operators(grid, order), _bathymetry,
+                                       G, 0.0, "set5", "reflecting_beta_only")
+        fact = disc._velocity_solver.factor(np.full(n - 2, 2.0))
+        assert _largest_array(disc) <= 64 * n, order
+        assert _largest_array(fact) <= 64 * n, order
 
 
 @st.composite
@@ -210,7 +224,7 @@ def test_folded_cholesky_matches_dense_inverse(system):
     a = band.to_dense()
     assume(np.linalg.cond(a) < 1e6)
     fact = linsolve.factor(band)
-    assert isinstance(fact, linsolve.FoldedCholesky)
+    assert isinstance(fact, linsolve.BandCholesky)
     assert fact.half_width == min(2 * w, n - 1)
     rhs = rng.normal(size=(n, 2))
     expected = dense_inverse_solve(a, rhs)
@@ -238,3 +252,62 @@ def test_shifted_solver_matches_dense_inverse(system):
         # the packed static band is reused, never overwritten
         assert np.array_equal(solver.factor(diagonal).solve(rhs), first)
     assert solver.dense_fallbacks == 0
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("variant, swap", [
+    ("reflecting_central", False), ("reflecting_upwind", False), ("reflecting_upwind", True),
+])
+def test_reflecting_bbm_rhs_equals_dense_wall_row_systems(variant, swap, order):
+    # I - D- P_D K D+ / 6 and I - D+ D- K / 6 with identity wall rows, built
+    # densely; the M-scaled SPD forms must give the same solutions
+    n = 97
+    grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
+    ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
+    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant, swap_upwind=swap)
+    if variant == "reflecting_upwind":
+        dp, dm, _ = dense_bounded_upwind(grid, order)
+        if swap:
+            dp, dm = dm, dp
+    else:
+        dp = dm = dense_bounded_central_d1(grid, order)[0]
+    k = disc.still_depth**2
+    p_d = np.ones(n)
+    p_d[0] = p_d[-1] = 0.0
+    eye = np.eye(n)
+    a_mass = eye - (dm * (p_d * k)) @ dp / 6.0
+    a_vel = eye - dp @ (dm * k) / 6.0
+    a_vel[[0, -1]] = eye[[0, -1]]
+    x = grid.nodes
+    eta, v = 0.1 * np.cos(3 * x), np.sin(np.pi * x) * (1 + 0.2 * x)
+    deta, dv = disc.rhs_fields(eta, v)
+    expected_eta = dense_inverse_solve(a_mass, -dm @ ((disc.still_depth + eta) * v))
+    expected_v = dense_inverse_solve(a_vel, p_d * -(dp @ (G * eta + 0.5 * v * v)))
+    # equal up to roundoff times the condition number (about 1e7 for upwind)
+    for got, expected, a in ((deta, expected_eta, a_mass), (dv, expected_v, a_vel)):
+        tol = 1e-15 * np.linalg.cond(a) * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= tol
+    assert dv[0] == 0.0 and dv[-1] == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_reflecting_sk_velocity_equals_dense_wall_row_system(order):
+    n = 97
+    grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
+    disc = build_sk_discretization(grid, bounded_operators(grid, order), _bathymetry, G,
+                                   0.0, "set5", "reflecting_beta_only")
+    d1 = dense_bounded_central_d1(grid, order)[0]
+    x = grid.nodes
+    eta, v = 0.1 * np.cos(3 * x), np.sin(np.pi * x)
+    h = disc.water_height(eta)
+    a = np.diag(h) - (d1 * disc.beta_hat) @ d1
+    a[[0, -1]] = np.eye(n)[[0, -1]]
+    deta, dv = disc.rhs_fields(eta, v)
+    d1_v, d1_hv, d1_hvv, d1_eta = (d1 @ f for f in (v, h * v, h * v * v, eta))
+    rhs_v = -0.5 * (d1_hvv + h * v * d1_v - v * d1_hv) - G * h * d1_eta
+    rhs_v[[0, -1]] = 0.0
+    expected = dense_inverse_solve(a, rhs_v)
+    tol = 1e-15 * np.linalg.cond(a) * np.max(np.abs(expected))
+    assert np.max(np.abs(dv - expected)) <= tol
+    assert dv[0] == 0.0 and dv[-1] == 0.0
+    assert np.max(np.abs(deta + d1_hv)) <= 1e-12 * np.max(np.abs(d1_hv))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dispersive_sw import bbm_bbm, scenarios
+from dispersive_sw import svaerd_kalisch as sk
 from dispersive_sw.config import ScenarioConfig, config_from_mapping
 from dispersive_sw.errors import ConfigurationError, IngestionError
 from dispersive_sw.scenarios import (
@@ -202,3 +204,19 @@ def test_relaxed_soliton_reports_end_time_overshoot():
     overshoot = res.info["end_time_overshoot"]
     assert overshoot == res.info["final_time"] - 0.5
     assert overshoot != 0.0 and abs(overshoot) <= 1e-6 * 0.5
+
+
+@pytest.mark.parametrize("variant", sorted({*bbm_bbm.VARIANTS, *sk.VARIANTS}))
+def test_operator_set_follows_the_variant(variant, monkeypatch):
+    # bc from the prefix, upwind from the suffix, through the module globals
+    calls = []
+    for name in ("periodic_operators", "bounded_operators"):
+        def recording(*args, _name=name, _real=getattr(scenarios, name), **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, recording)
+    bc = "bounded" if variant.startswith("reflecting") else "periodic"
+    ops = scenarios._operators(make_uniform_grid(-1.0, 1.0, 64, bc), variant, 4)
+    upwind = variant.endswith("upwind")
+    assert calls == [(f"{bc}_operators", {"upwind": upwind})]
+    assert (ops.upwind is not None) == upwind
