@@ -15,11 +15,8 @@ from .bbm_bbm import (
 from .grid import (
     Grid,
     MassMatrix,
-    integral,
     l2_norm,
-    linf_norm,
     make_uniform_grid,
-    weighted_inner_product,
 )
 from .sbp import (
     SbpOperatorSet,

@@ -5,11 +5,12 @@ The system evolves the total water height eta and the velocity v,
     eta_t + ((eta + D) v)_x - (D^2 eta_{xt})_x / 6 = 0,
     v_t + g eta_x + v v_x - (D^2 v_t)_{xx} / 6 = 0,
 
-with still water depth D(x) = -b(x) (the reference level is fixed at
-eta0 = 0; scenarios shift their data when another level is wanted).
+with still water depth D(x) = -b(x).  The reference level is fixed at
+eta0 = 0: for another level, ``scenarios._discretize`` builds the model on
+b - eta0 and shifts its eta and b outputs back by eta0.
 Semidiscretizations factor the two elliptic operators once at build time
-and conserve the total mass, the total velocity, and (for the
-energy-conservative variants) the quadratic energy
+and conserve the total mass, the total velocity, and (every variant but
+periodic_central_narrow) the quadratic energy
 
     E = sum_i M_ii (g eta_i^2 + (eta_i + D_i) v_i^2) / 2.
 
@@ -54,15 +55,6 @@ VARIANTS = (
     "reflecting_upwind",
 )
 
-#: variants whose semidiscrete energy derivative vanishes identically
-ENERGY_CONSERVATIVE_VARIANTS = (
-    "periodic_central_wide",
-    "periodic_const_narrow",
-    "periodic_upwind",
-    "reflecting_central",
-    "reflecting_upwind",
-)
-
 
 def bbm_soliton(t, x, gravity, depth, x0=0.0):
     """Exact solitary wave over constant depth.
@@ -100,7 +92,6 @@ class BbmBbmDiscretization:
     still_depth: np.ndarray
     variant: str
     operators: SbpOperatorSet
-    energy_conservative: bool
     # derivatives applied outside the fluxes; one batched apply when they coincide
     _d_outer_mass: DerivativeOperator = None
     _d_outer_vel: DerivativeOperator = None
@@ -111,6 +102,10 @@ class BbmBbmDiscretization:
     _d_inner_mass: DerivativeOperator | None = None
     _wall_flux_weight: np.ndarray | None = None
     _source: Optional[Callable] = None
+
+    #: keys of invariants(), and the one relaxation keeps
+    invariant_names = ("mass", "velocity", "energy")
+    conserved = "energy"
 
     @property
     def n(self) -> int:
@@ -322,7 +317,6 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         still_depth=depth,
         variant=variant,
         operators=operators,
-        energy_conservative=variant in ENERGY_CONSERVATIVE_VARIANTS,
         _d_outer_mass=d_outer_mass,
         _d_outer_vel=d_outer_vel,
         _solver_mass=solver_mass,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,36 +69,9 @@ class MassMatrix:
         return self.diagonal.size
 
 
-def _check_lengths(*arrays):
-    n = arrays[0].shape[0] if hasattr(arrays[0], "shape") else len(arrays[0])
-    for a in arrays[1:]:
-        m = a.shape[0] if hasattr(a, "shape") else len(a)
-        if m != n:
-            raise DimensionError(f"array length mismatch: {m} vs {n}")
-
-
-def integral(u, mass: MassMatrix) -> float:
-    """Quadrature of u against the diagonal norm, 1^T M u."""
-    u = np.asarray(u, dtype=float)
-    _check_lengths(u, mass.diagonal)
-    return float(mass.diagonal @ u)
-
-
-def weighted_inner_product(u, v, mass: MassMatrix) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_lengths(u, v, mass.diagonal)
-    # (u v) first: elementwise products commute exactly, so the form is
-    # symmetric in floating point as well
-    return float(np.sum(u * v * mass.diagonal))
-
-
 def l2_norm(u, mass: MassMatrix) -> float:
-    return float(np.sqrt(weighted_inner_product(u, u, mass)))
-
-
-def linf_norm(u) -> float:
-    return float(np.max(np.abs(u))) if np.size(u) else 0.0
+    """sqrt(u^T M u) of an array u."""
+    return float(np.sqrt(np.sum(u * u * mass.diagonal)))
 
 
 def split_flat(y):

@@ -449,8 +449,8 @@ def build_periodic_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
 def build_periodic_d2(grid: Grid, order: int, flavor="narrow") -> DerivativeOperator:
     """Periodic second-derivative operator, symmetric against M.
 
-    flavor "narrow" uses the classical compact stencil, "wide" squares the
-    central first-derivative operator, "upwind_composite" forms D+ D-.
+    flavor "narrow" uses the classical compact stencil, "upwind_composite"
+    forms D+ D-.
     """
     if flavor == "narrow":
         if order not in _NARROW_D2:
@@ -459,12 +459,6 @@ def build_periodic_d2(grid: Grid, order: int, flavor="narrow") -> DerivativeOper
         half = order // 2
         offsets, coef = _trim_stencil(np.arange(-half, half + 1), coef)
         kind = "periodic_d2_narrow"
-    elif flavor == "wide":
-        d1 = build_periodic_central_d1(grid, order)
-        offsets, coef = _convolve_stencils(
-            d1.offsets, d1.coefficients, d1.offsets, d1.coefficients
-        )
-        kind = "periodic_d2_wide"
     elif flavor == "upwind_composite":
         pair = build_periodic_upwind(grid, order)
         offsets, coef = _convolve_stencils(
@@ -717,7 +711,7 @@ class SbpOperatorSet:
                 )
 
 
-def periodic_operators(grid, order, *, upwind=False, d2_flavor="narrow"):
+def periodic_operators(grid, order, *, upwind=False):
     """Convenience bundle for periodic semidiscretizations.
 
     With upwind=True the central first derivative is the pair average and
@@ -729,7 +723,7 @@ def periodic_operators(grid, order, *, upwind=False, d2_flavor="narrow"):
         d2 = build_periodic_d2(grid, order, "upwind_composite")
         return SbpOperatorSet(grid, order, pair.mass, d1=d1, d2=d2, upwind=pair)
     d1 = build_periodic_central_d1(grid, order)
-    d2 = build_periodic_d2(grid, order, d2_flavor) if d2_flavor else None
+    d2 = build_periodic_d2(grid, order)
     return SbpOperatorSet(grid, order, d1.mass, d1=d1, d2=d2)
 
 

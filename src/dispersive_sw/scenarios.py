@@ -6,6 +6,20 @@ threshold checks for --check mode.  Floats are written with 17
 significant digits so identical configurations produce byte-identical
 files.  Optional heavy dependencies (sympy via ``manufactured``,
 scipy.optimize) are imported inside the functions that need them.
+
+Every scenario turns its config into a discretization through one helper,
+``_discretize``.  The variant is ``cfg.variant``, else the scenario's own
+default (soliton: periodic_const_narrow; periodic manufactured:
+periodic_upwind), else DEFAULT_VARIANTS by model and grid.bc_kind:
+
+    model           periodic                 bounded
+    bbm_bbm         periodic_central_wide    reflecting_central
+    svaerd_kalisch  periodic_central_split   reflecting_beta_only
+
+A scenario at still-water level eta0 gets back a level and a shift.  Its
+initial state is level + perturbation; its eta and b outputs add shift.
+BBM-BBM fixes eta0 = 0 inside the model, so it runs on bathymetry - eta0
+(level 0, shift eta0); Svärd-Kalisch takes eta0 (level eta0, shift 0).
 """
 
 from __future__ import annotations
@@ -249,24 +263,47 @@ def _operators(grid, variant, order):
     return periodic_operators(grid, order, upwind=upwind)
 
 
-def _build_model(cfg: ScenarioConfig, grid, ops, bathymetry, *, eta0=0.0,
-                 variant=None, source_terms=None, split_form=True):
-    variant = variant or cfg.variant
+#: variant run when neither the config nor the scenario names one
+DEFAULT_VARIANTS = {
+    ("bbm_bbm", "periodic"): "periodic_central_wide",
+    ("bbm_bbm", "bounded"): "reflecting_central",
+    ("svaerd_kalisch", "periodic"): "periodic_central_split",
+    ("svaerd_kalisch", "bounded"): "reflecting_beta_only",
+}
+
+
+def _discretize(cfg: ScenarioConfig, grid, bathymetry, eta0, order=None,
+                default=None, pset="set2", source_terms=None):
+    """(operators, discretization, level, shift) of cfg.model on grid at the
+    still-water level eta0; the module docstring states the variant defaults
+    and the level / shift rule.  ``pset`` is the scenario's default
+    Svärd-Kalisch parameter set."""
+    variant = cfg.variant or default or DEFAULT_VARIANTS[cfg.model, grid.bc_kind]
+    ops = _operators(grid, variant, cfg.order if order is None else order)
     if cfg.model == "bbm_bbm":
-        return bbm_bbm.build_bbm_discretization(
-            grid, ops, bathymetry, GRAVITY, variant, source_terms=source_terms
+        disc = bbm_bbm.build_bbm_discretization(
+            grid, ops, lambda x: bathymetry(x) - eta0, GRAVITY, variant,
+            source_terms=source_terms,
         )
-    pset = sk.sk_parameter_set(cfg.parameter_set or "set2")
-    return sk.build_sk_discretization(
-        grid, ops, bathymetry, GRAVITY, eta0, pset, variant,
-        split_form=split_form, source_terms=source_terms,
+        return ops, disc, 0.0, eta0
+    disc = sk.build_sk_discretization(
+        grid, ops, bathymetry, GRAVITY, eta0, cfg.parameter_set or pset, variant,
+        source_terms=source_terms,
     )
+    return ops, disc, eta0, 0.0
 
 
-def _invariant_names(model):
-    if model == "bbm_bbm":
-        return ["mass", "velocity", "energy"]
-    return ["mass", "discharge", "entropy", "modified_entropy"]
+def _drift(series, scale):
+    """Largest departure of an invariant series from its first value, over scale."""
+    return np.max(np.abs(series - series[0])) / scale
+
+
+def _snapshot(disc, y, shift):
+    """Final x, eta, v, b table, with eta and b back on the surface level."""
+    eta, v = split_flat(y)
+    return ["x", "eta", "v", "b"], list(
+        zip(disc.grid.nodes, eta + shift, v, disc.bathymetry + shift)
+    )
 
 
 def _functional(disc):
@@ -332,13 +369,12 @@ def soliton_reference(t, grid, gravity=GRAVITY, depth=SOLITON_DEPTH, x0=0.0):
 
 def _soliton_case(cfg, order, n_nodes):
     grid = make_uniform_grid(*SOLITON_DOMAIN, n_nodes, "periodic")
-    variant = cfg.variant or "periodic_const_narrow"
-    ops = _operators(grid, variant, order)
-    disc = bbm_bbm.build_bbm_discretization(
-        grid, ops, lambda x: np.full_like(x, -SOLITON_DEPTH), GRAVITY, variant
+    ops, disc, level, shift = _discretize(
+        cfg, grid, lambda x: np.full_like(x, -SOLITON_DEPTH), 0.0, order,
+        default="periodic_const_narrow",
     )
-    eta0, v0 = bbm_bbm.bbm_soliton(0.0, grid.nodes, GRAVITY, SOLITON_DEPTH)
-    return grid, ops, disc, np.concatenate([eta0, v0])
+    eta, v = bbm_bbm.bbm_soliton(0.0, grid.nodes, GRAVITY, SOLITON_DEPTH)
+    return grid, ops, disc, shift, np.concatenate([level + eta, v])
 
 
 def soliton_period(gravity=GRAVITY, depth=SOLITON_DEPTH):
@@ -348,6 +384,11 @@ def soliton_period(gravity=GRAVITY, depth=SOLITON_DEPTH):
 
 def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
     """Solitary-wave accuracy and invariant-conservation runs."""
+    if cfg.model != "bbm_bbm":
+        raise ConfigurationError(
+            "the soliton scenario runs model bbm_bbm only: its exact solution "
+            f"is the BBM-BBM solitary wave (got model {cfg.model})"
+        )
     result = ScenarioResult("soliton")
     if cfg.eoc:
         orders = cfg.orders or [2, 4, 6]
@@ -357,7 +398,7 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
         for order in orders:
             entries = []
             for n in resolutions:
-                grid, ops, disc, y0 = _soliton_case(cfg, order, n)
+                grid, ops, disc, _, y0 = _soliton_case(cfg, order, n)
                 run = _run(result, disc, y0, t_end, cfg, atol=1e-11, rtol=1e-11)
                 errs = _state_error(
                     grid, ops, run.y, soliton_reference(run.t, grid)
@@ -377,15 +418,11 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
 
     n = cfg.n_nodes or 512
     t_end = cfg.t_end if cfg.t_end is not None else 5 * soliton_period()
-    grid, ops, disc, y0 = _soliton_case(cfg, cfg.order, n)
-    recorder = InvariantRecorder(disc, _invariant_names("bbm_bbm"))
+    grid, ops, disc, shift, y0 = _soliton_case(cfg, cfg.order, n)
+    recorder = InvariantRecorder(disc, disc.invariant_names)
     run = _run(result, disc, y0, t_end, cfg, recorders=[recorder])
     result.tables["invariants"] = (recorder.header(), recorder.rows)
-    eta, v = split_flat(run.y)
-    result.tables["snapshot"] = (
-        ["x", "eta", "v", "b"],
-        list(zip(grid.nodes, eta, v, disc.bathymetry)),
-    )
+    result.tables["snapshot"] = _snapshot(disc, run.y, shift)
     errs = _state_error(grid, ops, run.y, soliton_reference(run.t, grid))
     result.info.update(
         final_time=run.t,
@@ -394,19 +431,15 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
         l2_error_v=errs[1],
     )
     _, mass = recorder.series("mass")
-    _, energy = recorder.series("energy")
+    _, energy = recorder.series(disc.conserved)
     # the solitary wave has zero net mass, so normalize the drift by the
     # quadrature scale of |eta| (the roundoff floor of evaluating 1^T M eta)
     eta_init = split_flat(y0)[0]
     mass_scale = max(1.0, float(ops.mass.diagonal @ np.abs(eta_init)))
     result.checks.append(
-        CheckResult.at_most(
-            "soliton_mass_drift",
-            np.max(np.abs(mass - mass[0])) / mass_scale,
-            1e-13,
-        )
+        CheckResult.at_most("soliton_mass_drift", _drift(mass, mass_scale), 1e-13)
     )
-    energy_drift = np.max(np.abs(energy - energy[0])) / abs(energy[0])
+    energy_drift = _drift(energy, abs(energy[0]))
     if cfg.relaxation:
         result.checks.append(
             CheckResult.at_most("soliton_energy_drift_relaxed", energy_drift, 1e-12)
@@ -426,43 +459,6 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
 # manufactured-solution scenario
 
 
-def _manufactured_case(cfg, reflecting):
-    from .manufactured import bbm_manufactured, sk_manufactured
-
-    bc = "bounded" if reflecting else "periodic"
-    if cfg.model == "bbm_bbm":
-        return bbm_manufactured(bc, GRAVITY)
-    pset = cfg.parameter_set or ("set5" if reflecting else "set3")
-    return sk_manufactured(bc, GRAVITY, pset, 0.0)
-
-
-def _manufactured_single(result, cfg, case, order, n, reflecting, t_end):
-    bc = "bounded" if reflecting else "periodic"
-    grid = make_uniform_grid(0.0, 1.0, n, bc)
-    bathy = lambda x: case.bathymetry(0.0, x)
-    if reflecting:
-        variant = cfg.variant or (
-            "reflecting_central" if cfg.model == "bbm_bbm" else "reflecting_beta_only"
-        )
-    else:
-        variant = cfg.variant or "periodic_upwind"
-    ops = _operators(grid, variant, order)
-    if cfg.model == "bbm_bbm":
-        disc = bbm_bbm.build_bbm_discretization(
-            grid, ops, bathy, GRAVITY, variant, source_terms=case.source
-        )
-    else:
-        pset = cfg.parameter_set or ("set5" if reflecting else "set3")
-        disc = sk.build_sk_discretization(
-            grid, ops, bathy, GRAVITY, 0.0, pset, variant,
-            source_terms=case.source,
-        )
-    eta0, v0 = case.exact(0.0, grid.nodes)
-    y0 = np.concatenate([eta0, v0])
-    run = _run(result, disc, y0, t_end, cfg, atol=1e-9, rtol=1e-9)
-    return grid, ops, run
-
-
 def scenario_manufactured(cfg: ScenarioConfig) -> ScenarioResult:
     """Convergence study against manufactured solutions with sources.
 
@@ -470,8 +466,17 @@ def scenario_manufactured(cfg: ScenarioConfig) -> ScenarioResult:
     the Svärd-Kalisch runs go dry before t = 1, so that model defaults to
     the shorter span t = 0.5 (the observed orders are identical).
     """
-    reflecting = cfg.reflecting or (cfg.variant or "").startswith("reflecting")
-    case = _manufactured_case(cfg, reflecting)
+    from .manufactured import bbm_manufactured, sk_manufactured
+
+    reflecting = cfg.reflecting or (
+        cfg.variant is not None and cfg.variant.startswith("reflecting")
+    )
+    bc = "bounded" if reflecting else "periodic"
+    pset = "set5" if reflecting else "set3"
+    if cfg.model == "bbm_bbm":
+        case = bbm_manufactured(bc, GRAVITY)
+    else:
+        case = sk_manufactured(bc, GRAVITY, cfg.parameter_set or pset, 0.0)
     default_t = 1.0 if cfg.model == "bbm_bbm" else 0.5
     t_end = cfg.t_end if cfg.t_end is not None else default_t
     orders = cfg.orders or ([4, 6] if reflecting else [2, 3, 4])
@@ -483,9 +488,15 @@ def scenario_manufactured(cfg: ScenarioConfig) -> ScenarioResult:
     for order in orders:
         entries = []
         for n in resolutions:
-            grid, ops, run = _manufactured_single(
-                result, cfg, case, order, n, reflecting, t_end
+            grid = make_uniform_grid(0.0, 1.0, n, bc)
+            ops, disc, level, _ = _discretize(
+                cfg, grid, lambda x: case.bathymetry(0.0, x), 0.0, order,
+                default=None if reflecting else "periodic_upwind", pset=pset,
+                source_terms=case.source,
             )
+            eta, v = case.exact(0.0, grid.nodes)
+            y0 = np.concatenate([level + eta, v])
+            run = _run(result, disc, y0, t_end, cfg, atol=1e-9, rtol=1e-9)
             errs = _state_error(grid, ops, run.y, case.exact(run.t, grid.nodes))
             entries.append((n, *errs))
         table = EocTable(order, entries)
@@ -524,24 +535,11 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
     order = cfg.order
     result = ScenarioResult("lake_at_rest")
-    if cfg.model == "bbm_bbm":
-        variant = cfg.variant or "periodic_central_wide"
-        ops = _operators(grid, variant, order)
-        # the model fixes eta0 = 0, so shift the surface level into the data
-        bathy = lambda x: lake_bathymetry(x) - LAKE_SURFACE
-        disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
-        y0 = np.concatenate([np.zeros(n), np.zeros(n)])
-        dt = cfg.dt if cfg.dt is not None else 0.5
-        t_end = cfg.t_end if cfg.t_end is not None else 10.0
-    else:
-        variant = cfg.variant or "periodic_central_split"
-        ops = _operators(grid, variant, order)
-        disc = _build_model(
-            cfg, grid, ops, lake_bathymetry, eta0=LAKE_SURFACE, variant=variant
-        )
-        y0 = np.concatenate([np.full(n, LAKE_SURFACE), np.zeros(n)])
-        dt = cfg.dt if cfg.dt is not None else 2e-4
-        t_end = cfg.t_end if cfg.t_end is not None else 1.0
+    ops, disc, level, _ = _discretize(cfg, grid, lake_bathymetry, LAKE_SURFACE)
+    y0 = np.concatenate([np.full(n, level), np.zeros(n)])
+    bbm = cfg.model == "bbm_bbm"
+    dt = cfg.dt if cfg.dt is not None else (0.5 if bbm else 2e-4)
+    t_end = cfg.t_end if cfg.t_end is not None else (10.0 if bbm else 1.0)
     run = _run(result, disc, y0, t_end, cfg, dt=dt, relaxation=False)
     eta, v = split_flat(run.y)
     eta_ref, v_ref = split_flat(y0)
@@ -569,36 +567,21 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n_nodes or 512
     t_end = cfg.t_end if cfg.t_end is not None else 1.0
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
-    bump = np.exp(-50.0 * grid.nodes**2)
     result = ScenarioResult("reflecting_bump")
-    if cfg.model == "bbm_bbm":
-        variant = cfg.variant or "reflecting_central"
-        ops = _operators(grid, variant, cfg.order)
-        bathy = lambda x: 0.3 * np.cos(np.pi * x) - BUMP_SURFACE
-        disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
-        y0 = np.concatenate([bump, np.zeros(n)])
-        energy_name = "energy"
-    else:
-        variant = cfg.variant or "reflecting_beta_only"
-        ops = _operators(grid, variant, cfg.order)
-        pset = cfg.parameter_set or "set5"
-        disc = sk.build_sk_discretization(
-            grid, ops, lambda x: 0.3 * np.cos(np.pi * x), GRAVITY, BUMP_SURFACE,
-            pset, variant,
-        )
-        y0 = np.concatenate([BUMP_SURFACE + bump, np.zeros(n)])
-        energy_name = "modified_entropy"
-    names = _invariant_names(cfg.model)
+    _, disc, level, _ = _discretize(
+        cfg, grid, lambda x: 0.3 * np.cos(np.pi * x), BUMP_SURFACE, pset="set5"
+    )
+    y0 = np.concatenate([level + np.exp(-50.0 * grid.nodes**2), np.zeros(n)])
     for relaxed in (False, True):
-        recorder = InvariantRecorder(disc, names)
+        recorder = InvariantRecorder(disc, disc.invariant_names)
         run = _run(result, disc, y0, t_end, cfg, relaxation=relaxed,
                    recorders=[recorder])
         tag = "relaxed" if relaxed else "baseline"
         result.tables[f"invariants_{tag}"] = (recorder.header(), recorder.rows)
         _, mass = recorder.series("mass")
-        _, energy = recorder.series(energy_name)
-        mass_drift = np.max(np.abs(mass - mass[0])) / max(1.0, abs(mass[0]))
-        energy_drift = np.max(np.abs(energy - energy[0])) / abs(energy[0])
+        _, energy = recorder.series(disc.conserved)
+        mass_drift = _drift(mass, max(1.0, abs(mass[0])))
+        energy_drift = _drift(energy, abs(energy[0]))
         result.checks.append(
             CheckResult.at_most(f"bump_mass_drift_{tag}", mass_drift, 1e-13)
         )
@@ -667,15 +650,9 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
     grid = make_uniform_grid(0.0, length, n, "periodic")
     default_t = {0.8: 50.0, 5.0: 1.0, 15.0: 0.75}.get(k, 1.0)
     t_end = cfg.t_end if cfg.t_end is not None else default_t
-    if cfg.model == "bbm_bbm":
-        variant = cfg.variant or "periodic_central_wide"
-    else:
-        variant = cfg.variant or "periodic_central_split"
-    ops = _operators(grid, variant, cfg.order)
-    disc = _build_model(
-        cfg, grid, ops, lambda x: np.full_like(x, -h0), eta0=0.0, variant=variant
-    )
+    _, disc, level, _ = _discretize(cfg, grid, lambda x: np.full_like(x, -h0), 0.0)
     y0 = traveling_wave_initial(grid, k)
+    y0[:n] += level
     recorder = PhaseRecorder(grid, N_WAVES)
     result = ScenarioResult("traveling_wave")
     run = _run(result, disc, y0, t_end, cfg, recorders=[recorder], dt_max=0.2 / k)
@@ -684,11 +661,10 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
     c_fit = omega_fit / k
     c_euler = float(sk.euler_phase_speed(k, h0, GRAVITY))
     c_bbm = float(bbm_bbm.bbm_phase_speed(k, h0, GRAVITY))
-    pset = sk.sk_parameter_set(cfg.parameter_set or "set2")
     c_model = (
         c_bbm
         if cfg.model == "bbm_bbm"
-        else sk.sk_dispersion_omega(k, pset, h0, GRAVITY) / k
+        else sk.sk_dispersion_omega(k, disc.params, h0, GRAVITY) / k
     )
     amp = recorder.amplitudes()
     result.tables["phase_report"] = (
@@ -766,27 +742,12 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
     t_end = cfg.t_end if cfg.t_end is not None else 70.0
     grid = make_uniform_grid(*DINGEMANS_DOMAIN, n, "periodic")
     result = ScenarioResult("dingemans")
-    if cfg.model == "bbm_bbm":
-        variant = cfg.variant or "periodic_central_wide"
-        x_tilde = 2.7
-        eta_shift = DINGEMANS_H0  # model runs around 0, outputs shift back
-        ops = _operators(grid, variant, cfg.order)
-        bathy = lambda x: dingemans_bathymetry(x) - DINGEMANS_H0
-        disc = bbm_bbm.build_bbm_discretization(grid, ops, bathy, GRAVITY, variant)
-        y0 = dingemans_initial(grid, x_tilde, eta0=0.0)
-    else:
-        variant = cfg.variant or "periodic_central_split"
-        x_tilde = 2.2
-        eta_shift = 0.0
-        ops = _operators(grid, variant, cfg.order)
-        disc = _build_model(
-            cfg, grid, ops, dingemans_bathymetry, eta0=DINGEMANS_H0, variant=variant
-        )
-        y0 = dingemans_initial(grid, x_tilde)
-    names = _invariant_names(cfg.model)
-    inv_rec = InvariantRecorder(disc, names)
+    _, disc, level, shift = _discretize(cfg, grid, dingemans_bathymetry, DINGEMANS_H0)
+    x_tilde = 2.7 if cfg.model == "bbm_bbm" else 2.2
+    y0 = dingemans_initial(grid, x_tilde, eta0=level)
+    inv_rec = InvariantRecorder(disc, disc.invariant_names)
     gauge_rec = GaugeRecorder(grid, cfg.gauges, 0.0, cfg.gauge_interval,
-                              eta_shift=eta_shift)
+                              eta_shift=shift)
     run = _run(result, disc, y0, t_end, cfg, recorders=[inv_rec, gauge_rec])
     result.tables["invariants"] = (inv_rec.header(), inv_rec.rows)
     for idx, (pos, series) in enumerate(zip(gauge_rec.positions, gauge_rec.samples)):
@@ -794,26 +755,21 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
             ["t", "eta"], list(zip(gauge_rec.times, series))
         )
         result.info[f"gauge_{idx:02d}_x"] = pos
-    eta, v = split_flat(run.y)
-    result.tables["snapshot"] = (
-        ["x", "eta", "v", "b"],
-        list(zip(grid.nodes, eta + eta_shift, v,
-                 disc.bathymetry + (eta_shift if cfg.model == "bbm_bbm" else 0.0))),
-    )
+    result.tables["snapshot"] = _snapshot(disc, run.y, shift)
     _, mass = inv_rec.series("mass")
-    mass_drift = np.max(np.abs(mass - mass[0])) / max(1.0, abs(mass[0]))
+    mass_drift = _drift(mass, max(1.0, abs(mass[0])))
     result.checks.append(CheckResult.at_most("dingemans_mass_drift", mass_drift, 1e-13))
     if cfg.model == "svaerd_kalisch":
         _, me = inv_rec.series("modified_entropy")
-        drift = np.max(np.abs(me - me[0])) / abs(me[0])
+        drift = _drift(me, abs(me[0]))
         result.info["modified_entropy_drift"] = drift
-        if variant == "periodic_central_split":
+        if disc.variant == "periodic_central_split":
             bound = 1e-12 if cfg.relaxation else 1e-6
             tag = "relaxed" if cfg.relaxation else "baseline"
             result.checks.append(
                 CheckResult.at_most(f"dingemans_modified_entropy_{tag}", drift, bound)
             )
-        elif variant == "periodic_upwind":
+        elif disc.variant == "periodic_upwind":
             increases = np.diff(me) / abs(me[0])
             result.checks.append(
                 CheckResult.at_most(

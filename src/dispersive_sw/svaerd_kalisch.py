@@ -156,6 +156,10 @@ class SkDiscretization:
     _has_alpha: bool = field(init=False, repr=False)
     _has_gamma: bool = field(init=False, repr=False)
 
+    #: keys of invariants(), and the one relaxation keeps
+    invariant_names = ("mass", "discharge", "entropy", "modified_entropy")
+    conserved = "modified_entropy"
+
     def __post_init__(self):
         self._has_alpha = bool(np.any(self.alpha_hat))
         self._has_gamma = bool(np.any(self.gamma_hat))

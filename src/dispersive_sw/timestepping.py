@@ -98,8 +98,6 @@ DOPRI5 = _tab(
     emb_order=4,
 )
 
-TABLEAUS = {"rk4": RK4, "dopri5": DOPRI5}
-
 
 # ---------------------------------------------------------------------------
 # functionals for relaxation

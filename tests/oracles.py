@@ -30,7 +30,7 @@ def linearized_sk_matrix(k, params, h0, gravity=GRAVITY, n_nodes=128, order=4):
     params = sk_parameter_set(params)
     length = 2 * np.pi / k
     grid = make_uniform_grid(0.0, length, n_nodes, "periodic")
-    ops = periodic_operators(grid, order, d2_flavor="narrow")
+    ops = periodic_operators(grid, order)
     d1 = ops.d1.to_dense()
     d2 = ops.d2.to_dense()
     root_gh = np.sqrt(gravity * h0)

@@ -11,6 +11,8 @@ import dispersive_sw
 from dispersive_sw import linsolve, scenarios
 from dispersive_sw.bbm_bbm import BbmBbmDiscretization
 from dispersive_sw.cli import run_cli
+from dispersive_sw.config import MODELS, SCENARIOS
+from dispersive_sw.svaerd_kalisch import SkDiscretization
 
 
 def test_check_mode_lake_at_rest_exits_zero(tmp_path):
@@ -272,3 +274,35 @@ def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
     assert steps["config"] == ["scipy.optimize", "yaml"]
     assert steps["reflecting_bump"] == ["scipy.optimize", "yaml"]  # tabulated closures
     assert steps["manufactured"] == ["scipy.optimize", "sympy", "yaml"]
+
+
+class _Built(Exception):
+    """Raised by the builder spies once a discretization exists."""
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_builds_its_model_or_exits_one(scenario, model, monkeypatch,
+                                                      capsys):
+    # no silent substitution: a scenario runs cfg.model, or refuses with exit 1
+    built = []
+
+    def spying(build):
+        def spy(*args, **kwargs):
+            built.append(type(build(*args, **kwargs)))
+            raise _Built
+        return spy
+
+    for module, name in ((scenarios.bbm_bbm, "build_bbm_discretization"),
+                         (scenarios.sk, "build_sk_discretization")):
+        monkeypatch.setattr(module, name, spying(getattr(module, name)))
+    argv = ["run", "--scenario", scenario, "--model", model, "--n-nodes", "32",
+            "--orders", "2", "--resolutions", "16,32", "--t-end", "0.01"]
+    try:
+        code = run_cli(argv)
+    except _Built:
+        expected = {"bbm_bbm": BbmBbmDiscretization, "svaerd_kalisch": SkDiscretization}
+        assert built == [expected[model]]
+    else:
+        assert code == 1 and not built
+        assert "bbm_bbm" in capsys.readouterr().err

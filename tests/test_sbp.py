@@ -116,7 +116,7 @@ def test_upwind_average_is_valid_central_operator(order):
     assert verify_sbp_identity(avg).passed
 
 
-@pytest.mark.parametrize("flavor", ["narrow", "wide", "upwind_composite"])
+@pytest.mark.parametrize("flavor", ["narrow", "upwind_composite"])
 def test_periodic_d2_symmetry(flavor):
     op = build_periodic_d2(PGRID, 4, flavor)
     assert verify_sbp_identity(op).passed
@@ -130,13 +130,6 @@ def test_narrow_d2_p2_stencil():
     dx2 = PGRID.spacing**2
     row = op.to_dense()[7]
     assert row[6] == 1.0 / dx2 and row[7] == -2.0 / dx2 and row[8] == 1.0 / dx2
-
-
-def test_wide_d2_equals_squared_d1():
-    d1 = build_periodic_central_d1(PGRID, 4)
-    wide = build_periodic_d2(PGRID, 4, "wide")
-    d = d1.to_dense()
-    np.testing.assert_allclose(wide.to_dense(), d @ d, atol=1e-10)
 
 
 @pytest.mark.parametrize("order", PERIODIC_CENTRAL_ORDERS)
@@ -325,7 +318,7 @@ def test_bounded_apply_maps_constants_to_exact_zeros(data):
 
 def _periodic_operators_and_pairs(grid):
     ops = [build_periodic_central_d1(grid, p) for p in PERIODIC_CENTRAL_ORDERS]
-    for flavor in ("narrow", "wide", "upwind_composite"):
+    for flavor in ("narrow", "upwind_composite"):
         orders = UPWIND_ORDERS if flavor == "upwind_composite" else PERIODIC_CENTRAL_ORDERS
         ops += [build_periodic_d2(grid, p, flavor) for p in orders]
     ops += [build_periodic_upwind(grid, p) for p in UPWIND_ORDERS]
@@ -386,7 +379,7 @@ def test_operator_set_requirements():
 # every periodic operator family: (family, order)
 PERIODIC_STENCILS = (
     [("central", p) for p in PERIODIC_CENTRAL_ORDERS]
-    + [(flavor, p) for flavor in ("narrow", "wide") for p in PERIODIC_CENTRAL_ORDERS]
+    + [("narrow", p) for p in PERIODIC_CENTRAL_ORDERS]
     + [("upwind_composite", p) for p in UPWIND_ORDERS]
     + [(side, p) for side in ("plus", "minus", "average") for p in UPWIND_ORDERS]
 )
@@ -401,7 +394,7 @@ def _periodic_operator(family, order, n):
     try:
         if family == "central":
             return build_periodic_central_d1(grid, order)
-        if family in ("narrow", "wide", "upwind_composite"):
+        if family in ("narrow", "upwind_composite"):
             return build_periodic_d2(grid, order, family)
         pair = build_periodic_upwind(grid, order)
     except ConfigurationError:
@@ -498,9 +491,9 @@ def test_stacked_apply_rows_equal_single_applies(data):
 
 @pytest.mark.parametrize("op", [
     build_periodic_central_d1(PGRID, 4),
-    build_periodic_d2(PGRID, 4, "wide"),
+    build_periodic_d2(PGRID, 4, "upwind_composite"),
     build_bounded_upwind(BGRID, 4).d_plus,
-], ids=["periodic_central", "periodic_wide_d2", "bounded_plus"])
+], ids=["periodic_central", "periodic_upwind_composite_d2", "bounded_plus"])
 def test_to_dense_is_c_contiguous_and_maps_columns(op):
     dense = op.to_dense()
     assert dense.flags.c_contiguous

@@ -220,3 +220,25 @@ def test_operator_set_follows_the_variant(variant, monkeypatch):
     upwind = variant.endswith("upwind")
     assert calls == [(f"{bc}_operators", {"upwind": upwind})]
     assert (ops.upwind is not None) == upwind
+
+
+@pytest.mark.parametrize("model, x_tilde", [("bbm_bbm", 2.7), ("svaerd_kalisch", 2.2)])
+def test_dingemans_outputs_are_on_the_surface_level(model, x_tilde):
+    # BBM-BBM runs around level 0 and shifts eta and b back by h0 = 0.8;
+    # Svärd-Kalisch runs at eta0 = 0.8 and shifts by 0
+    gauges = [-50.0, 3.04]  # inside the initial packet, and at rest
+    cfg = ScenarioConfig(scenario="dingemans", model=model, n_nodes=256,
+                         t_end=0.2, gauges=gauges)
+    res = run_scenario(cfg)
+    _, snapshot = res.tables["snapshot"]
+    x = np.array([row[0] for row in snapshot])
+    b = np.array([row[3] for row in snapshot])
+    np.testing.assert_allclose(b, dingemans_bathymetry(x), rtol=0, atol=1e-15)
+    grid = make_uniform_grid(-138.0, 46.0, 256, "periodic")
+    eta0 = dingemans_initial(grid, x_tilde)[:256]
+    for idx, pos in enumerate(gauges):
+        _, samples = res.tables[f"gauge_{idx:02d}"]
+        assert samples[0][0] == 0.0
+        expected = np.interp(pos, grid.nodes, eta0)
+        assert abs(samples[0][1] - expected) <= 1e-15, (pos, samples[0][1], expected)
+    assert abs(samples[0][1] - 0.8) <= 1e-15
