@@ -13,9 +13,11 @@ if __name__ == "__main__":
     rc = 0
     for model in ("bbm_bbm", "svaerd_kalisch"):
         for k in ("0.8", "5", "15"):
+            # the coefficient set is a Svärd-Kalisch option only
+            sk_set = ["--parameter-set", "set2"] if model == "svaerd_kalisch" else []
             rc |= run_cli([
                 "run", "--scenario", "traveling_wave", "--model", model,
-                "--wavenumber", k, "--parameter-set", "set2",
+                "--wavenumber", k, *sk_set,
                 "--output-dir", f"results/traveling_wave/{model}_k{k}",
             ])
     sys.exit(rc)

@@ -120,7 +120,7 @@ class BbmBbmDiscretization:
     # -- right-hand side -----------------------------------------------------
 
     def rhs_fields(self, eta, v, t=0.0):
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(eta).all() and np.isfinite(v).all()):
             raise NumericsError("non-finite state passed to BBM-BBM right-hand side")
         mass_flux = (self.still_depth + eta) * v
         vel_flux = self.gravity * eta + 0.5 * v * v
@@ -214,17 +214,6 @@ class BbmEnergyFunctional:
         """dE/dt along a given state derivative (gradient-based)."""
         c1, _, _ = self.delta_coefficients(y, ydot)
         return c1
-
-    def rate_scale(self, y, ydot):
-        """Absolute-value counterpart of rate, for relative tolerances."""
-        eta, v = split_flat(np.asarray(y))
-        de, dv = split_flat(np.asarray(ydot))
-        g = self._disc.gravity
-        tot = eta + self._disc.still_depth
-        w = self._disc.operators.mass.diagonal
-        return float(
-            w @ (np.abs(g * eta * de) + np.abs(tot * v * dv) + np.abs(0.5 * v * v * de))
-        )
 
 
 def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,

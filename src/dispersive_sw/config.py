@@ -69,6 +69,19 @@ class ScenarioConfig:
         if self.gauge_interval <= 0:
             raise ConfigurationError("gauge_interval must be positive")
         self.gauges = [float(gx) for gx in self.gauges]
+        # a field that no run of this scenario and model reads is refused
+        scenario, dingemans = self.scenario, self.scenario == "dingemans"
+        unread = [name for name, read in (
+            ("parameter_set", self.model == "svaerd_kalisch"),
+            ("reflecting", scenario == "manufactured"),
+            ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
+            ("gauges", dingemans), ("gauge_interval", dingemans),
+            ("experimental_data", dingemans),
+        ) if not read and getattr(self, name) != _DEFAULTS[name]]
+        if unread:
+            raise ConfigurationError(
+                f"{', '.join(unread)} not read by a {self.scenario} run of {self.model}"
+            )
         if self.orders is not None:
             self.orders = [int(p) for p in self.orders]
         if self.resolutions is not None:
@@ -78,6 +91,8 @@ class ScenarioConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
+_DEFAULTS = {**{f.name: f.default for f in dataclasses.fields(ScenarioConfig)},
+             "gauges": []}
 
 
 def config_from_mapping(mapping) -> ScenarioConfig:

@@ -125,11 +125,12 @@ def _check_length(n, rhs):
         )
 
 
-def _check_pivots(pivots, scale):
+_EPS = np.finfo(float).eps
+
+
+def _check_pivot(smallest, n, scale):
     """Raise unless the smallest pivot exceeds n eps max|A| (a NaN fails)."""
-    floor = pivots.size * np.finfo(float).eps * max(scale, 1e-300)
-    smallest = float(pivots.min()) if pivots.size else 0.0
-    if not smallest > floor:
+    if not smallest > n * _EPS * max(scale, 1e-300):
         raise FactorizationError(
             f"matrix singular to working precision (pivot {smallest:.3e})",
             pivot=smallest,
@@ -142,7 +143,7 @@ class DenseFactorization:
     def __init__(self, a: np.ndarray):
         self.n = a.shape[0]
         lu, piv = sla.lu_factor(a, check_finite=False)
-        _check_pivots(np.abs(np.diag(lu)), np.max(np.abs(a)))
+        _check_pivot(np.abs(np.diag(lu)).min(), self.n, np.abs(a).max())
         self.lu, self.piv = lu, piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -175,7 +176,8 @@ class BandCholesky:
                                      pivot=float(u[-1, info - 1]))
         if info < 0:
             raise FactorizationError(f"pbtrf failed with info={info}")
-        _check_pivots(u[-1] ** 2, scale)
+        smallest = u[-1].min()
+        _check_pivot(smallest * smallest, self.n, scale)
         self.u = u
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

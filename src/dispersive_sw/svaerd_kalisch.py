@@ -31,17 +31,21 @@ drop out of that SPD form.
 
 The right-hand side applies its derivative operators in three dependency
 layers, with one batched ``apply`` per operator and layer (row i of a
-stack has the bits of a single apply, see ``sbp``).  For the central
-split form, with y_disp = ahat D1(ahat D1 eta):
+stack has the bits of a single apply, see ``sbp``).  The central split
+form uses the flux q = y_disp - h v, y_disp = ahat D1(ahat D1 eta), with
+eta_t = D1 q.  D1 is linear, so its advective and alpha terms
+-(D1(h v^2) + h v D1 v - v D1(h v))/2 + (D1(v y_disp) - v D1 y_disp
++ y_disp D1 v)/2 are (D1(v q) - v D1 q + q D1 v)/2 in exact arithmetic
+(D1(v q) - v D1 q without the split form), and its layers are
 
-1. D1 of [eta, v, h v, h v^2], and D2 v;
+1. D1 of [eta, v], and D2 v;
 2. D1 of [ahat D1 eta, ghat D2 v], and D2 (ghat D1 v);
-3. D1 of [y_disp - h v, v y_disp, y_disp].
+3. D1 of [q, v q].
 
-The upwind variant adds D+ of [eta, v] to layer 1, takes
-y_disp = ahat D-(ahat D+ eta) in layer 2 and applies D- to
-[y_disp, v y_disp] in layer 3; the reflecting variant needs layer 1 only.
-The gamma rows are left out when ghat vanishes.
+The upwind variant applies D1 to [eta, v, h v, h v^2] and D+ to [eta, v]
+in layer 1, takes y_disp = ahat D-(ahat D+ eta) in layer 2 and applies
+D- to [y_disp, v y_disp] in layer 3; the reflecting variant needs the D1
+stack of layer 1 only.  The gamma rows are left out when ghat vanishes.
 """
 
 from __future__ import annotations
@@ -180,22 +184,25 @@ class SkDiscretization:
     # -- right-hand side -----------------------------------------------------
 
     def rhs_fields(self, eta, v, t=0.0):
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(eta).all() and np.isfinite(v).all()):
             raise NumericsError("non-finite state passed to SK right-hand side")
         h = self.water_height(eta)
-        if np.min(h) <= 0.0:
-            raise DomainError(
-                f"water height must stay positive, min={np.min(h):.3e}"
-            )
+        h_min = h.min()
+        if h_min <= 0.0:
+            raise DomainError(f"water height must stay positive, min={h_min:.3e}")
         ops = self.operators
         d1 = ops.d1.apply
         upwind = self.variant == "periodic_upwind"
         reflecting = self.variant == "reflecting_beta_only"
+        central = not (upwind or reflecting)
         gamma_terms = not reflecting and self._has_gamma
         hv = h * v
 
         # layer 1: derivatives of the state
-        d1_eta, d1_v, d1_hv, d1_hvv = d1(np.array([eta, v, hv, hv * v]))
+        if central:
+            d1_eta, d1_v = d1(np.array([eta, v]))
+        else:
+            d1_eta, d1_v, d1_hv, d1_hvv = d1(np.array([eta, v, hv, hv * v]))
         if upwind:
             dp, dm = ops.upwind.d_plus.apply, ops.upwind.d_minus.apply
             dp_eta, dp_v = dp(np.array([eta, v]))
@@ -209,7 +216,7 @@ class SkDiscretization:
             y_disp = self.alpha_hat * dm(self.alpha_hat * dp_eta)
             if gamma_terms:
                 d1_gamma = d1(self.gamma_hat * d2_v)
-        elif not reflecting:
+        elif central:
             if gamma_terms:
                 d1_alpha, d1_gamma = d1(
                     np.array([self.alpha_hat * d1_eta, self.gamma_hat * d2_v])
@@ -220,31 +227,32 @@ class SkDiscretization:
         if gamma_terms:
             d2_gamma = d2(self.gamma_hat * d1_v)
 
-        # layer 3: derivatives of y_disp and v * y_disp (d_y, d_vy); the
-        # split alpha term pairs them with the velocity derivative dv_paired
-        if reflecting:
-            deta = -d1_hv
-        elif upwind:
-            d_y, d_vy = dm(np.array([y_disp, v * y_disp]))
-            deta = -d1_hv + d_y
-            dv_paired = dp_v
-        else:
-            deta, d_vy, d_y = d1(np.array([y_disp - hv, v * y_disp, y_disp]))
-            dv_paired = d1_v
-
-        # split-form shallow water terms (advective part, after the time
-        # product rule moved v * h_t to the left)
-        if self.split_form:
+        # layer 3 and the split form: centrally in the flux q (see the module
+        # docstring); otherwise the shallow water terms apart (after the time
+        # product rule moved v * h_t to the left), plus the upwind alpha terms
+        if central:
+            q = y_disp - hv
+            deta, d_vq = d1(np.array([q, v * q]))
+            if self.split_form:
+                rhs_v = 0.5 * (d_vq - v * deta + q * d1_v)
+            else:
+                rhs_v = d_vq - v * deta
+        elif self.split_form:
             rhs_v = -0.5 * (d1_hvv + hv * d1_v - v * d1_hv)
         else:
             rhs_v = -(d1_hvv - v * d1_hv)
         rhs_v = rhs_v - self.gravity * h * d1_eta
 
-        if not reflecting and self._has_alpha:
-            if self.split_form:
-                rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dv_paired)
-            else:
-                rhs_v = rhs_v + d_vy - v * d_y
+        if reflecting:
+            deta = -d1_hv
+        elif upwind:
+            d_y, d_vy = dm(np.array([y_disp, v * y_disp]))
+            deta = -d1_hv + d_y
+            if self._has_alpha:
+                if self.split_form:
+                    rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dp_v)
+                else:
+                    rhs_v = rhs_v + d_vy - v * d_y
 
         if gamma_terms:
             rhs_v = rhs_v + 0.5 * (d2_gamma + d1_gamma)
@@ -272,7 +280,7 @@ class SkDiscretization:
     def invariants(self, y) -> dict:
         eta, v = split_flat(np.asarray(y))
         h = self.water_height(eta)
-        if np.min(h) <= 0.0:
+        if h.min() <= 0.0:
             raise DomainError("invariants need a positive water height")
         w = self.operators.mass.diagonal
         entropy_density = 0.5 * (h * v**2 + self.gravity * h**2) \
@@ -335,20 +343,6 @@ class SkModifiedEntropyFunctional:
     def rate(self, y, ydot):
         c1, _, _ = self.delta_coefficients(y, ydot)
         return c1
-
-    def rate_scale(self, y, ydot):
-        d = self._disc
-        eta, v = split_flat(np.asarray(y))
-        de, dv = split_flat(np.asarray(ydot))
-        h = d.water_height(eta)
-        g = d.gravity
-        w = d.operators.mass.diagonal
-        dvx = d._entropy_deriv(v)
-        ddvx = d._entropy_deriv(dv)
-        return float(
-            w @ (np.abs(0.5 * de * v**2) + np.abs(h * v * dv) + np.abs(g * h * de)
-                 + np.abs(g * de * d.bathymetry) + np.abs(d.beta_hat * dvx * ddvx))
-        )
 
 
 def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,

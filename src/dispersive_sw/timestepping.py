@@ -137,13 +137,13 @@ def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
     s = tableau.stages
     k = [None] * s
     k[0] = rhs(t, y) if k1 is None else k1
-    if not np.all(np.isfinite(k[0])):
+    if not np.isfinite(k[0]).all():
         raise _StepFailure("non-finite right-hand side at first stage")
     for i in range(1, s):
         yi = _scaled_stage_sum(dt, tableau.a[i, :i], k)
         yi += y
         k[i] = rhs(t + tableau.c[i] * dt, yi)
-        if not np.all(np.isfinite(k[i])):
+        if not np.isfinite(k[i]).all():
             raise _StepFailure(f"non-finite right-hand side at stage {i}")
     du = _scaled_stage_sum(dt, tableau.b, k)
     err = None

@@ -3,7 +3,9 @@
 These stay deliberately separate from the library code paths they check:
 dense matrix algebra, matrix exponentials, direct Fourier fits, the
 np.roll form of the circulant stencil apply, the exact derivation of the
-bounded closures and the dense bounded operators built from it.
+bounded closures and the dense bounded operators built from it, the
+central Svärd-Kalisch right-hand side in its term-by-term split form and
+the magnitude scales of the energy and entropy rates.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import comb
 import numpy as np
 import scipy.linalg as sla
 
-from dispersive_sw.grid import make_uniform_grid
+from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.svaerd_kalisch import sk_parameter_set
 
@@ -99,6 +101,69 @@ def roll_apply(u, offsets, coefficients):
         else:
             out = out + table[-k] * np.roll(u, k)
     return out
+
+
+def sk_central_split_rhs(disc, eta, v, t=0.0):
+    """The central Svärd-Kalisch right-hand side spelled term by term.
+
+    Dense D1 and D2 products of the split form with D(h v) and D(h v^2)
+    apart from D(v y) and D y, y = ahat D(ahat D eta): eta_t = D(y - h v)
+    and, before the velocity solve,
+
+        -(D(h v^2) + h v Dv - v D(h v))/2 + (D(v y) - v Dy + y Dv)/2
+            - g h D eta + (D2(ghat Dv) + D(ghat D2 v))/2
+
+    (the first two groups -(D(h v^2) - v D(h v)) + D(v y) - v Dy without
+    the split form), plus the manufactured sources.  Returns eta_t, that
+    velocity right-hand side and the largest magnitude among its terms.
+    """
+    d1 = disc.operators.d1.to_dense()
+    d2 = disc.operators.d2.to_dense()
+    h = disc.water_height(eta)
+    hv = h * v
+    y = disc.alpha_hat * (d1 @ (disc.alpha_hat * (d1 @ eta)))
+    dv = d1 @ v
+    if disc.split_form:
+        terms = [-0.5 * (d1 @ (hv * v)), -0.5 * hv * dv, 0.5 * v * (d1 @ hv),
+                 0.5 * (d1 @ (v * y)), -0.5 * v * (d1 @ y), 0.5 * y * dv]
+    else:
+        terms = [-(d1 @ (hv * v)), v * (d1 @ hv), d1 @ (v * y), -v * (d1 @ y)]
+    terms += [-disc.gravity * h * (d1 @ eta), 0.5 * (d2 @ (disc.gamma_hat * dv)),
+              0.5 * (d1 @ (disc.gamma_hat * (d2 @ v)))]
+    deta = d1 @ (y - hv)
+    if disc._source is not None:
+        s_h, s_hv = disc._source(t, disc.grid.nodes)
+        deta = deta + s_h
+        terms += [s_hv, -v * s_h]
+    return deta, sum(terms), max(float(np.max(np.abs(term))) for term in terms)
+
+
+def energy_rate_scale(disc, y, ydot):
+    """Sum of the magnitudes of the BBM-BBM energy rate's terms, the scale
+    of a relative tolerance on that rate."""
+    eta, v = split_flat(np.asarray(y))
+    de, dv = split_flat(np.asarray(ydot))
+    g = disc.gravity
+    tot = eta + disc.still_depth
+    w = disc.operators.mass.diagonal
+    return float(
+        w @ (np.abs(g * eta * de) + np.abs(tot * v * dv) + np.abs(0.5 * v * v * de))
+    )
+
+
+def modified_entropy_rate_scale(disc, y, ydot):
+    """The same for the Svärd-Kalisch modified entropy rate."""
+    eta, v = split_flat(np.asarray(y))
+    de, dv = split_flat(np.asarray(ydot))
+    h = disc.water_height(eta)
+    g = disc.gravity
+    w = disc.operators.mass.diagonal
+    dvx = disc._entropy_deriv(v)
+    ddvx = disc._entropy_deriv(dv)
+    return float(
+        w @ (np.abs(0.5 * de * v**2) + np.abs(h * v * dv) + np.abs(g * h * de)
+             + np.abs(g * de * disc.bathymetry) + np.abs(disc.beta_hat * dvx * ddvx))
+    )
 
 
 def dense_inverse_solve(a, rhs):

@@ -139,8 +139,8 @@ def _apply_calls_per_rhs(monkeypatch, disc):
 
 
 @pytest.mark.parametrize("disc, calls", [
-    # D1 [eta, v, hv, hv v], D2 v | D1 [ahat D1 eta, ghat D2 v], D2 (ghat D1 v)
-    # | D1 [y - hv, v y, y]
+    # D1 [eta, v], D2 v | D1 [ahat D1 eta, ghat D2 v], D2 (ghat D1 v)
+    # | D1 [q, v q] with the flux q = y - hv
     (lambda: _sk("periodic_central_split", "set2", True, False), 5),
     # layer 1 adds D+ [eta, v]; layer 2 D- (ahat D+ eta) and D1 (ghat D2 v)
     # apart; layer 3 D- [y, v y]

@@ -40,6 +40,25 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, model, flags, field", [
+    ("lake_at_rest", "bbm_bbm", ["--parameter-set", "set9"], "parameter_set"),
+    ("soliton", "bbm_bbm", ["--parameter-set", "set2"], "parameter_set"),
+    ("lake_at_rest", "svaerd_kalisch", ["--reflecting"], "reflecting"),
+    ("dingemans", "bbm_bbm", ["--wavenumber", "5"], "wavenumber"),
+    ("lake_at_rest", "bbm_bbm", ["--gauges", "0.1"], "gauges"),
+    ("reflecting_bump", "bbm_bbm", ["--gauge-interval", "0.5"], "gauge_interval"),
+    ("traveling_wave", "svaerd_kalisch", ["--experimental-data", "g.csv"],
+     "experimental_data"),
+    ("manufactured", "bbm_bbm", ["--eoc"], "eoc"),
+])
+def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, field,
+                                                    capsys):
+    code = run_cli(["run", "--scenario", scenario, "--model", model, *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(

@@ -500,3 +500,56 @@ def test_to_dense_is_c_contiguous_and_maps_columns(op):
     rng = np.random.default_rng(3)
     u = rng.normal(size=op.n)
     np.testing.assert_allclose(dense @ u, op.apply(u), rtol=0, atol=1e-10 * np.max(np.abs(dense)))
+
+
+# every family whose identities verify_sbp_identity checks: (family, order)
+SBP_FAMILIES = (
+    [("central", p) for p in PERIODIC_CENTRAL_ORDERS]
+    + [("narrow", p) for p in PERIODIC_CENTRAL_ORDERS]
+    + [(family, p) for family in ("upwind_composite", "upwind_pair", "average")
+       for p in UPWIND_ORDERS]
+    + [(family, p) for family in ("bounded_central", "bounded_pair")
+       for p in BOUNDED_ORDERS]
+)
+
+
+def _sbp_operator(family, order, n, length):
+    """The operator (or upwind pair) of a family; ConfigurationError when n is
+    below what the family accepts."""
+    bc = "bounded" if family.startswith("bounded") else "periodic"
+    grid = make_uniform_grid(0.0, length, n, bc)
+    if family == "central":
+        return build_periodic_central_d1(grid, order)
+    if family in ("narrow", "upwind_composite"):
+        return build_periodic_d2(grid, order, family)
+    if family == "bounded_central":
+        return build_bounded_central_d1(grid, order)
+    if family == "bounded_pair":
+        return build_bounded_upwind(grid, order)
+    pair = build_periodic_upwind(grid, order)
+    return pair if family == "upwind_pair" else pair.central_average()
+
+
+@lru_cache(maxsize=None)
+def _smallest_n(family, order):
+    for n in range(3, 100):
+        try:
+            _sbp_operator(family, order, n, 1.0)
+            return n
+        except ConfigurationError:
+            continue
+    raise AssertionError(f"no grid below 100 nodes accepts {family} order {order}")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sbp_identities_hold_from_each_familys_smallest_grid(data):
+    family, order = data.draw(st.sampled_from(SBP_FAMILIES))
+    smallest = _smallest_n(family, order)
+    n = data.draw(st.integers(smallest, smallest + 60))
+    op = _sbp_operator(family, order, n, data.draw(st.floats(0.1, 50.0)))
+    report = verify_sbp_identity(op)
+    assert report.passed, (family, order, n, report.residuals)
+    # the dense O(N^3) form of every identity meets the same threshold
+    for key, value in dense_sbp_residuals(op).items():
+        assert value <= report.threshold, (family, order, n, key, value)

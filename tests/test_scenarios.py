@@ -183,7 +183,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScenarioConfig(scenario="soliton", resolutions=[128, 64])
     cfg = config_from_mapping(
-        {"scenario": "soliton", "orders": [2, 4], "gauges": [1, 2.5]}
+        {"scenario": "dingemans", "orders": [2, 4], "gauges": [1, 2.5]}
     )
     assert cfg.orders == [2, 4] and cfg.gauges == [1.0, 2.5]
 
