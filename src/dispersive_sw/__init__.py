@@ -38,9 +38,7 @@ from .timestepping import (
     DOPRI5,
     RK4,
     IntegratorConfig,
-    RelaxationConfig,
     integrate,
-    relaxation_step,
     rk_step,
 )
 

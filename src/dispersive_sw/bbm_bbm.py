@@ -111,12 +111,6 @@ class BbmBbmDiscretization:
     def n(self) -> int:
         return self.grid.n_nodes
 
-    def solver_report(self) -> dict:
-        """Factorization type of each system; factored once, no fallback."""
-        return {"solver_mass": type(self._solver_mass).__name__,
-                "solver_velocity": type(self._solver_vel).__name__,
-                "dense_fallbacks": 0}
-
     # -- right-hand side -----------------------------------------------------
 
     def rhs_fields(self, eta, v, t=0.0):

@@ -3,11 +3,11 @@
     dispersive-sw run --scenario soliton --model bbm_bbm --order 4 ...
     dispersive-sw run --config config.yaml --check
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure,
-3 threshold failure in --check mode.  A run prints its info, including the
-integrator counters summed over its integrations (scenarios.RUN_COUNTERS),
-the factorization type of each elliptic system (solver_<system>) and the
-dense fallbacks taken (dense_fallbacks).
+Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure
+(a failed factorization included), 3 threshold failure in --check mode.
+A run prints its info, including the integrator counters summed over its
+integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
+scenarios.RUN_COUNTERS).
 
 Optional heavy dependencies (sympy, scipy.optimize, yaml) are imported
 inside the functions that need them, never at module level.

@@ -71,10 +71,13 @@ class ScenarioConfig:
         self.gauges = [float(gx) for gx in self.gauges]
         # a field that no run of this scenario and model reads is refused
         scenario, dingemans = self.scenario, self.scenario == "dingemans"
+        manufactured = scenario == "manufactured"
+        eoc = manufactured or (scenario == "soliton" and self.eoc)
         unread = [name for name, read in (
             ("parameter_set", self.model == "svaerd_kalisch"),
-            ("reflecting", scenario == "manufactured"),
+            ("reflecting", manufactured),
             ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
+            ("orders", eoc), ("resolutions", eoc),
             ("gauges", dingemans), ("gauge_interval", dingemans),
             ("experimental_data", dingemans),
         ) if not read and getattr(self, name) != _DEFAULTS[name]]

@@ -8,22 +8,21 @@ one banded Cholesky, LAPACK's pbtrf/pbtrs, in O(N w^2); no N x N array
 is formed.  A ``PeriodicBand`` wraps around: the fold permutation 0,
 N-1, 1, N-2, ... places the wrap-around neighbours of every node within
 2w folded positions, so a periodic band of half-width w factors as an
-ordinary band of half-width 2w.  Dense LU is the last resort, for when
-the banded Cholesky fails inside ``ShiftedSolver``, which logs and
-counts that fallback.
+ordinary band of half-width 2w.
+
+There is no second path: a band that is not positive definite to working
+precision raises ``FactorizationError``.  For A = diag(h) + D^T beta D
+with h > 0 and beta >= 0, every Cholesky pivot satisfies u_ii^2 >=
+lambda_min(A) >= min h, so the pivot check (n eps max|A|) fails only on
+a state that is dry to working precision.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, FactorizationError
-
-log = logging.getLogger(__name__)
 
 
 class Fold:
@@ -75,7 +74,7 @@ class Band:
         return ab, None
 
     def to_dense(self) -> np.ndarray:
-        """Both halves as an N x N matrix, for tests and the dense fallback."""
+        """Both halves as an N x N matrix, for tests."""
         a = np.zeros((self.n, self.n))
         for k in range(min(self.w, self.n - 1) + 1):
             rows = np.arange(self.n - k)
@@ -128,33 +127,6 @@ def _check_length(n, rhs):
 _EPS = np.finfo(float).eps
 
 
-def _check_pivot(smallest, n, scale):
-    """Raise unless the smallest pivot exceeds n eps max|A| (a NaN fails)."""
-    if not smallest > n * _EPS * max(scale, 1e-300):
-        raise FactorizationError(
-            f"matrix singular to working precision (pivot {smallest:.3e})",
-            pivot=smallest,
-        )
-
-
-class DenseFactorization:
-    """Pivoted dense LU, reusable across right-hand sides."""
-
-    def __init__(self, a: np.ndarray):
-        self.n = a.shape[0]
-        lu, piv = sla.lu_factor(a, check_finite=False)
-        _check_pivot(np.abs(np.diag(lu)).min(), self.n, np.abs(a).max())
-        self.lu, self.piv = lu, piv
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        _check_length(self.n, rhs)
-        x, info = lapack.dgetrs(self.lu, self.piv, rhs)
-        if info != 0:
-            raise FactorizationError(f"getrs failed with info={info}")
-        return x
-
-
 class BandCholesky:
     """Banded Cholesky A = U^T U of an SPD band (pbtrf/pbtrs).
 
@@ -177,7 +149,11 @@ class BandCholesky:
         if info < 0:
             raise FactorizationError(f"pbtrf failed with info={info}")
         smallest = u[-1].min()
-        _check_pivot(smallest * smallest, self.n, scale)
+        pivot = smallest * smallest
+        if not pivot > self.n * _EPS * max(scale, 1e-300):  # a NaN fails too
+            raise FactorizationError(
+                f"matrix singular to working precision (pivot {pivot:.3e})", pivot=pivot
+            )
         self.u = u
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -200,38 +176,21 @@ class ShiftedSolver:
     the diagonal moves, so a re-factor adds the (folded) diagonal to a
     copy of the packed band and runs one pbtrf.  Used by the velocity
     equation of the Svärd-Kalisch model, whose system matrix depends on
-    the water height; ``path`` is the factorization type its calls return.
-
-    When that path fails for some diagonal, the call falls back to dense
-    LU; the fallback is logged as a warning and counted in
-    ``dense_fallbacks``.
+    the water height.
     """
 
     def __init__(self, static_part: Band):
-        self.dense_fallbacks = 0
-        self.path = BandCholesky
         self.n = static_part.n
-        self._static = static_part
         self._ab0, self._fold = static_part.pack()
 
-    def factor(self, diagonal: np.ndarray):
+    def factor(self, diagonal: np.ndarray) -> BandCholesky:
         diagonal = np.asarray(diagonal, dtype=float)
         if diagonal.shape[0] != self.n:
             raise DimensionError("diagonal length does not match system size")
         fold = self._fold
-        try:
-            ab = self._ab0.copy(order="F")
-            ab[-1] += diagonal if fold is None else diagonal[fold.order]
-            return BandCholesky(ab, fold)
-        except FactorizationError as exc:
-            self.dense_fallbacks += 1
-            log.warning(
-                "%s failed (%s; pivot %s); falling back to dense LU",
-                self.path.__name__, exc, exc.pivot,
-            )
-        full = self._static.to_dense()
-        np.fill_diagonal(full, np.diagonal(full) + diagonal)
-        return DenseFactorization(full)
+        ab = self._ab0.copy(order="F")
+        ab[-1] += diagonal if fold is None else diagonal[fold.order]
+        return BandCholesky(ab, fold)
 
 
 def factor(band: Band) -> BandCholesky:

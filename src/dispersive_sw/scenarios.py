@@ -40,7 +40,6 @@ from .timestepping import (
     DOPRI5,
     RK4,
     IntegratorConfig,
-    RelaxationConfig,
     integrate,
 )
 
@@ -312,8 +311,7 @@ def _functional(disc):
     return disc.modified_entropy_functional()
 
 
-# integrator counters summed over a scenario's integrate calls into its info,
-# with the dense fallbacks and the solver_<system> paths of solver_report()
+# integrator counters summed over a scenario's integrate calls into its info
 RUN_COUNTERS = ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks")
 
 
@@ -326,7 +324,7 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
         dt=cfg.dt if cfg.dt is not None else dt,
         atol=cfg.atol if cfg.atol is not None else (atol or 1e-7),
         rtol=cfg.rtol if cfg.rtol is not None else (rtol or 1e-7),
-        relaxation=RelaxationConfig() if relaxation else None,
+        relaxation=relaxation,
         dt_max=dt_max,
     )
     for rec in recorders:
@@ -334,19 +332,12 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
             rec.start(0.0, y0)
     on_step = _multi_callback(*recorders) if recorders else None
     dense = any(isinstance(r, GaugeRecorder) for r in recorders)
-    fallbacks = disc.solver_report()["dense_fallbacks"]
     run = integrate(
         disc.rhs, y0, (0.0, t_end), config,
         functional=functional, on_step=on_step, dense_output=dense,
     )
-    counts = {name: getattr(run, name) for name in RUN_COUNTERS}
-    report = disc.solver_report()
-    counts["dense_fallbacks"] = report.pop("dense_fallbacks") - fallbacks
-    for name, count in counts.items():
-        result.info[name] = result.info.get(name, 0) + count
-    for key, path in report.items():  # every distinct path if integrations differ
-        paths = {*result.info.get(key, path).split(","), path}
-        result.info[key] = ",".join(sorted(paths))
+    for name in RUN_COUNTERS:
+        result.info[name] = result.info.get(name, 0) + getattr(run, name)
     return run
 
 
@@ -784,18 +775,25 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def read_experimental_gauges(path):
-    """Read an external gauge file with columns gauge_id, t, eta."""
+    """Read an external gauge file with columns gauge_id, t, eta.
+
+    Blank and ``#`` comment lines are skipped; the first other row is a
+    header when its second field is not a number.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"experimental data file not found: {path}")
     rows = []
+    first = True
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].strip().startswith("#"):
                 continue
-            if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
-                continue  # header line
+            header = first and not _is_number(row[1] if len(row) > 1 else "")
+            first = False
+            if header:
+                continue
             if len(row) != 3:
                 raise IngestionError(
                     f"{path}:{lineno}: expected 3 columns (gauge_id, t, eta), "

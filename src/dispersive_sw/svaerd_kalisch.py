@@ -172,12 +172,6 @@ class SkDiscretization:
     def n(self) -> int:
         return self.grid.n_nodes
 
-    def solver_report(self) -> dict:
-        """Factorization type of the velocity system and its dense fallbacks."""
-        solver = self._velocity_solver
-        return {"solver_velocity": solver.path.__name__,
-                "dense_fallbacks": solver.dense_fallbacks}
-
     def water_height(self, eta):
         return eta + self.still_depth - self.eta0
 

@@ -2,7 +2,7 @@
 
 Relaxation rescales the update increment, u_new = u + gamma * du with
 gamma near 1 chosen so that a designated nonlinear functional J is
-exactly conserved (or not increased) across the step; the step then
+exactly conserved across the step; the step then
 advances time by gamma * dt.  Functionals provide a ``delta`` evaluation
 J(u + gamma du) - J(u) that avoids catastrophic cancellation; for the
 energy functionals of both models this difference is an exact cubic
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,23 +99,6 @@ DOPRI5 = _tab(
 
 
 # ---------------------------------------------------------------------------
-# functionals for relaxation
-
-
-class FunctionalFromCallable:
-    """Wrap a plain J(y) callable; delta falls back to a direct difference."""
-
-    def __init__(self, func: Callable[[np.ndarray], float]):
-        self._func = func
-
-    def value(self, y):
-        return float(self._func(y))
-
-    def delta(self, y, dy, gamma):
-        return self.value(y + gamma * dy) - self.value(y)
-
-
-# ---------------------------------------------------------------------------
 # single steps
 
 
@@ -173,26 +155,10 @@ def _scaled_stage_sum(dt, weights, k):
     return acc
 
 
-@dataclass
-class RelaxationConfig:
-    """Settings for the relaxation wrapper.
-
-    The conserved functional is passed to ``integrate``; mode
-    "conservative" enforces J(u+du) = J(u), mode "dissipative-estimate"
-    only prevents growth.
-    """
-
-    mode: str = "conservative"
-    root_tolerance: float = 1e-14
-    bracket_half_width: float = 1e-2
-
-    def __post_init__(self):
-        if self.mode not in ("conservative", "dissipative-estimate"):
-            raise ConfigurationError(f"unknown relaxation mode {self.mode!r}")
-        if self.root_tolerance <= 0:
-            raise ConfigurationError("root tolerance must be positive")
-        if not 0 < self.bracket_half_width < 1:
-            raise ConfigurationError("gamma bracket must be a neighborhood of 1")
+# relaxation root: gamma is searched on [1 - h, 1 + h]; a functional whose
+# residuals stay within tol * max(1, |J(u)|) does not respond to the increment
+GAMMA_HALF_WIDTH = 1e-2
+ROOT_TOLERANCE = 1e-14
 
 
 def _solve_gamma(residual, half_width, tol, max_iter=50):
@@ -261,27 +227,14 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
     return best, True
 
 
-def relaxation_step(rhs, y, t, dt, tableau, relax: RelaxationConfig, functional):
-    """Baseline RK step followed by the relaxation rescaling.
-
-    Returns (y_new, t_new, gamma, err, fallback) where fallback flags a
-    failed gamma solve (gamma = 1 was used).
-    """
-    du, err, _ = rk_step(rhs, y, t, dt, tableau)
-    gamma, fell_back = _relax_increment(y, du, relax, functional)
-    return y + gamma * du, t + gamma * dt, gamma, err, fell_back
-
-
-def _relax_increment(y, du, relax, functional):
-    scale = max(1.0, abs(functional.value(y)))
-    tol = relax.root_tolerance * scale
+def _relax_increment(y, du, functional):
+    """(gamma, fell_back): the conservative relaxation root, else gamma = 1."""
+    tol = ROOT_TOLERANCE * max(1.0, abs(functional.value(y)))
 
     def residual(gamma):
         return functional.delta(y, du, gamma)
 
-    if relax.mode == "dissipative-estimate" and residual(1.0) <= 0.0:
-        return 1.0, False
-    gamma, converged = _solve_gamma(residual, relax.bracket_half_width, tol)
+    gamma, converged = _solve_gamma(residual, GAMMA_HALF_WIDTH, tol)
     if not converged:
         log.warning(
             "relaxation root not found (r(1) = %.3e); falling back to gamma = 1",
@@ -327,7 +280,7 @@ class IntegratorConfig:
     dt_min: float = 1e-12
     dt_max: float = np.inf
     max_steps: int = 10_000_000
-    relaxation: Optional[RelaxationConfig] = None
+    relaxation: bool = False  # conserve the functional passed to integrate
 
 
 @dataclass
@@ -388,7 +341,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
         raise ConfigurationError("empty time span")
     tab = config.tableau
     relax = config.relaxation
-    if relax is not None and functional is None:
+    if relax and functional is None:
         raise ConfigurationError("relaxation requested but no functional supplied")
     adaptive = config.dt is None
     if adaptive and not tab.is_embedded:
@@ -443,8 +396,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             err_prev = max(err_norm, 1e-16)
             dt = min(dt_next, config.dt_max)
         gamma = 1.0
-        if relax is not None:
-            gamma, fell_back = _relax_increment(y, du, relax, functional)
+        if relax:
+            gamma, fell_back = _relax_increment(y, du, functional)
             if fell_back:
                 result.relaxation_fallbacks += 1
         y_new = y + gamma * du
@@ -456,7 +409,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
         f_new = None
         if tab.is_fsal and gamma == 1.0:
             f_new = k[-1]
-        elif dense_output or (tab.is_fsal and relax is not None):
+        elif dense_output or (tab.is_fsal and relax):
             f_new = call_rhs(t_new, y_new)
         k1 = f_new if tab.is_fsal else None
         if dense_output and f_new is None:
@@ -466,7 +419,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             record = StepRecord(t, t_new, y, y_new, k[0] if dense_output else None,
                                 f_new, gamma)
             on_step(record)
-        if relax is not None:
+        if relax:
             result.gammas.append(gamma)
         y, t = y_new, t_new
         result.n_steps += 1

@@ -4,8 +4,9 @@ These stay deliberately separate from the library code paths they check:
 dense matrix algebra, matrix exponentials, direct Fourier fits, the
 np.roll form of the circulant stencil apply, the exact derivation of the
 bounded closures and the dense bounded operators built from it, the
-central Svärd-Kalisch right-hand side in its term-by-term split form and
-the magnitude scales of the energy and entropy rates.
+central Svärd-Kalisch right-hand side in its term-by-term split form,
+the magnitude scales of the energy and entropy rates, and relaxation
+functionals given as plain J(y) callables.
 """
 
 from fractions import Fraction
@@ -173,6 +174,20 @@ def dense_inverse_solve(a, rhs):
 
 def matrix_exponential_reference(a, y0, t):
     return sla.expm(t * a) @ y0
+
+
+class FunctionalFromCallable:
+    """A relaxation functional from a plain J(y) callable; ``delta`` is the
+    direct difference J(y + gamma dy) - J(y)."""
+
+    def __init__(self, func):
+        self._func = func
+
+    def value(self, y):
+        return float(self._func(y))
+
+    def delta(self, y, dy, gamma):
+        return self.value(y + gamma * dy) - self.value(y)
 
 
 def dense_sbp_residuals(op, dense=None):

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -130,25 +128,22 @@ def test_periodic_banded_path_matches_dense():
     assert f.half_width == 2 * band.w
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=96)
-    dense = linsolve.DenseFactorization(band.to_dense())
-    np.testing.assert_allclose(f.solve(rhs), dense.solve(rhs), atol=1e-11)
+    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(band.to_dense(), rhs),
+                               atol=1e-11)
 
 
 def test_shifted_solver_modes_and_agreement():
     rng = np.random.default_rng(6)
     band = _periodic_static_part()
     solver = linsolve.ShiftedSolver(band)
-    assert solver.path is linsolve.BandCholesky
     static = band.to_dense()
     diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
     full = static.copy()
     np.fill_diagonal(full, np.diagonal(full) + diag)
     rhs = rng.normal(size=64)
-    np.testing.assert_allclose(
-        solver.factor(diag).solve(rhs),
-        np.linalg.solve(full, rhs),
-        atol=1e-11,
-    )
+    fact = solver.factor(diag)
+    assert isinstance(fact, linsolve.BandCholesky)
+    np.testing.assert_allclose(fact.solve(rhs), np.linalg.solve(full, rhs), atol=1e-11)
 
 
 def test_factor_once_solve_many_bitwise_identical():
@@ -201,46 +196,20 @@ def test_shifted_solver_matches_direct_periodic_factorization_bitwise():
         assert np.array_equal(solver.factor(diag).solve(rhs), direct.solve(rhs))
 
 
-def test_shifted_solver_dense_fallback_warns_and_counts(monkeypatch, caplog):
-    static = _periodic_static_part()
-    solver = linsolve.ShiftedSolver(static)
-    diag = np.full(64, 2.0)
-    assert isinstance(solver.factor(diag), linsolve.BandCholesky)
-    assert solver.dense_fallbacks == 0
-
-    def failing_banded(*args, **kwargs):
-        raise FactorizationError("banded matrix singular", pivot=1.5e-300)
-
-    monkeypatch.setattr(linsolve, "BandCholesky", failing_banded)
-    with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
-        fact = solver.factor(diag)
-    assert isinstance(fact, linsolve.DenseFactorization)
-    assert solver.dense_fallbacks == 1
-    assert "pivot 1.5e-300" in caplog.text and "dense LU" in caplog.text
-    full = static.to_dense() + np.diag(diag)
-    rhs = np.linspace(-1.0, 1.0, 64)
-    np.testing.assert_allclose(fact.solve(rhs), np.linalg.solve(full, rhs), atol=1e-11)
-
-
-def test_indefinite_band_raises_and_shifted_solver_falls_back(caplog):
+def test_indefinite_band_raises_in_factor_and_shifted_solver():
     # -(D 0.3 D) is semidefinite with the constants in its kernel, so a
-    # shift by -1 makes the band indefinite (and leaves it nonsingular)
+    # shift by -1 makes the band indefinite (and leaves it nonsingular):
+    # both factorizations raise with the pivot
     static = _periodic_static_part()
     with pytest.raises(FactorizationError) as err:
         linsolve.factor(static.shifted(-1.0))
     assert "not positive definite" in str(err.value) and err.value.pivot <= 0.0
     solver = linsolve.ShiftedSolver(static)
-    diag = np.full(64, -1.0)
-    with caplog.at_level(logging.WARNING, logger="dispersive_sw.linsolve"):
-        fact = solver.factor(diag)
-    assert isinstance(fact, linsolve.DenseFactorization)
-    assert solver.dense_fallbacks == 1
-    assert "BandCholesky failed" in caplog.text and "dense LU" in caplog.text
-    a = static.to_dense() + np.diag(diag)
-    rhs = np.linspace(-1.0, 1.0, 64)
-    expected = dense_inverse_solve(a, rhs)
-    np.testing.assert_allclose(fact.solve(rhs), expected,
-                               atol=1e-11 * np.max(np.abs(expected)))
+    with pytest.raises(FactorizationError) as err:
+        solver.factor(np.full(64, -1.0))
+    assert "not positive definite" in str(err.value) and err.value.pivot <= 0.0
+    # the packed static band is untouched: a positive diagonal still factors
+    assert isinstance(solver.factor(np.full(64, 2.0)), linsolve.BandCholesky)
 
 
 @pytest.mark.parametrize("n, w", [(1, 0), (2, 3), (9, 2), (40, 5)])  # w >= n: clipped
@@ -261,7 +230,7 @@ def test_bounded_band_cholesky_and_shifted_solver_match_dense_inverse(n, w):
     diag = rng.uniform(0.0, 1.0, size=n)
     solver = linsolve.ShiftedSolver(band)
     shifted = solver.factor(diag)
-    assert isinstance(shifted, linsolve.BandCholesky) and solver.dense_fallbacks == 0
+    assert isinstance(shifted, linsolve.BandCholesky)
     np.testing.assert_array_equal(shifted.solve(rhs),
                                   linsolve.factor(band.shifted(diag)).solve(rhs))
 

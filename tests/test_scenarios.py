@@ -153,6 +153,18 @@ def test_experimental_gauge_ingestion(tmp_path):
     assert header == ["gauge_id", "t", "eta"]
     assert rows == [("g1", 0.0, 0.8), ("g1", 0.5, 0.81)]
 
+    # the header is the first row that is not a comment, wherever it stands
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# note\ngauge_id,t,eta\ng1,0.0,0.01\n")
+    assert read_experimental_gauges(commented) == (
+        ["gauge_id", "t", "eta"], [("g1", 0.0, 0.01)]
+    )
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("# note\ngauge_id,t,eta\ngauge_id,t,eta\n")
+    with pytest.raises(IngestionError) as err:
+        read_experimental_gauges(repeated)
+    assert err.value.line_number == 3
+
     bad = tmp_path / "bad.csv"
     bad.write_text("g1,0.0,0.8\ng1,oops,0.81\n")
     with pytest.raises(IngestionError) as err:
@@ -180,12 +192,12 @@ def test_config_validation():
         config_from_mapping({"scenario": "soliton", "model": "kdv"})
     with pytest.raises(ConfigurationError):
         ScenarioConfig(scenario="soliton", dt=-0.1)
-    with pytest.raises(ConfigurationError):
-        ScenarioConfig(scenario="soliton", resolutions=[128, 64])
-    cfg = config_from_mapping(
-        {"scenario": "dingemans", "orders": [2, 4], "gauges": [1, 2.5]}
-    )
-    assert cfg.orders == [2, 4] and cfg.gauges == [1.0, 2.5]
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        ScenarioConfig(scenario="manufactured", resolutions=[128, 64])
+    cfg = config_from_mapping({"scenario": "manufactured", "orders": [2.0, 4]})
+    assert cfg.orders == [2, 4] and all(type(p) is int for p in cfg.orders)
+    cfg = config_from_mapping({"scenario": "dingemans", "gauges": [1, 2.5]})
+    assert cfg.gauges == [1.0, 2.5]
 
 
 def test_write_outputs_formats_17_digits(tmp_path):
