@@ -196,6 +196,52 @@ def test_failed_cholesky_exits_two_with_runtime_error(monkeypatch, capsys):
     assert "n_steps" not in captured.out
 
 
+@pytest.mark.parametrize("args", [
+    ["--scenario", "soliton", "--model", "bbm_bbm", "--variant", "periodic_central_wide",
+     "--n-nodes", "64", "--t-end", "0.1"],
+    ["--scenario", "reflecting_bump", "--model", "bbm_bbm", "--n-nodes", "64",
+     "--t-end", "0.01"],
+    ["--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
+     "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"],
+])
+def test_every_elliptic_solve_is_one_band_cholesky(args, monkeypatch, capsys):
+    # one factorization path: no solver-path lines, BandCholesky throughout,
+    # and the SK velocity system refactored once per right-hand side
+    discs, factored = [], []
+
+    def recording(build):
+        def wrapper(*a, **kw):
+            discs.append(build(*a, **kw))
+            return discs[-1]
+        return wrapper
+
+    monkeypatch.setattr(scenarios.bbm_bbm, "build_bbm_discretization",
+                        recording(scenarios.bbm_bbm.build_bbm_discretization))
+    monkeypatch.setattr(scenarios.sk, "build_sk_discretization",
+                        recording(scenarios.sk.build_sk_discretization))
+    shifted_factor = linsolve.ShiftedSolver.factor
+
+    def recording_factor(self, diagonal):
+        factored.append(shifted_factor(self, diagonal))
+        return factored[-1]
+
+    monkeypatch.setattr(linsolve.ShiftedSolver, "factor", recording_factor)
+    assert run_cli(["run", *args]) == 0
+    out = capsys.readouterr().out
+    for name in ("solver_mass", "solver_velocity", "dense_fallbacks"):
+        assert name not in out
+    printed = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    (disc,) = discs
+    if isinstance(disc, BbmBbmDiscretization):
+        assert isinstance(disc._solver_mass, linsolve.BandCholesky)
+        assert isinstance(disc._solver_vel, linsolve.BandCholesky)
+        assert factored == []
+    else:
+        assert isinstance(disc, SkDiscretization)
+        assert len(factored) == int(printed["n_rhs"]) > 0
+        assert all(isinstance(f, linsolve.BandCholesky) for f in factored)
+
+
 _IMPORT_PROBE = """
 import json, sys
 HEAVY = ("sympy", "scipy.optimize", "yaml")

@@ -222,6 +222,22 @@ def test_relaxation_fallback_warns_and_counts():
     assert res.gammas == [1.0]
 
 
+@pytest.mark.parametrize("root, found", [(1.005, True), (1.02, False)])
+def test_relaxation_searches_gamma_within_one_percent_of_one(root, found):
+    # J(y) = (y - c)^2 along the exact increment du = dt: r(gamma) =
+    # gamma dt (gamma dt - 2c) has its root at 2c/dt; the bracket is 1 +- 1e-2
+    def rhs(t, y):
+        return np.ones_like(y)
+
+    dt = 0.5
+    c = 0.5 * root * dt
+    functional = FunctionalFromCallable(lambda y: float((y[0] - c) ** 2))
+    cfg = IntegratorConfig(tableau=RK4, dt=dt, relaxation=True)
+    res = integrate(rhs, np.array([0.0]), (0.0, dt), cfg, functional=functional)
+    assert res.relaxation_fallbacks == (0 if found else 1)
+    assert res.gammas == [pytest.approx(root if found else 1.0, abs=1e-12)]
+
+
 def test_solve_gamma_reports_exhausted_iterations_as_not_converged():
     # a steep residual whose root 1.004 lies inside the bracket: three
     # false-position iterations do not reach it, the default budget does
