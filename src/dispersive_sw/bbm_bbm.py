@@ -204,21 +204,15 @@ class BbmEnergyFunctional:
         c1, c2, c3 = self.delta_coefficients(y, dy)
         return gamma * (c1 + gamma * (c2 + gamma * c3))
 
-    def rate(self, y, ydot):
-        """dE/dt along a given state derivative (gradient-based)."""
-        c1, _, _ = self.delta_coefficients(y, ydot)
-        return c1
-
 
 def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
-                             *, swap_upwind=False, source_terms=None):
+                             *, source_terms=None):
     """Assemble and factor one of the BBM-BBM semidiscretizations.
 
     The elliptic operators are time independent, so they are factored
     here, once each (once in all for ``periodic_const_narrow``, whose two
-    systems coincide).  ``swap_upwind`` exchanges the roles of the biased
-    operators in the upwind variants (both assignments conserve energy).
-    ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
+    systems coincide).  ``source_terms(t, x) -> (s_eta, s_v)`` adds
+    manufactured sources.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown BBM-BBM variant {variant!r}")
@@ -251,8 +245,6 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
     if variant.endswith("upwind"):
         operators.require("upwind")
         dp, dm = operators.upwind.d_plus, operators.upwind.d_minus
-        if swap_upwind:
-            dp, dm = dm, dp
         d_outer_mass, d_outer_vel = dm, dp
 
     vel_divisor = d_inner_mass = wall_flux_weight = None

@@ -78,6 +78,7 @@ class ScenarioConfig:
             ("reflecting", manufactured),
             ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
             ("orders", eoc), ("resolutions", eoc),
+            ("order", not eoc), ("n_nodes", not eoc),
             ("gauges", dingemans), ("gauge_interval", dingemans),
             ("experimental_data", dingemans),
         ) if not read and getattr(self, name) != _DEFAULTS[name]]

@@ -3,26 +3,28 @@
 Every operator is stored as its interior stencil (offset / coefficient
 pair); a bounded one adds its boundary closure rows.  No N x N matrix is
 formed (``to_dense`` makes one for tests).  Each operator plans its
-application once, when it is built: the centre coefficient, the
-(k, c_+k, c_-k) offset pairs in ascending |k|, and the halo width
-h = max |k|.  A periodic ``apply`` then pads u once with a wrap-around
-halo and sums paired slices,
+application once, when it is built: one term per offset pair +/-k, in
+ascending |k|.  ``apply`` pads u once to length N + 2h, h = max |k|, and
+sums the terms in difference form, with up_k = up[h+k : h+k+N]:
 
-    out = c_0 u + sum_k (c_+k up[h+k : h+k+N] + c_-k up[h-k : h-k+N]),
+    antisymmetric pair (c_-k = -c_k):  c_k (up_k - up_-k)
+    symmetric pair (c_-k = c_k):       c_k ((up_k - u) + (up_-k - u))
+    any other pair:                    c_k (up_k - u) + c_-k (up_-k - u)
 
-in O(N * width).  The pairing is part of the result, not an
-implementation detail: each pair is summed before it is added to the
-accumulator, so the two halves of an antisymmetric stencil cancel
-elementwise and constants map to exactly 0.0.  That is what keeps the
-lake at rest exactly at rest; a matrix-vector product that sums the
-same terms in another order leaves roundoff-sized velocities.
+(a lone offset keeps its one half of the last form), each term summed
+before it is added to the accumulator.  c_0 is never multiplied: it
+enters as minus the sum of the other coefficients, equal to the stored
+one up to roundoff.  So every stencil maps constants to exactly 0.0,
+which keeps the lake at rest exactly at rest for every variant; a
+matrix-vector product that sums the same entries in another order leaves
+roundoff-sized velocities.  Summing each pair first also keeps
+D- = -D+^T exact on the diagonal of the dense form.
 
-A bounded ``apply`` pads u with zeros and sums the same slices in
-difference form, c_k (up[h+k : h+k+N] - u), so that constants map to
-exactly 0.0 for any stencil, the non-antisymmetric ones of an upwind
-pair included; it then overwrites the first and last c rows, those the
-padding reaches, with its closure rows: dense c x w blocks, w = c + h,
-applied as sum_j L_ij (u_j - u_i).
+A periodic operator pads by the wrap-around gather.  A bounded one pads
+by repeating its end values and then overwrites its first and last c
+rows, the only ones the padding reaches (c >= h), with its closure rows:
+dense c x w blocks, w = c + h, applied as sum_j L_ij (u_j - u_i), so
+that constants map to exactly 0.0 there too.
 
 The bounded central operators are the classical diagonal-norm ones
 (Strand 1994): Q = M D1 repeats the interior stencil and replaces an
@@ -150,55 +152,37 @@ class DerivativeOperator:
         return self.grid.n_nodes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """D u, mapped along the last axis: a (m, N) stack gives m rows D u_i."""
-        u = np.asarray(u)
-        if self.closure is not None:
-            return self._apply_bounded(u)
-        plan = self._plan
-        n = plan.n
-        up = u[..., plan.wrap]
-        out = None if plan.centre is None else plan.centre * u
-        for start_plus, c_plus, start_minus, c_minus in plan.pairs:
-            if c_minus is None:
-                term = c_plus * up[..., start_plus : start_plus + n]
-            elif c_plus is None:
-                term = c_minus * up[..., start_minus : start_minus + n]
-            else:
-                term = c_plus * up[..., start_plus : start_plus + n]
-                term += c_minus * up[..., start_minus : start_minus + n]
+        """D u, mapped along the last axis: a (m, N) stack gives m rows D u_i.
+
+        Every product is elementwise, so row i of a stack has the bits of
+        ``apply(u[i])`` (a matrix product would sum a stack in another
+        order than a single row).  The result is float64 whatever the
+        dtype of u.
+        """
+        u = np.asarray(u, dtype=float)
+        up = u[..., self._plan.gather]
+        out = None
+        for form, c, first, c_second, second in self._plan.terms:
+            term = up[..., first] - (up[..., second] if form == "antisymmetric" else u)
+            if form == "symmetric":
+                term += up[..., second] - u
+            term *= c
+            if c_second is not None:
+                term += c_second * (up[..., second] - u)
             if out is None:
-                # the sum starts from zeros: 0.0 + x turns a -0.0 into 0.0
-                term += 0.0
                 out = term
             else:
                 out += term
-        return np.zeros_like(u, dtype=float) if out is None else out
-
-    def _apply_bounded(self, u):
-        """Difference form: sum_k c_k (u_(i+k) - u_i) over the padded slices,
-        then sum_j L_ij (u_j - u_i) in the closure rows.
-
-        c_0 and L_ii enter as minus the sum of the other entries of their
-        row, equal to the stored ones up to roundoff, so constants map to
-        exactly 0.0 in every row (as antisymmetric stencil pairs do in a
-        periodic apply).  The products are elementwise: a matrix product
-        would sum a stack in another order than a single row.
-        """
-        plan = self._plan
-        n, halo = plan.n, plan.halo
-        up = np.zeros(u.shape[:-1] + (n + 2 * halo,))
-        up[..., halo : halo + n] = u
-        out = np.zeros(u.shape)
-        for start_plus, c_plus, start_minus, c_minus in plan.pairs:
-            for start, c in ((start_plus, c_plus), (start_minus, c_minus)):
-                if c is not None:
-                    out += c * (up[..., start : start + n] - u)
-        left, right = self.closure
-        c, width = left.shape
-        out[..., :c] = ((u[..., None, :width] - u[..., :c, None]) * left).sum(axis=-1)
-        out[..., n - c :] = (
-            (u[..., None, n - width :] - u[..., n - c :, None]) * right
-        ).sum(axis=-1)
+        if out is None:
+            return np.zeros(u.shape)
+        if self.closure is not None:
+            n = self.n
+            left, right = self.closure
+            c, width = left.shape
+            out[..., :c] = ((u[..., None, :width] - u[..., :c, None]) * left).sum(axis=-1)
+            out[..., n - c :] = (
+                (u[..., None, n - width :] - u[..., n - c :, None]) * right
+            ).sum(axis=-1)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -237,26 +221,32 @@ class UpwindOperatorPair:
 class _StencilPlan:
     """What a stencil apply needs, derived once from the stencil.
 
-    ``centre`` is c_0 (None when zero); ``pairs`` holds, for each |k| > 0
-    in ascending order, the slice starts h+k and h-k into the padded
-    vector with their coefficients (None where that side is zero);
-    ``wrap`` gathers u (length ``n``) into the periodic padded vector of
-    length n + 2h, and is None for a bounded operator, whose halo of
-    width ``halo`` = h holds zeros.  Coefficients stay NumPy float64
-    scalars, so products keep the dtype promotion of the stencil arrays.
+    ``gather`` maps u (length n) to the padded vector of length n + 2h:
+    wrap-around for a periodic operator, end values repeated for a bounded
+    one.  ``terms`` holds, for each |k| > 0 in ascending order,
+    (form, c, first, c_second, second): the form of the pair (see the
+    module docstring), the slices at +k and -k into the padded vector and
+    their coefficients, c_second set only for a "pair" of two unrelated
+    ones.  A lone offset is a "pair" with its one side first.
     """
 
     def __init__(self, offsets, coefficients, n, periodic):
-        table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
-        distances = sorted({abs(k) for k in table if k != 0})
+        table = {int(k): c for k, c in zip(offsets, coefficients) if k != 0 and c != 0.0}
+        distances = sorted({abs(k) for k in table})
         halo = distances[-1] if distances else 0
-        self.n = n
-        self.halo = halo
-        self.centre = table.get(0)
-        self.pairs = tuple(
-            (halo + k, table.get(k), halo - k, table.get(-k)) for k in distances
-        )
-        self.wrap = np.arange(-halo, n + halo) % n if periodic else None
+        padded = np.arange(-halo, n + halo)
+        self.gather = padded % n if periodic else np.clip(padded, 0, n - 1)
+        self.terms = []
+        for k in distances:
+            (c, first), *other = [(table[j], slice(halo + j, halo + j + n))
+                                  for j in (k, -k) if j in table]
+            c_second, second = other[0] if other else (None, None)
+            if c_second == -c:
+                self.terms.append(("antisymmetric", c, first, None, second))
+            elif c_second == c:
+                self.terms.append(("symmetric", c, first, None, second))
+            else:
+                self.terms.append(("pair", c, first, c_second, second))
 
 
 def _trim_stencil(offsets, coefficients):
@@ -534,21 +524,24 @@ def build_bounded_central_d1(grid: Grid, order: int) -> DerivativeOperator:
 
 
 def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
-    """Bounded upwind pair D+/- = D1 -/+ M^-1 S with S = -c Delta^T Delta.
+    """Bounded upwind pair D+/- = D1 -/+ M^-1 S with S = -4^-p Delta^T Delta.
 
     Delta is the p-th undivided difference, so S is symmetric negative
     semidefinite and annihilates polynomials below degree p; the pair
-    satisfies M D+ + D-^T M = e_R e_R^T - e_L e_L^T exactly.  Delta^T Delta
-    is the stencil (-1)^k C(2p, p+k), |k| <= p, except in its first and
-    last p rows, so the pair has max(c, p) closure rows over max(c, p) + p
-    columns; the right ones mirror the left ones of the partner,
-    D+[N-1-i, N-1-j] = -D-[i, j].
+    satisfies M D+ + D-^T M = e_R e_R^T - e_L e_L^T exactly.  S carries
+    no 1/dx: like Q = M D1 it is O(1), so M^-1 S and D+/- scale like D1,
+    as the periodic biased stencils and the upwind SBP operators of
+    Mattsson (2017) do; with a 1/dx in S, D+/- would grow like 1/dx^2.
+    Delta^T Delta is the stencil (-1)^k C(2p, p+k), |k| <= p, except in
+    its first and last p rows, so the pair has max(c, p) closure rows
+    over max(c, p) + p columns; the right ones mirror the left ones of the
+    partner, D+[N-1-i, N-1-j] = -D-[i, j].
     """
     central = build_bounded_central_d1(grid, order)
     rows = max(central.closure[0].shape[0], order)
     width = rows + order
     _require_bounded(grid, width)
-    strength = 4.0 ** (-order) / grid.spacing
+    strength = 4.0 ** (-order)
     binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)], float)
     diff = np.zeros((rows, width))
     for i in range(rows):

@@ -540,8 +540,9 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
         ["model", "order", "n_nodes", "t_end", "l2_error_eta", "l2_error_v"],
         [(cfg.model, order, n, run.t, err_eta, err_v)],
     )
-    result.checks.append(CheckResult.at_most("lake_at_rest_eta", err_eta, 1e-12))
-    result.checks.append(CheckResult.at_most("lake_at_rest_v", err_v, 1e-12))
+    # every variant is exactly well balanced: each stencil maps constants to 0.0
+    result.checks.append(CheckResult.at_most("lake_at_rest_eta", err_eta, 0.0))
+    result.checks.append(CheckResult.at_most("lake_at_rest_v", err_v, 0.0))
     result.info.update(l2_error_eta=err_eta, l2_error_v=err_v)
     return result
 

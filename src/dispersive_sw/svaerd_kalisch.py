@@ -334,10 +334,6 @@ class SkModifiedEntropyFunctional:
         c1, c2, c3 = self.delta_coefficients(y, dy)
         return gamma * (c1 + gamma * (c2 + gamma * c3))
 
-    def rate(self, y, ydot):
-        c1, _, _ = self.delta_coefficients(y, ydot)
-        return c1
-
 
 def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
                             params, variant, *, split_form=True,

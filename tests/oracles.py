@@ -2,8 +2,8 @@
 
 These stay deliberately separate from the library code paths they check:
 dense matrix algebra, matrix exponentials, direct Fourier fits, the
-np.roll form of the circulant stencil apply, the exact derivation of the
-bounded closures and the dense bounded operators built from it, the
+np.roll form of the difference-form stencil apply, the exact derivation
+of the bounded closures and the dense bounded operators built from it, the
 central Svärd-Kalisch right-hand side in its term-by-term split form,
 the magnitude scales of the energy and entropy rates, and relaxation
 functionals given as plain J(y) callables.
@@ -85,23 +85,32 @@ def fitted_phase_speed(k, params, h0, gravity=GRAVITY, n_nodes=128, order=4):
 
 
 def roll_apply(u, offsets, coefficients):
-    """Apply a circulant stencil via rolls, pairing +/- offsets.
+    """Apply a circulant stencil via rolls, in difference form.
 
     This is the reference for ``DerivativeOperator.apply`` on periodic
-    operators: the same products, each offset pair summed before it is
-    added to an accumulator that starts from c_0 u or from zeros.
+    operators: for each |k| > 0 in ascending order one term,
+    c_k (u_(i+k) - u_(i-k)) when c_-k = -c_k,
+    c_k ((u_(i+k) - u_i) + (u_(i-k) - u_i)) when c_-k = c_k, and
+    c_k (u_(i+k) - u_i) + c_-k (u_(i-k) - u_i) otherwise (one half for a
+    lone offset); the sum starts from the first term.  c_0 is not used.
     """
     u = np.asarray(u)
-    table = {int(k): c for k, c in zip(offsets, coefficients) if c != 0.0}
-    out = table[0] * u if 0 in table else np.zeros_like(u, dtype=float)
-    for k in sorted({abs(k) for k in table if k != 0}):
-        if k in table and -k in table:
-            out = out + (table[k] * np.roll(u, -k) + table[-k] * np.roll(u, k))
+    table = {int(k): c for k, c in zip(offsets, coefficients) if k != 0 and c != 0.0}
+    out = None
+    for k in sorted({abs(k) for k in table}):
+        ahead, behind = np.roll(u, -k), np.roll(u, k)
+        if k in table and table.get(-k) == -table[k]:
+            term = table[k] * (ahead - behind)
+        elif k in table and table.get(-k) == table[k]:
+            term = table[k] * ((ahead - u) + (behind - u))
+        elif k in table and -k in table:
+            term = table[k] * (ahead - u) + table[-k] * (behind - u)
         elif k in table:
-            out = out + table[k] * np.roll(u, -k)
+            term = table[k] * (ahead - u)
         else:
-            out = out + table[-k] * np.roll(u, k)
-    return out
+            term = table[-k] * (behind - u)
+        out = term if out is None else out + term
+    return np.zeros(u.shape) if out is None else out
 
 
 def sk_central_split_rhs(disc, eta, v, t=0.0):
@@ -323,13 +332,14 @@ def dense_bounded_central_d1(grid, order):
 
 def dense_bounded_upwind(grid, order):
     """(D+, D-, M diagonal) of the bounded upwind pair as dense matrices:
-    D+/- = D1 -/+ M^-1 c Delta^T Delta, Delta the p-th undivided difference."""
+    D+/- = D1 -/+ M^-1 4^-p Delta^T Delta, Delta the p-th undivided
+    difference."""
     d1, mass = dense_bounded_central_d1(grid, order)
     n = grid.n_nodes
     diff = np.zeros((n - order, n))
     binom = np.array([(-1) ** j * comb(order, j) for j in range(order + 1)])
     for i in range(n - order):
         diff[i, i : i + order + 1] = binom
-    s = -(4.0 ** (-order) / grid.spacing) * (diff.T @ diff)
+    s = -(4.0 ** (-order)) * (diff.T @ diff)
     minv = 1.0 / mass
     return d1 + minv[:, None] * s, d1 - minv[:, None] * s, mass

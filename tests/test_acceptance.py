@@ -6,11 +6,18 @@ module-scoped fixtures.  Thresholds are fixed here, not configurable.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dispersive_sw import bbm_bbm, scenarios, svaerd_kalisch
 from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.config import ScenarioConfig
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.sbp import (
+    BOUNDED_ORDERS,
+    PERIODIC_CENTRAL_ORDERS,
+    UPWIND_ORDERS,
     build_bounded_central_d1,
     build_periodic_central_d1,
     build_periodic_d2,
@@ -151,6 +158,44 @@ def test_criterion_05_well_balancedness():
     _report("criterion-5 well-balancedness", ok, "(" + " ".join(details) + ")")
 
 
+@pytest.mark.parametrize(
+    "model, variant",
+    [("bbm_bbm", v) for v in bbm_bbm.VARIANTS]
+    + [("svaerd_kalisch", v) for v in svaerd_kalisch.VARIANTS],
+)
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_variant_is_exactly_at_rest(model, variant, data):
+    # v = 0 under a constant surface over random bathymetry: the right-hand
+    # side of every variant of both models, periodic and reflecting, is 0.0
+    if variant.startswith("reflecting"):
+        orders, bc = BOUNDED_ORDERS, "bounded"
+    else:
+        upwind = variant.endswith("upwind")
+        orders, bc = UPWIND_ORDERS if upwind else PERIODIC_CENTRAL_ORDERS, "periodic"
+    order = data.draw(st.sampled_from(orders))
+    n = data.draw(st.integers(24, 80))
+    grid = make_uniform_grid(-1.0, 1.0, n, bc)
+    ops = scenarios._operators(grid, variant, order)
+    if variant == "periodic_const_narrow":
+        depth = np.full(n, data.draw(st.floats(0.05, 3.0)))
+    else:
+        depth = data.draw(arrays(np.float64, n, elements=st.floats(0.05, 3.0)))
+    level = data.draw(st.floats(-2.0, 2.0))
+    if model == "bbm_bbm":
+        # the still level is 0 inside this model; any constant surface rests
+        disc = build_bbm_discretization(grid, ops, lambda x: -depth, G, variant)
+    else:
+        # reflecting boundaries take set5 only (no alpha or gamma terms)
+        params = data.draw(st.sampled_from(["set5"] if bc == "bounded"
+                                           else ["set2", "set3", "set5"]))
+        disc = build_sk_discretization(grid, ops, lambda x: level - depth, G, level,
+                                       params, variant)
+    y = np.concatenate([np.full(n, level), np.zeros(n)])
+    rhs = disc.rhs(0.0, y)
+    assert np.max(np.abs(rhs)) == 0.0, (model, variant, order, n)
+
+
 def test_criterion_06_manufactured_eoc():
     # per-model default spans: t = 1 (BBM-BBM), t = 0.5 (Svärd-Kalisch,
     # whose coarsest grids run dry at t = 1 under the steepening fields)
@@ -203,14 +248,14 @@ def test_criterion_07_sk_semidiscrete_invariants():
             for m in range(4)
         )
         y = np.concatenate([eta, v])
-        rate_c = func.rate(y, central.rhs(0.0, y))
+        rate_c = func.delta_coefficients(y, central.rhs(0.0, y))[0]
         scale_c = modified_entropy_rate_scale(central, y, central.rhs(0.0, y))
         ok &= abs(rate_c) / scale_c <= 1e-10
         worst_central = max(worst_central, abs(rate_c) / scale_c)
-        rate_u = func_up.rate(y, upwind.rhs(0.0, y))
+        rate_u = func_up.delta_coefficients(y, upwind.rhs(0.0, y))[0]
         scale_u = modified_entropy_rate_scale(upwind, y, upwind.rhs(0.0, y))
         ok &= rate_u / scale_u <= 1e-12
-        rate_n = abs(func.rate(y, naive.rhs(0.0, y)))
+        rate_n = abs(func.delta_coefficients(y, naive.rhs(0.0, y))[0])
         min_break = min(min_break, rate_n / max(abs(rate_c), 1e-300))
     ok &= min_break >= 1e3
     _report(

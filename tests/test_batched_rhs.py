@@ -34,14 +34,14 @@ def _operators(grid, order, upwind):
     return bounded_operators(grid, order, upwind=upwind)
 
 
-def _bbm(variant, swap, sourced):
+def _bbm(variant, sourced):
     bc = "periodic" if variant.startswith("periodic") else "bounded"
     grid = make_uniform_grid(-1.0, 1.0, N, bc)
     ops = _operators(grid, 4, variant.endswith("upwind"))
     source = bbm_manufactured(bc, G).source if sourced else None
     bathymetry = _flat if variant == "periodic_const_narrow" else _bathymetry
     return build_bbm_discretization(grid, ops, bathymetry, G, variant,
-                                    swap_upwind=swap, source_terms=source)
+                                    source_terms=source)
 
 
 def _sk(variant, params, split_form, sourced):
@@ -54,16 +54,14 @@ def _sk(variant, params, split_form, sourced):
 
 
 BBM_CASES = [
-    (variant, swap, sourced)
-    for variant, swap in [
-        ("periodic_central_wide", False),
-        ("periodic_central_narrow", False),
-        ("periodic_const_narrow", False),
-        ("periodic_upwind", False),
-        ("periodic_upwind", True),
-        ("reflecting_central", False),
-        ("reflecting_upwind", False),
-        ("reflecting_upwind", True),
+    (variant, sourced)
+    for variant in [
+        "periodic_central_wide",
+        "periodic_central_narrow",
+        "periodic_const_narrow",
+        "periodic_upwind",
+        "reflecting_central",
+        "reflecting_upwind",
     ]
     for sourced in (False, True)
 ]
@@ -111,10 +109,10 @@ def _rhs_bytes_batched_and_row_by_row(monkeypatch, disc):
     return batched.tobytes(), disc.rhs(0.3, y).tobytes()
 
 
-@pytest.mark.parametrize("variant, swap, sourced", BBM_CASES)
-def test_bbm_batched_rhs_equals_row_by_row(monkeypatch, variant, swap, sourced):
+@pytest.mark.parametrize("variant, sourced", BBM_CASES)
+def test_bbm_batched_rhs_equals_row_by_row(monkeypatch, variant, sourced):
     batched, looped = _rhs_bytes_batched_and_row_by_row(
-        monkeypatch, _bbm(variant, swap, sourced))
+        monkeypatch, _bbm(variant, sourced))
     assert batched == looped
 
 
@@ -146,12 +144,12 @@ def _apply_calls_per_rhs(monkeypatch, disc):
     # apart; layer 3 D- [y, v y]
     (lambda: _sk("periodic_upwind", "set2", True, False), 7),
     (lambda: _sk("reflecting_beta_only", "set5", True, False), 1),
-    (lambda: _bbm("periodic_const_narrow", False, False), 1),
+    (lambda: _bbm("periodic_const_narrow", False), 1),
     # reflecting: D1 [mass flux, velocity flux] | D1 of the solution | D1 of
     # the full mass flux (eta_t as a flux divergence, see bbm_bbm)
-    (lambda: _bbm("reflecting_central", False, False), 3),
-    (lambda: _bbm("periodic_upwind", False, False), 2),
-    (lambda: _bbm("reflecting_upwind", False, False), 4),
+    (lambda: _bbm("reflecting_central", False), 3),
+    (lambda: _bbm("periodic_upwind", False), 2),
+    (lambda: _bbm("reflecting_upwind", False), 4),
 ], ids=["sk_central", "sk_upwind", "sk_reflecting", "bbm_const_narrow",
         "bbm_reflecting_central", "bbm_upwind", "bbm_reflecting_upwind"])
 def test_one_apply_per_operator_and_layer(monkeypatch, disc, calls):

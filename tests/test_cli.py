@@ -54,6 +54,10 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
      "orders"),
     ("soliton", "bbm_bbm", ["--resolutions", "16,32", "--n-nodes", "32", "--t-end",
                             "0.01"], "resolutions"),
+    ("manufactured", "bbm_bbm", ["--n-nodes", "99", "--orders", "2", "--resolutions",
+                                 "16,32", "--t-end", "0.01"], "n_nodes"),
+    ("soliton", "bbm_bbm", ["--eoc", "--order", "6", "--orders", "2", "--resolutions",
+                            "16,32", "--t-end", "0.01"], "order"),
 ])
 def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, field,
                                                     capsys):
@@ -312,10 +316,13 @@ def test_every_scenario_builds_its_model_or_exits_one(scenario, model, monkeypat
     for module, name in ((scenarios.bbm_bbm, "build_bbm_discretization"),
                          (scenarios.sk, "build_sk_discretization")):
         monkeypatch.setattr(module, name, spying(getattr(module, name)))
-    argv = ["run", "--scenario", scenario, "--model", model, "--n-nodes", "32",
-            "--t-end", "0.01"]
-    if scenario == "manufactured":  # the only scenario here that reads them
+    argv = ["run", "--scenario", scenario, "--model", model, "--t-end", "0.01"]
+    # manufactured is the only scenario here that reads --orders and
+    # --resolutions, and the only one that does not read --n-nodes
+    if scenario == "manufactured":
         argv += ["--orders", "2", "--resolutions", "16,32"]
+    else:
+        argv += ["--n-nodes", "32"]
     try:
         code = run_cli(argv)
     except _Built:

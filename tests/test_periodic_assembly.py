@@ -47,26 +47,23 @@ def _assert_band_equals(band, dense, scale):
     assert np.max(np.abs(band.to_dense() - dense)) <= 1e-14 * scale
 
 
-# (variant, order, swap_upwind); n = 10 and 11 let the product stencils of
-# half-width 8 (order 8) and 4 (upwind order 4) wrap onto themselves
+# (variant, order); n = 10 and 11 let the product stencils of half-width 8
+# (order 8) and 4 (upwind order 4) wrap onto themselves
 BBM_CASES = [
-    ("periodic_central_wide", 8, False),
-    ("periodic_central_wide", 4, False),
-    ("periodic_central_narrow", 8, False),
-    ("periodic_const_narrow", 8, False),
-    ("periodic_upwind", 4, False),
-    ("periodic_upwind", 4, True),
-    ("periodic_upwind", 1, False),
+    ("periodic_central_wide", 8),
+    ("periodic_central_wide", 4),
+    ("periodic_central_narrow", 8),
+    ("periodic_const_narrow", 8),
+    ("periodic_upwind", 4),
+    ("periodic_upwind", 1),
 ]
 
 
-def _dense_bbm_products(ops, variant, swap, k):
+def _dense_bbm_products(ops, variant, k):
     """Dense L K R (mass) and S K (velocity) with their absolute-value
     scales, and the outer derivatives of the mass and velocity fluxes."""
     if variant == "periodic_upwind":
         dp, dm = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
-        if swap:
-            dp, dm = dm, dp
         a_mass, a_vel = (dm * k) @ dp, dp @ dm * k
         scale_mass, scale_vel = (np.abs(dm) * k) @ np.abs(dp), np.abs(dp) @ np.abs(dm) * k
         return a_mass, scale_mass, a_vel, scale_vel, dm, dp
@@ -84,16 +81,16 @@ def _dense_bbm_products(ops, variant, swap, k):
 
 
 @pytest.mark.parametrize("n", [10, 11, 64])
-@pytest.mark.parametrize("variant, order, swap", BBM_CASES)
-def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, swap, n):
+@pytest.mark.parametrize("variant, order", BBM_CASES)
+def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, n):
     captured = _capture(monkeypatch, "factor")
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
     ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
     bathymetry = (lambda x: np.full_like(x, -2.0)) if "const" in variant else _bathymetry
-    build_bbm_discretization(grid, ops, bathymetry, G, variant, swap_upwind=swap)
+    build_bbm_discretization(grid, ops, bathymetry, G, variant)
     k = bathymetry(grid.nodes) ** 2
     eye = np.eye(n)
-    a_mass, scale_mass, a_vel, scale_vel, _, _ = _dense_bbm_products(ops, variant, swap, k)
+    a_mass, scale_mass, a_vel, scale_vel, _, _ = _dense_bbm_products(ops, variant, k)
     band_mass, *rest = captured
     _assert_band_equals(band_mass, eye - a_mass / 6.0, 1.0 + np.max(scale_mass))
     if variant == "periodic_const_narrow":
@@ -128,15 +125,15 @@ def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
 
 @pytest.mark.parametrize("n", [10, 11, 64])
 @pytest.mark.parametrize(
-    "variant, order, swap", [case for case in BBM_CASES if "const" not in case[0]]
+    "variant, order", [case for case in BBM_CASES if "const" not in case[0]]
 )
-def test_bbm_solves_equal_dense_solves_of_unscaled_systems(variant, order, swap, n):
+def test_bbm_solves_equal_dense_solves_of_unscaled_systems(variant, order, n):
     # the rescaled velocity system must solve I - S K / 6, not diag(1/K) - S / 6
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
     ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
-    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant, swap_upwind=swap)
+    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
     depth = disc.still_depth
-    a_mass, _, a_vel, _, d_mass, d_vel = _dense_bbm_products(ops, variant, swap, depth**2)
+    a_mass, _, a_vel, _, d_mass, d_vel = _dense_bbm_products(ops, variant, depth**2)
     rng = np.random.default_rng(n)
     eta, v = 0.1 * rng.normal(size=n), rng.normal(size=n)
     deta, dv = disc.rhs_fields(eta, v)
@@ -172,7 +169,7 @@ def test_periodic_discretizations_hold_no_dense_array():
     # (the reflecting discretizations too)
     n = 4096
     grid = make_uniform_grid(-35.0, 35.0, n, "periodic")
-    for variant, order, _ in BBM_CASES:
+    for variant, order in BBM_CASES:
         ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
         bathymetry = (
             (lambda x: np.full_like(x, -2.0)) if "const" in variant
@@ -254,20 +251,16 @@ def test_shifted_solver_matches_dense_inverse(system):
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
-@pytest.mark.parametrize("variant, swap", [
-    ("reflecting_central", False), ("reflecting_upwind", False), ("reflecting_upwind", True),
-])
-def test_reflecting_bbm_rhs_equals_dense_wall_row_systems(variant, swap, order):
+@pytest.mark.parametrize("variant", ["reflecting_central", "reflecting_upwind"])
+def test_reflecting_bbm_rhs_equals_dense_wall_row_systems(variant, order):
     # I - D- P_D K D+ / 6 and I - D+ D- K / 6 with identity wall rows, built
     # densely; the M-scaled SPD forms must give the same solutions
     n = 97
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
     ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
-    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant, swap_upwind=swap)
+    disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
     if variant == "reflecting_upwind":
         dp, dm, _ = dense_bounded_upwind(grid, order)
-        if swap:
-            dp, dm = dm, dp
     else:
         dp = dm = dense_bounded_central_d1(grid, order)[0]
     k = disc.still_depth**2

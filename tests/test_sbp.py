@@ -220,6 +220,22 @@ def test_bounded_upwind_pair(order):
     assert np.max(eigs) <= 1e-10 * max(1.0, np.max(np.abs(s)))
 
 
+@pytest.mark.parametrize("order", BOUNDED_ORDERS)
+def test_bounded_upwind_dissipation_scales_like_d1(order):
+    # dx (D+ - D1) = M^-1 dx S: closure rows and stencil independent of N
+    blocks = []
+    for n in (64, 4096):
+        grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
+        pair = build_bounded_upwind(grid, order)
+        d1 = build_bounded_central_d1(grid, order)
+        width = pair.d_plus.closure[0].shape[1]
+        columns = np.eye(n)[: 3 * width]  # row j: e_j, so apply(e_j)[i] = D[i, j]
+        difference = pair.d_plus.apply(columns) - d1.apply(columns)
+        blocks.append(grid.spacing * difference[:, : 2 * width].T)
+    scale = np.max(np.abs(blocks[0]))
+    assert np.max(np.abs(blocks[1] - blocks[0])) <= 1e-12 * scale
+
+
 def test_lemma_one_vector_annihilation():
     # 1^T M D = 0 for every periodic operator
     ops = [build_periodic_central_d1(PGRID, p) for p in PERIODIC_CENTRAL_ORDERS]
@@ -305,17 +321,6 @@ def test_bounded_apply_matches_dense_oracle(order, n):
         assert np.max(np.abs(op.apply(u) - dense @ u)) <= 1e-14 * scale * np.max(np.abs(u))
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_bounded_apply_maps_constants_to_exact_zeros(data):
-    family, order = data.draw(st.sampled_from(BOUNDED_FAMILIES))
-    op = _bounded_operator(family, order, data.draw(st.sampled_from(BOUNDED_SIZES)))
-    value = data.draw(st.floats(-1e6, 1e6))
-    m = data.draw(st.integers(1, 3))
-    out = op.apply(np.full((m, op.n), value))
-    assert not np.any(out)
-
-
 def _periodic_operators_and_pairs(grid):
     ops = [build_periodic_central_d1(grid, p) for p in PERIODIC_CENTRAL_ORDERS]
     for flavor in ("narrow", "upwind_composite"):
@@ -383,9 +388,6 @@ PERIODIC_STENCILS = (
     + [("upwind_composite", p) for p in UPWIND_ORDERS]
     + [(side, p) for side in ("plus", "minus", "average") for p in UPWIND_ORDERS]
 )
-ANTISYMMETRIC_STENCILS = [
-    (family, p) for family, p in PERIODIC_STENCILS if family in ("central", "average")
-]
 
 
 def _periodic_operator(family, order, n):
@@ -423,29 +425,6 @@ def test_padded_slice_apply_matches_roll_oracle(data):
     assert np.array_equal(u, before)  # the input is not modified
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_antisymmetric_stencils_map_constants_to_zero(data):
-    family, order = data.draw(st.sampled_from(ANTISYMMETRIC_STENCILS))
-    n = data.draw(st.integers(3, 80))
-    op = _periodic_operator(family, order, n)
-    table = dict(zip(op.offsets.tolist(), op.coefficients))
-    assert all(table.get(-k, 0.0) == -c for k, c in table.items())
-    value = data.draw(st.floats(-1e6, 1e6))
-    out = op.apply(np.full(n, value))
-    assert out.tobytes() == np.zeros(n).tobytes()
-
-
-def test_apply_sums_into_zero_like_the_oracle():
-    # -0.0 + +0.0 pairs: the first pair sum is -0.0 wherever u[i+1] = -0.0 and
-    # u[i-1] = +0.0; a sum that starts from zeros turns it into +0.0
-    op = build_periodic_central_d1(PGRID, 2)
-    u = np.tile([0.0, 0.0, -0.0, -0.0], 16)
-    out = op.apply(u)
-    assert out.tobytes() == roll_apply(u, op.offsets, op.coefficients).tobytes()
-    assert not np.any(np.signbit(out))
-
-
 # every bounded operator: (family, order); sizes from the smallest that the
 # order-6 upwind pair accepts (twice its closure width of 12)
 BOUNDED_FAMILIES = [
@@ -461,6 +440,56 @@ def _bounded_operator(family, order, n):
         return build_bounded_central_d1(grid, order)
     pair = build_bounded_upwind(grid, order)
     return pair.d_plus if family == "plus" else pair.d_minus
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "bounded"])
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_operator_maps_constants_to_exact_zeros(boundary, data):
+    # c_0 is never multiplied: every term is a difference of u values, so a
+    # constant gives 0.0 (or -0.0) in every row, for every family; an
+    # antisymmetric stencil gives +0.0 bytes, its first term c_1 (u - u)
+    # with c_1 > 0
+    if boundary == "bounded":
+        family, order = data.draw(st.sampled_from(BOUNDED_FAMILIES))
+        op = _bounded_operator(family, order, data.draw(st.sampled_from(BOUNDED_SIZES)))
+    else:
+        family, order = data.draw(st.sampled_from(PERIODIC_STENCILS))
+        op = _periodic_operator(family, order, data.draw(st.integers(3, 80)))
+    if family in ("central", "average"):
+        table = dict(zip(op.offsets.tolist(), op.coefficients))
+        assert all(table.get(-k, 0.0) == -c for k, c in table.items())
+    value = data.draw(st.floats(-1e6, 1e6))
+    m = data.draw(st.integers(1, 3))
+    out = op.apply(np.full((m, op.n), value))
+    assert out.shape == (m, op.n)
+    if family in ("central", "average"):
+        assert out.tobytes() == np.zeros((m, op.n)).tobytes(), (family, order, op.n, value)
+    else:
+        assert not np.any(out), (family, order, op.n, value)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "bounded"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_apply_returns_float64_of_any_real_input(boundary, dtype, data):
+    # the input is converted to float64 first, so integer and float32
+    # vectors give the bits of their float64 copy
+    if boundary == "bounded":
+        family, order = data.draw(st.sampled_from(BOUNDED_FAMILIES))
+        op = _bounded_operator(family, order, data.draw(st.sampled_from(BOUNDED_SIZES)))
+    else:
+        family, order = data.draw(st.sampled_from(PERIODIC_STENCILS))
+        op = _periodic_operator(family, order, data.draw(st.integers(3, 80)))
+    if dtype is np.int64:
+        elements = st.integers(-1000, 1000)
+    else:
+        elements = st.floats(-1e3, 1e3, width=32)
+    u = data.draw(arrays(dtype, op.n, elements=elements))
+    out = op.apply(u)
+    assert out.dtype == np.float64
+    assert out.tobytes() == op.apply(u.astype(np.float64)).tobytes()
 
 
 @given(st.data())
