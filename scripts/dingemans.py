@@ -18,12 +18,12 @@ if __name__ == "__main__":
     for model in ("bbm_bbm", "svaerd_kalisch"):
         rc |= run_cli([
             "run", "--scenario", "dingemans", "--model", model,
-            "--gauges", GAUGES, "--relaxation",
+            "--gauges", GAUGES, "--relaxation", "--check",
             "--output-dir", f"results/dingemans/{model}",
         ] + extra)
     rc |= run_cli([
         "run", "--scenario", "dingemans", "--model", "svaerd_kalisch",
-        "--variant", "periodic_upwind", "--gauges", GAUGES,
+        "--variant", "periodic_upwind", "--gauges", GAUGES, "--check",
         "--output-dir", "results/dingemans/svaerd_kalisch_upwind",
     ] + extra)
     sys.exit(rc)

@@ -8,7 +8,7 @@ import sys
 
 from dispersive_sw.cli import run_cli
 
-BASE = ["run", "--scenario", "soliton", "--model", "bbm_bbm"]
+BASE = ["run", "--scenario", "soliton", "--model", "bbm_bbm", "--check"]
 
 if __name__ == "__main__":
     rc = run_cli(BASE + [

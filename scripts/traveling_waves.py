@@ -17,7 +17,7 @@ if __name__ == "__main__":
             sk_set = ["--parameter-set", "set2"] if model == "svaerd_kalisch" else []
             rc |= run_cli([
                 "run", "--scenario", "traveling_wave", "--model", model,
-                "--wavenumber", k, *sk_set,
+                "--wavenumber", k, *sk_set, "--check",
                 "--output-dir", f"results/traveling_wave/{model}_k{k}",
             ])
     sys.exit(rc)

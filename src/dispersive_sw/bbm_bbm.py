@@ -45,6 +45,7 @@ from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
 from .sbp import DerivativeOperator, SbpOperatorSet, bounded_band, periodic_band
+from .timestepping import CubicIncrementFunctional
 
 VARIANTS = (
     "periodic_central_wide",
@@ -175,7 +176,7 @@ class BbmBbmDiscretization:
         return BbmEnergyFunctional(self)
 
 
-class BbmEnergyFunctional:
+class BbmEnergyFunctional(CubicIncrementFunctional):
     """Total energy with a cancellation-free increment evaluation.
 
     E(y + gamma dy) - E(y) is an exact cubic in gamma because the energy
@@ -199,10 +200,6 @@ class BbmEnergyFunctional:
         c2 = float(w @ (0.5 * g * de * de + de * v * dv + 0.5 * tot * dv * dv))
         c3 = float(w @ (0.5 * de * dv * dv))
         return c1, c2, c3
-
-    def delta(self, y, dy, gamma):
-        c1, c2, c3 = self.delta_coefficients(y, dy)
-        return gamma * (c1 + gamma * (c2 + gamma * c3))
 
 
 def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,

@@ -1,8 +1,9 @@
 """Scenario configuration: dataclass, YAML loading, validation.
 
 Config files are YAML mappings using exactly the documented keys below;
-unknown keys are errors, not warnings.  Command-line flags override file
-values.
+unknown keys are errors, not warnings, and so is a key that the run does
+not read (``wavenumber`` outside a traveling-wave run, say), whatever its
+value.  Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -69,23 +70,6 @@ class ScenarioConfig:
         if self.gauge_interval <= 0:
             raise ConfigurationError("gauge_interval must be positive")
         self.gauges = [float(gx) for gx in self.gauges]
-        # a field that no run of this scenario and model reads is refused
-        scenario, dingemans = self.scenario, self.scenario == "dingemans"
-        manufactured = scenario == "manufactured"
-        eoc = manufactured or (scenario == "soliton" and self.eoc)
-        unread = [name for name, read in (
-            ("parameter_set", self.model == "svaerd_kalisch"),
-            ("reflecting", manufactured),
-            ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
-            ("orders", eoc), ("resolutions", eoc),
-            ("order", not eoc), ("n_nodes", not eoc),
-            ("gauges", dingemans), ("gauge_interval", dingemans),
-            ("experimental_data", dingemans),
-        ) if not read and getattr(self, name) != _DEFAULTS[name]]
-        if unread:
-            raise ConfigurationError(
-                f"{', '.join(unread)} not read by a {self.scenario} run of {self.model}"
-            )
         if self.orders is not None:
             self.orders = [int(p) for p in self.orders]
         if self.resolutions is not None:
@@ -95,11 +79,27 @@ class ScenarioConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_DEFAULTS = {**{f.name: f.default for f in dataclasses.fields(ScenarioConfig)},
-             "gauges": []}
+
+
+def _unread_fields(cfg: ScenarioConfig):
+    """Fields that no run of cfg's scenario and model reads."""
+    scenario, dingemans = cfg.scenario, cfg.scenario == "dingemans"
+    manufactured = scenario == "manufactured"
+    eoc = manufactured or (scenario == "soliton" and cfg.eoc)
+    return {name for name, read in (
+        ("parameter_set", cfg.model == "svaerd_kalisch"),
+        ("reflecting", manufactured),
+        ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
+        ("orders", eoc), ("resolutions", eoc),
+        ("order", not eoc), ("n_nodes", not eoc),
+        ("gauges", dingemans), ("gauge_interval", dingemans),
+        ("experimental_data", dingemans),
+    ) if not read}
 
 
 def config_from_mapping(mapping) -> ScenarioConfig:
+    """The config of a CLI or file mapping; a given key the run does not read
+    is refused, even when its value equals the default."""
     unknown = set(mapping) - _FIELD_NAMES
     if unknown:
         raise ConfigurationError(
@@ -107,7 +107,13 @@ def config_from_mapping(mapping) -> ScenarioConfig:
         )
     if "scenario" not in mapping:
         raise ConfigurationError("config must name a scenario")
-    return ScenarioConfig(**mapping)
+    cfg = ScenarioConfig(**mapping)
+    unread = sorted(_unread_fields(cfg).intersection(mapping))
+    if unread:
+        raise ConfigurationError(
+            f"{', '.join(unread)} not read by a {cfg.scenario} run of {cfg.model}"
+        )
+    return cfg
 
 
 def load_config_file(path) -> dict:

@@ -59,6 +59,7 @@ from . import linsolve
 from .errors import ConfigurationError, DomainError, NumericsError
 from .grid import Grid, split_flat
 from .sbp import SbpOperatorSet, bounded_band, periodic_band
+from .timestepping import CubicIncrementFunctional
 
 VARIANTS = ("periodic_central_split", "periodic_upwind", "reflecting_beta_only")
 
@@ -272,31 +273,35 @@ class SkDiscretization:
     # -- invariants ------------------------------------------------------------
 
     def invariants(self, y) -> dict:
-        eta, v = split_flat(np.asarray(y))
-        h = self.water_height(eta)
-        if h.min() <= 0.0:
-            raise DomainError("invariants need a positive water height")
+        h, v, entropy_density, modified_density = self._entropy_densities(y)
         w = self.operators.mass.diagonal
-        entropy_density = 0.5 * (h * v**2 + self.gravity * h**2) \
-            + self.gravity * h * self.bathymetry
-        dv = self._entropy_deriv(v)
         return {
             "mass": float(w @ h),
             "discharge": float(w @ (h * v)),
             "entropy": float(w @ entropy_density),
-            "modified_entropy": float(
-                w @ (entropy_density + 0.5 * self.beta_hat * dv**2)
-            ),
+            "modified_entropy": float(w @ modified_density),
         }
 
     def modified_entropy(self, y) -> float:
-        return self.invariants(y)["modified_entropy"]
+        return float(self.operators.mass.diagonal @ self._entropy_densities(y)[3])
+
+    def _entropy_densities(self, y):
+        """(h, v, entropy density, modified entropy density); DomainError
+        unless the water height is positive."""
+        eta, v = split_flat(np.asarray(y))
+        h = self.water_height(eta)
+        if h.min() <= 0.0:
+            raise DomainError("invariants need a positive water height")
+        g = self.gravity
+        entropy_density = 0.5 * (h * v**2 + g * h**2) + g * h * self.bathymetry
+        modified = entropy_density + 0.5 * self.beta_hat * self._entropy_deriv(v) ** 2
+        return h, v, entropy_density, modified
 
     def modified_entropy_functional(self):
         return SkModifiedEntropyFunctional(self)
 
 
-class SkModifiedEntropyFunctional:
+class SkModifiedEntropyFunctional(CubicIncrementFunctional):
     """Total modified entropy with exact cubic increments in gamma.
 
     In primitive variables the density (h v^2 + g h^2)/2 + g h b
@@ -317,8 +322,8 @@ class SkModifiedEntropyFunctional:
         h = d.water_height(eta)
         g = d.gravity
         w = d.operators.mass.diagonal
-        dvx = d._entropy_deriv(v)
-        ddvx = d._entropy_deriv(dv)
+        # one stacked apply; each row has the bits of a single apply
+        dvx, ddvx = d._entropy_deriv(np.array([v, dv]))
         c1 = float(
             w @ (0.5 * de * v**2 + h * v * dv + g * h * de
                  + g * de * d.bathymetry + d.beta_hat * dvx * ddvx)
@@ -329,10 +334,6 @@ class SkModifiedEntropyFunctional:
         )
         c3 = float(w @ (0.5 * de * dv**2))
         return c1, c2, c3
-
-    def delta(self, y, dy, gamma):
-        c1, c2, c3 = self.delta_coefficients(y, dy)
-        return gamma * (c1 + gamma * (c2 + gamma * c3))
 
 
 def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,

@@ -3,10 +3,14 @@
 Relaxation rescales the update increment, u_new = u + gamma * du with
 gamma near 1 chosen so that a designated nonlinear functional J is
 exactly conserved across the step; the step then
-advances time by gamma * dt.  Functionals provide a ``delta`` evaluation
-J(u + gamma du) - J(u) that avoids catastrophic cancellation; for the
-energy functionals of both models this difference is an exact cubic
-polynomial in gamma.
+advances time by gamma * dt.  For the energy functionals of both models
+the increment J(u + gamma du) - J(u) is an exact cubic polynomial in
+gamma, so a functional answers in two steps: ``delta_coefficients(u, du)``
+returns its coefficients (c1, c2, c3), assembled once per relaxed step
+from products of state and increment (no large-value cancellation), and
+``delta(coefficients, gamma)`` evaluates gamma (c1 + gamma (c2 + gamma c3))
+for each trial gamma of the root search.  ``value(u)`` is J(u) itself,
+read once per step to scale the root tolerance.
 """
 
 from __future__ import annotations
@@ -227,12 +231,25 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
     return best, True
 
 
+class CubicIncrementFunctional:
+    """Relaxation functional whose increment is an exact cubic in gamma.
+
+    Subclasses provide ``value(y)`` and ``delta_coefficients(y, dy)``;
+    ``delta`` evaluates the cubic at one gamma without touching the state.
+    """
+
+    def delta(self, coefficients, gamma):
+        c1, c2, c3 = coefficients
+        return gamma * (c1 + gamma * (c2 + gamma * c3))
+
+
 def _relax_increment(y, du, functional):
     """(gamma, fell_back): the conservative relaxation root, else gamma = 1."""
     tol = ROOT_TOLERANCE * max(1.0, abs(functional.value(y)))
+    coefficients = functional.delta_coefficients(y, du)
 
     def residual(gamma):
-        return functional.delta(y, du, gamma)
+        return functional.delta(coefficients, gamma)
 
     gamma, converged = _solve_gamma(residual, GAMMA_HALF_WIDTH, tol)
     if not converged:

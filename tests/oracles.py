@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.svaerd_kalisch import sk_parameter_set
+from dispersive_sw.timestepping import CubicIncrementFunctional
 
 GRAVITY = 9.81
 
@@ -185,9 +186,13 @@ def matrix_exponential_reference(a, y0, t):
     return sla.expm(t * a) @ y0
 
 
-class FunctionalFromCallable:
-    """A relaxation functional from a plain J(y) callable; ``delta`` is the
-    direct difference J(y + gamma dy) - J(y)."""
+class FunctionalFromCallable(CubicIncrementFunctional):
+    """A relaxation functional from a plain J(y) callable of degree <= 3.
+
+    The increment J(y + gamma dy) - J(y) of such a J is a cubic in gamma
+    without constant term, so its three coefficients follow exactly from
+    the direct differences at gamma = 1, -1 and 2.
+    """
 
     def __init__(self, func):
         self._func = func
@@ -195,8 +200,13 @@ class FunctionalFromCallable:
     def value(self, y):
         return float(self._func(y))
 
-    def delta(self, y, dy, gamma):
-        return self.value(y + gamma * dy) - self.value(y)
+    def delta_coefficients(self, y, dy):
+        base = self.value(y)
+        d_plus, d_minus, d_two = (self.value(y + g * dy) - base for g in (1.0, -1.0, 2.0))
+        c2 = 0.5 * (d_plus + d_minus)
+        c1_c3 = 0.5 * (d_plus - d_minus)  # c1 + c3
+        c3 = (0.5 * d_two - 2.0 * c2 - c1_c3) / 3.0  # (c1 + 4 c3) - (c1 + c3)
+        return c1_c3 - c3, c2, c3
 
 
 def dense_sbp_residuals(op, dense=None):

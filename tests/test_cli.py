@@ -58,6 +58,10 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
                                  "16,32", "--t-end", "0.01"], "n_nodes"),
     ("soliton", "bbm_bbm", ["--eoc", "--order", "6", "--orders", "2", "--resolutions",
                             "16,32", "--t-end", "0.01"], "order"),
+    # a given field is refused even when it holds the default value
+    ("manufactured", "bbm_bbm", ["--order", "4", "--orders", "2", "--resolutions",
+                                 "16,32", "--t-end", "0.01"], "order"),
+    ("lake_at_rest", "bbm_bbm", ["--wavenumber", "0.8"], "wavenumber"),
 ])
 def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, field,
                                                     capsys):
@@ -65,6 +69,14 @@ def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, fiel
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+
+
+def test_config_file_key_that_the_run_does_not_read_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nwavenumber: 0.8\n")
+    code = run_cli(["run", "--config", str(cfg)])
+    assert code == 1
+    assert "wavenumber not read" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

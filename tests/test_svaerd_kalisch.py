@@ -346,9 +346,10 @@ def test_modified_entropy_delta_matches_direct_difference():
     rng = np.random.default_rng(10)
     y = _positive_state(grid, 11)
     dy = 1e-3 * rng.normal(size=y.size)
+    coefficients = func.delta_coefficients(y, dy)
     for gamma in (0.4, 1.0, 1.5):
         direct = func.value(y + gamma * dy) - func.value(y)
-        assert func.delta(y, dy, gamma) == pytest.approx(direct, abs=1e-11)
+        assert func.delta(coefficients, gamma) == pytest.approx(direct, abs=1e-11)
 
 
 # -- dispersion ------------------------------------------------------------------

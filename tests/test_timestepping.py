@@ -1,10 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dispersive_sw import timestepping
+from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.errors import ConfigurationError, NumericsError
+from dispersive_sw.grid import make_uniform_grid
+from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.timestepping import (
     DOPRI5,
     RK4,
@@ -236,6 +242,64 @@ def test_relaxation_searches_gamma_within_one_percent_of_one(root, found):
     res = integrate(rhs, np.array([0.0]), (0.0, dt), cfg, functional=functional)
     assert res.relaxation_fallbacks == (0 if found else 1)
     assert res.gammas == [pytest.approx(root if found else 1.0, abs=1e-12)]
+
+
+class _CountingFunctional:
+    """Delegates to a relaxation functional and counts its calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+
+    def value(self, y):
+        return self._inner.value(y)
+
+    def delta_coefficients(self, y, dy):
+        self.calls["delta_coefficients"] += 1
+        return self._inner.delta_coefficients(y, dy)
+
+    def delta(self, coefficients, gamma):
+        self.calls["delta"] += 1
+        return self._inner.delta(coefficients, gamma)
+
+
+def _oscillator_problem():
+    functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
+    return (lambda t, y: np.array([y[1], -y[0]])), np.array([1.0, 0.0]), 3.0, functional
+
+
+def _bbm_problem():
+    grid = make_uniform_grid(-1.0, 1.0, 64, "periodic")
+    ops = periodic_operators(grid, 4)
+    disc = build_bbm_discretization(grid, ops, lambda x: -np.ones_like(x), 9.81,
+                                    "periodic_const_narrow")
+    x = grid.nodes
+    y0 = np.concatenate([0.1 * np.cos(np.pi * x), 0.2 * np.sin(np.pi * x)])
+    return disc.rhs, y0, 0.2, disc.energy_functional()
+
+
+@pytest.mark.parametrize("problem", [_oscillator_problem, _bbm_problem])
+def test_relaxation_builds_the_cubic_once_per_step(problem, monkeypatch):
+    # coefficients once per relaxed step; one cheap delta per residual the
+    # root search evaluates
+    residuals = []
+    solve_gamma = timestepping._solve_gamma
+
+    def counting_solve_gamma(residual, *args, **kwargs):
+        def counted(gamma):
+            residuals.append(gamma)
+            return residual(gamma)
+
+        return solve_gamma(counted, *args, **kwargs)
+
+    monkeypatch.setattr(timestepping, "_solve_gamma", counting_solve_gamma)
+    rhs, y0, t_end, inner = problem()
+    functional = _CountingFunctional(inner)
+    cfg = IntegratorConfig(tableau=DOPRI5, relaxation=True)
+    res = integrate(rhs, y0, (0.0, t_end), cfg, functional=functional)
+    assert res.relaxation_fallbacks == 0 and res.n_steps >= 5
+    assert functional.calls["delta_coefficients"] == len(res.gammas) == res.n_steps
+    assert functional.calls["delta"] == len(residuals) > res.n_steps
 
 
 def test_solve_gamma_reports_exhausted_iterations_as_not_converged():
