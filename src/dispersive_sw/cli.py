@@ -3,14 +3,18 @@
     dispersive-sw run --scenario soliton --model bbm_bbm --order 4 ...
     dispersive-sw run --config config.yaml --check
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure
-(a failed factorization included), 3 threshold failure in --check mode.
+Exit codes: 0 success, 1 configuration error (a config file that cannot
+be read or an output directory that cannot be written included), 2
+runtime/solver failure (a failed factorization included), 3 threshold
+failure in --check mode.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).
 
 Optional heavy dependencies (sympy, scipy.optimize, yaml) are imported
-inside the functions that need them, never at module level.
+inside the functions that need them, never at module level, and
+scipy.linalg is not imported at all: ``linsolve`` loads only its LAPACK
+extension.
 """
 
 from __future__ import annotations

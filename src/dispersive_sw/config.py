@@ -123,7 +123,11 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"could not read config file {path}: {exc}") from exc
+    try:
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if data is None:

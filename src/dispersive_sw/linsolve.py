@@ -15,14 +15,48 @@ precision raises ``FactorizationError``.  For A = diag(h) + D^T beta D
 with h > 0 and beta >= 0, every Cholesky pivot satisfies u_ii^2 >=
 lambda_min(A) >= min h, so the pivot check (n eps max|A|) fails only on
 a state that is dry to working precision.
+
+LAPACK comes from scipy's compiled extension ``scipy.linalg._flapack``,
+loaded from its file under its own name and registered in
+``sys.modules``.  Importing ``scipy.linalg`` would run that package's
+``__init__``, which pulls in array-API, f2py and testing modules that
+no run uses and makes up most of the cold import of the CLI.  There is
+one module either way: a later ``import scipy.linalg`` reuses the
+registered one, and one registered before is reused here, so
+``scipy.linalg.lapack`` hands out the very same functions.  A scipy
+without the file raises ``ImportError``; there is no second path.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import DimensionError, FactorizationError
+
+
+def _load_flapack():
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    found = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [str(Path(scipy.__path__[0], "linalg"))]
+    )
+    if found is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+lapack = _load_flapack()
 
 
 class Fold:
@@ -73,14 +107,6 @@ class Band:
             ab[b - k, k:] = self.diagonals[k, : n - k]
         return ab, None
 
-    def to_dense(self) -> np.ndarray:
-        """Both halves as an N x N matrix, for tests."""
-        a = np.zeros((self.n, self.n))
-        for k in range(min(self.w, self.n - 1) + 1):
-            rows = np.arange(self.n - k)
-            a[rows, rows + k] = a[rows + k, rows] = self.diagonals[k, : self.n - k]
-        return a
-
 
 class PeriodicBand(Band):
     """Symmetric periodic band: A[i, (i + k) % n] = A[(i + k) % n, i] =
@@ -106,15 +132,6 @@ class PeriodicBand(Band):
         flat = (b - np.abs(rows - cols)) * n + np.maximum(rows, cols)
         ab = np.bincount(flat.ravel(), values.ravel(), (b + 1) * n)
         return np.asfortranarray(ab.reshape(b + 1, n)), fold
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        rows = np.arange(self.n)
-        for k, (cols, diagonal) in enumerate(zip(self._columns(), self.diagonals)):
-            a[rows, cols] += diagonal
-            if k:
-                a[cols, rows] += diagonal
-        return a
 
 
 def _check_length(n, rhs):

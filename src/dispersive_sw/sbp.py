@@ -2,10 +2,10 @@
 
 Every operator is stored as its interior stencil (offset / coefficient
 pair); a bounded one adds its boundary closure rows.  No N x N matrix is
-formed (``to_dense`` makes one for tests).  Each operator plans its
-application once, when it is built: one term per offset pair +/-k, in
-ascending |k|.  ``apply`` pads u once to length N + 2h, h = max |k|, and
-sums the terms in difference form, with up_k = up[h+k : h+k+N]:
+formed.  Each operator plans its application once, when it is built:
+one term per offset pair +/-k, in ascending |k|.  ``apply`` pads u once
+to length N + 2h, h = max |k|, and sums the terms in difference form,
+with up_k = up[h+k : h+k+N]:
 
     antisymmetric pair (c_-k = -c_k):  c_k (up_k - up_-k)
     symmetric pair (c_-k = c_k):       c_k ((up_k - u) + (up_-k - u))
@@ -184,10 +184,6 @@ class DerivativeOperator:
                 (u[..., None, n - width :] - u[..., n - c :, None]) * right
             ).sum(axis=-1)
         return out
-
-    def to_dense(self) -> np.ndarray:
-        """The operator as an N x N matrix, for tests and reference checks."""
-        return np.ascontiguousarray(self.apply(np.eye(self.n)).T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,16 +88,19 @@ def _fmt(value) -> str:
 
 def write_outputs(result: ScenarioResult, output_dir) -> list:
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, (header, rows) in result.tables.items():
-        path = out / f"{name}.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        written.append(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in result.tables.items():
+            path = out / f"{name}.csv"
+            with open(path, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_fmt(v) for v in row])
+            written.append(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write outputs to {out}: {exc}") from exc
     return written
 
 

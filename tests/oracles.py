@@ -1,8 +1,9 @@
 """Independent reference computations used by several test modules.
 
 These stay deliberately separate from the library code paths they check:
-dense matrix algebra, matrix exponentials, direct Fourier fits, the
-np.roll form of the difference-form stencil apply, the exact derivation
+dense matrix algebra, the dense views of operators and bands, matrix
+exponentials, direct Fourier fits, the np.roll form of the
+difference-form stencil apply, the exact derivation
 of the bounded closures and the dense bounded operators built from it, the
 central Svärd-Kalisch right-hand side in its term-by-term split form,
 the magnitude scales of the energy and entropy rates, and relaxation
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from dispersive_sw.grid import make_uniform_grid, split_flat
+from dispersive_sw.linsolve import PeriodicBand
 from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.svaerd_kalisch import sk_parameter_set
 from dispersive_sw.timestepping import CubicIncrementFunctional
@@ -35,8 +37,8 @@ def linearized_sk_matrix(k, params, h0, gravity=GRAVITY, n_nodes=128, order=4):
     length = 2 * np.pi / k
     grid = make_uniform_grid(0.0, length, n_nodes, "periodic")
     ops = periodic_operators(grid, order)
-    d1 = ops.d1.to_dense()
-    d2 = ops.d2.to_dense()
+    d1 = dense_operator(ops.d1)
+    d2 = dense_operator(ops.d2)
     root_gh = np.sqrt(gravity * h0)
     alpha = params.alpha_tilde * root_gh * h0**2
     beta = params.beta_tilde * h0**3
@@ -128,8 +130,8 @@ def sk_central_split_rhs(disc, eta, v, t=0.0):
     the split form), plus the manufactured sources.  Returns eta_t, that
     velocity right-hand side and the largest magnitude among its terms.
     """
-    d1 = disc.operators.d1.to_dense()
-    d2 = disc.operators.d2.to_dense()
+    d1 = dense_operator(disc.operators.d1)
+    d2 = dense_operator(disc.operators.d2)
     h = disc.water_height(eta)
     hv = h * v
     y = disc.alpha_hat * (d1 @ (disc.alpha_hat * (d1 @ eta)))
@@ -177,6 +179,27 @@ def modified_entropy_rate_scale(disc, y, ydot):
     )
 
 
+def dense_operator(op):
+    """A ``DerivativeOperator`` as a C-contiguous N x N matrix: the
+    operator applied to every unit vector."""
+    return np.ascontiguousarray(op.apply(np.eye(op.n)).T)
+
+
+def dense_band(band):
+    """Both halves of a ``Band`` as an N x N matrix; a ``PeriodicBand``
+    wraps its offsets mod N, and entries that meet add up."""
+    n = band.n
+    periodic = isinstance(band, PeriodicBand)
+    a = np.zeros((n, n))
+    for k, diagonal in enumerate(band.diagonals):
+        rows = np.arange(n if periodic else max(n - k, 0))
+        cols = (rows + k) % n
+        a[rows, cols] += diagonal[rows]
+        if k:
+            a[cols, rows] += diagonal[rows]
+    return a
+
+
 def dense_inverse_solve(a, rhs):
     """Reference solve through an explicitly formed inverse."""
     return np.linalg.inv(a) @ rhs
@@ -214,7 +237,7 @@ def dense_sbp_residuals(op, dense=None):
 
     Forms np.diag(M) @ D and D^T @ M explicitly, as the identity check did
     before it moved to the stencil and corner blocks, from ``dense``
-    (D, or (D+, D-) for an upwind pair) or else from ``to_dense()``.
+    (D, or (D+, D-) for an upwind pair) or else from ``dense_operator``.
     """
     from dispersive_sw.sbp import UpwindOperatorPair
 
@@ -229,13 +252,13 @@ def dense_sbp_residuals(op, dense=None):
         return res
 
     if isinstance(op, UpwindOperatorPair):
-        dp, dm = dense or (op.d_plus.to_dense(), op.d_minus.to_dense())
+        dp, dm = dense or (dense_operator(op.d_plus), dense_operator(op.d_minus))
         return {
             "adjoint": float(np.max(np.abs(boundary_corrected(m @ dp + dm.T @ m)))),
             "consistency_plus": float(np.max(np.abs(dp @ ones))),
             "consistency_minus": float(np.max(np.abs(dm @ ones))),
         }
-    d = op.to_dense() if dense is None else dense
+    d = dense_operator(op) if dense is None else dense
     residuals = {}
     if op.kind == "periodic_central_d1":
         residuals["periodic_sbp"] = float(np.max(np.abs(m @ d + d.T @ m)))

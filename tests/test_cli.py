@@ -32,6 +32,30 @@ def test_missing_config_file_exits_one(capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_config_directory_exits_one(tmp_path, capsys):
+    code = run_cli(["run", "--config", str(tmp_path)])
+    assert code == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"scenario: lake_at_rest\nmodel: \xff\xfe\n")
+    code = run_cli(["run", "--config", str(cfg)])
+    assert code == 1
+    assert "c.yaml" in capsys.readouterr().err
+
+
+def test_output_dir_on_a_file_exits_one(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    code = run_cli(["run", "--scenario", "lake_at_rest", "--model", "bbm_bbm",
+                    "--n-nodes", "40", "--t-end", "0.01", "--output-dir", str(target)])
+    assert code == 1
+    assert str(target) in capsys.readouterr().err
+    assert target.read_text() == "not a directory\n"
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nwarp: 9\n")
@@ -260,7 +284,7 @@ def test_every_elliptic_solve_is_one_band_cholesky(args, monkeypatch, capsys):
 
 _IMPORT_PROBE = """
 import json, sys
-HEAVY = ("sympy", "scipy.optimize", "yaml")
+HEAVY = ("scipy.linalg", "scipy.optimize", "sympy", "yaml")
 loaded = lambda: sorted(m for m in HEAVY if m in sys.modules)
 steps = {}
 from dispersive_sw.cli import run_cli
@@ -271,6 +295,9 @@ steps["lake_at_rest"] = loaded()
 from dispersive_sw.scenarios import dingemans_wavenumber
 steps["wavenumber"] = repr(dingemans_wavenumber())
 steps["dingemans_wavenumber"] = loaded()
+import scipy.linalg
+from dispersive_sw import linsolve
+assert scipy.linalg.lapack.dpbtrf is linsolve.lapack.dpbtrf  # one extension module
 assert run_cli(["run", "--config", sys.argv[1]]) == 0
 steps["config"] = loaded()
 assert run_cli(["run", "--scenario", "reflecting_bump", "--model", "bbm_bbm",
@@ -284,7 +311,7 @@ print(json.dumps(steps))
 
 
 def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
-    # a fresh interpreter: this pytest session has long imported all three
+    # a fresh interpreter: this pytest session has long imported all four
     cfg = tmp_path / "c.yaml"
     cfg.write_text(
         "scenario: lake_at_rest\nmodel: bbm_bbm\nn_nodes: 40\nt_end: 1.0\n"
@@ -301,11 +328,13 @@ def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert steps["import"] == []
     assert steps["lake_at_rest"] == []
-    assert steps["dingemans_wavenumber"] == ["scipy.optimize"]
+    # scipy.optimize imports scipy.linalg
+    assert steps["dingemans_wavenumber"] == ["scipy.linalg", "scipy.optimize"]
     assert steps["wavenumber"] == "0.8406220896381472"
-    assert steps["config"] == ["scipy.optimize", "yaml"]
-    assert steps["reflecting_bump"] == ["scipy.optimize", "yaml"]  # tabulated closures
-    assert steps["manufactured"] == ["scipy.optimize", "sympy", "yaml"]
+    assert steps["config"] == ["scipy.linalg", "scipy.optimize", "yaml"]
+    # tabulated closures
+    assert steps["reflecting_bump"] == ["scipy.linalg", "scipy.optimize", "yaml"]
+    assert steps["manufactured"] == ["scipy.linalg", "scipy.optimize", "sympy", "yaml"]
 
 
 class _Built(Exception):

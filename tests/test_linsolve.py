@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dispersive_sw
 from dispersive_sw import linsolve
 from dispersive_sw.errors import DimensionError, FactorizationError
 from dispersive_sw.grid import make_uniform_grid
@@ -12,13 +18,13 @@ from dispersive_sw.sbp import (
     periodic_band,
 )
 
-from .oracles import dense_inverse_solve
+from .oracles import dense_band, dense_inverse_solve, dense_operator
 
 
 def _spd_band(n, w, rng, margin=1.0):
     """A random SPD (bounded) band: symmetric, shifted past its lowest eigenvalue."""
     band = linsolve.Band(rng.normal(size=(w + 1, n)))
-    return band.shifted(margin - np.linalg.eigvalsh(band.to_dense())[0])
+    return band.shifted(margin - np.linalg.eigvalsh(dense_band(band))[0])
 
 
 def test_identity_solve_returns_rhs():
@@ -35,7 +41,7 @@ def test_zero_rhs_gives_zero():
 def test_consistency_rhs_a_times_one():
     band = _spd_band(12, 4, np.random.default_rng(1))
     f = linsolve.factor(band)
-    np.testing.assert_allclose(f.solve(band.to_dense() @ np.ones(12)), np.ones(12),
+    np.testing.assert_allclose(f.solve(dense_band(band) @ np.ones(12)), np.ones(12),
                                atol=1e-11)
 
 
@@ -44,8 +50,8 @@ def test_bbm_elliptic_matrix_against_dense_inverse():
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
     d2 = build_periodic_d2(grid, 2, "narrow")
     band = periodic_band(d2, inner=np.full(32, -(2.0**2) / 6.0)).shifted(1.0)
-    a = np.eye(32) - (2.0**2 / 6.0) * d2.to_dense()
-    np.testing.assert_allclose(band.to_dense(), a, atol=1e-12)
+    a = np.eye(32) - (2.0**2 / 6.0) * dense_operator(d2)
+    np.testing.assert_allclose(dense_band(band), a, atol=1e-12)
     rng = np.random.default_rng(2)
     rhs = rng.normal(size=32)
     f = linsolve.factor(band)
@@ -94,9 +100,9 @@ def test_banded_path_used_for_bounded_operators():
     m = op.mass.diagonal
     k = 1.0 + 0.1 * np.sin(grid.nodes)
     band = bounded_band(op, m).shifted(m / k, 6.0).interior()
-    d1 = op.to_dense()
+    d1 = dense_operator(op)
     a = (np.diag(m / k) + d1.T @ (m[:, None] * d1) / 6.0)[1:-1, 1:-1]
-    np.testing.assert_allclose(band.to_dense(), a, rtol=0, atol=1e-13 * np.max(np.abs(a)))
+    np.testing.assert_allclose(dense_band(band), a, rtol=0, atol=1e-13 * np.max(np.abs(a)))
     f = linsolve.factor(band)
     assert isinstance(f, linsolve.BandCholesky)
     assert f.half_width == band.w
@@ -111,9 +117,9 @@ def test_periodic_band_shifted_matches_dense(n):
     band = linsolve.PeriodicBand(rng.normal(size=(5, n)))
     shift = rng.normal(size=n)
     # aliased entries add up in another order, hence the roundoff tolerance
-    np.testing.assert_allclose(band.shifted(shift, -6.0).to_dense(),
-                               np.diag(shift) + band.to_dense() / -6.0, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(band.shifted(1.0).to_dense(), np.eye(n) + band.to_dense(),
+    np.testing.assert_allclose(dense_band(band.shifted(shift, -6.0)),
+                               np.diag(shift) + dense_band(band) / -6.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dense_band(band.shifted(1.0)), np.eye(n) + dense_band(band),
                                rtol=0, atol=1e-14)
 
 
@@ -128,7 +134,7 @@ def test_periodic_banded_path_matches_dense():
     assert f.half_width == 2 * band.w
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=96)
-    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(band.to_dense(), rhs),
+    np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(dense_band(band), rhs),
                                atol=1e-11)
 
 
@@ -136,7 +142,7 @@ def test_shifted_solver_modes_and_agreement():
     rng = np.random.default_rng(6)
     band = _periodic_static_part()
     solver = linsolve.ShiftedSolver(band)
-    static = band.to_dense()
+    static = dense_band(band)
     diag = 1.0 + rng.uniform(0.0, 1.0, size=64)
     full = static.copy()
     np.fill_diagonal(full, np.diagonal(full) + diag)
@@ -159,7 +165,7 @@ def test_mass_weighted_elliptic_matrices_are_spd():
     # BBM mass-equation operator: M (I - D1 K D1 / 6) symmetric positive definite
     grid = make_uniform_grid(-1.0, 1.0, 48, "periodic")
     op = build_periodic_central_d1(grid, 4)
-    d1 = op.to_dense()
+    d1 = dense_operator(op)
     kdiag = (1.0 + 0.3 * np.cos(np.pi * grid.nodes)) ** 2
     a = np.eye(48) - (d1 * kdiag) @ d1 / 6.0
     ma = np.diag(op.mass.diagonal) @ a
@@ -216,7 +222,7 @@ def test_indefinite_band_raises_in_factor_and_shifted_solver():
 def test_bounded_band_cholesky_and_shifted_solver_match_dense_inverse(n, w):
     rng = np.random.default_rng(10 * n + w)
     band = _spd_band(n, w, rng, margin=0.5)
-    a = band.to_dense()
+    a = dense_band(band)
     assert np.array_equal(a, a.T)
     rhs = rng.normal(size=n)
     expected = dense_inverse_solve(a, rhs)
@@ -237,4 +243,22 @@ def test_bounded_band_cholesky_and_shifted_solver_match_dense_inverse(n, w):
 
 def test_band_interior_drops_first_and_last_row_and_column():
     band = linsolve.Band(np.random.default_rng(11).normal(size=(3, 7)))
-    np.testing.assert_array_equal(band.interior().to_dense(), band.to_dense()[1:-1, 1:-1])
+    np.testing.assert_array_equal(dense_band(band.interior()), dense_band(band)[1:-1, 1:-1])
+
+
+def test_scipy_without_the_lapack_extension_is_an_import_error(tmp_path):
+    # a stub scipy package whose linalg directory holds no _flapack extension
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0.stub"\n')
+    (linalg / "__init__.py").write_text("")
+    src = str(Path(dispersive_sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dispersive_sw.linsolve"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError")
+    assert "scipy.linalg._flapack" in last and "0.0.stub" in last

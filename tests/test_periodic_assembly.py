@@ -3,7 +3,7 @@
 The models assemble their systems as upper offset diagonals from the
 operator stencils (and, with reflecting walls, closure rows).  These
 tests check the periodic bands against the dense products of
-``to_dense()`` matrices, the folded Cholesky and the shifted solver
+dense operator matrices, the folded Cholesky and the shifted solver
 against a dense inverse, the BBM-BBM solves against dense solves of the
 unscaled systems, the reflecting right-hand sides against dense solves
 of the wall-row systems, and that no discretization holds an array of
@@ -21,7 +21,13 @@ from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.sbp import bounded_operators, periodic_operators
 from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
-from .oracles import dense_bounded_central_d1, dense_bounded_upwind, dense_inverse_solve
+from .oracles import (
+    dense_band,
+    dense_bounded_central_d1,
+    dense_bounded_upwind,
+    dense_inverse_solve,
+    dense_operator,
+)
 
 G = 9.81
 
@@ -44,7 +50,7 @@ def _capture(monkeypatch, name):
 
 def _assert_band_equals(band, dense, scale):
     assert isinstance(band, linsolve.PeriodicBand)
-    assert np.max(np.abs(band.to_dense() - dense)) <= 1e-14 * scale
+    assert np.max(np.abs(dense_band(band) - dense)) <= 1e-14 * scale
 
 
 # (variant, order); n = 10 and 11 let the product stencils of half-width 8
@@ -63,17 +69,17 @@ def _dense_bbm_products(ops, variant, k):
     """Dense L K R (mass) and S K (velocity) with their absolute-value
     scales, and the outer derivatives of the mass and velocity fluxes."""
     if variant == "periodic_upwind":
-        dp, dm = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
+        dp, dm = dense_operator(ops.upwind.d_plus), dense_operator(ops.upwind.d_minus)
         a_mass, a_vel = (dm * k) @ dp, dp @ dm * k
         scale_mass, scale_vel = (np.abs(dm) * k) @ np.abs(dp), np.abs(dp) @ np.abs(dm) * k
         return a_mass, scale_mass, a_vel, scale_vel, dm, dp
-    d1 = ops.d1.to_dense()
+    d1 = dense_operator(ops.d1)
     a_mass = (d1 * k) @ d1
     scale_mass = (np.abs(d1) * k) @ np.abs(d1)
     if variant == "periodic_central_wide":
         a_vel, scale_vel = d1 @ d1 * k, np.abs(d1) @ np.abs(d1) * k
     else:
-        d2 = ops.d2.to_dense()
+        d2 = dense_operator(ops.d2)
         a_vel, scale_vel = d2 * k, np.abs(d2) * k
         if variant == "periodic_const_narrow":
             a_mass, scale_mass = a_vel, scale_vel
@@ -115,9 +121,9 @@ def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
     disc = build_sk_discretization(grid, ops, _bathymetry, G, 0.0, "set2", variant)
     beta = disc.beta_hat
     if variant == "periodic_upwind":
-        left, right = ops.upwind.d_plus.to_dense(), ops.upwind.d_minus.to_dense()
+        left, right = dense_operator(ops.upwind.d_plus), dense_operator(ops.upwind.d_minus)
     else:
-        left = right = ops.d1.to_dense()
+        left = right = dense_operator(ops.d1)
     (band,) = captured
     scale = np.max((np.abs(left) * beta) @ np.abs(right))
     _assert_band_equals(band, -(left * beta) @ right, scale)
@@ -208,7 +214,7 @@ def periodic_systems(draw):
 
 def _random_symmetric_band(w, n, rng):
     band = linsolve.PeriodicBand(rng.normal(size=(w + 1, n)))
-    return band, np.linalg.eigvalsh(band.to_dense())[0]
+    return band, np.linalg.eigvalsh(dense_band(band))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +224,7 @@ def test_folded_cholesky_matches_dense_inverse(system):
     band, lowest = _random_symmetric_band(w, n, rng)
     # shifted just past its lowest eigenvalue: SPD, at times barely
     band = band.shifted(rng.uniform(0.05, 2.0) - lowest)
-    a = band.to_dense()
+    a = dense_band(band)
     assume(np.linalg.cond(a) < 1e6)
     fact = linsolve.factor(band)
     assert isinstance(fact, linsolve.BandCholesky)
@@ -235,7 +241,7 @@ def test_shifted_solver_matches_dense_inverse(system):
     w, n, rng = system
     static, lowest = _random_symmetric_band(w, n, rng)
     solver = linsolve.ShiftedSolver(static)
-    dense_static = static.to_dense()
+    dense_static = dense_band(static)
     rhs = rng.normal(size=n)
     for _ in range(2):
         # every entry past the lowest eigenvalue of the static part: SPD

@@ -28,6 +28,7 @@ from .oracles import (
     bounded_closure_rational,
     dense_bounded_central_d1,
     dense_bounded_upwind,
+    dense_operator,
     dense_sbp_residuals,
     roll_apply,
 )
@@ -40,7 +41,7 @@ def test_periodic_p2_is_the_classical_stencil():
     op = build_periodic_central_d1(PGRID, 2)
     dx = PGRID.spacing
     assert np.allclose(op.mass.diagonal, dx)
-    dense = op.to_dense()
+    dense = dense_operator(op)
     row = dense[3]
     assert row[2] == -0.5 / dx and row[4] == 0.5 / dx and row[3] == 0.0
     # wrap-around rows of the displayed circulant
@@ -74,7 +75,7 @@ def test_upwind_pair_identities_and_dissipation(order):
     report = verify_sbp_identity(pair)
     assert report.passed
     m = np.diag(pair.mass.diagonal)
-    dp, dm = pair.d_plus.to_dense(), pair.d_minus.to_dense()
+    dp, dm = dense_operator(pair.d_plus), dense_operator(pair.d_minus)
     residual = m @ dp + dm.T @ m
     assert np.max(np.abs(residual)) == 0.0  # exact by the transpose construction
     rng = np.random.default_rng(5)
@@ -89,15 +90,15 @@ def test_upwind_pair_identities_and_dissipation(order):
 def test_upwind_p1_is_forward_backward():
     pair = build_periodic_upwind(PGRID, 1)
     dx = PGRID.spacing
-    row = pair.d_plus.to_dense()[5]
+    row = dense_operator(pair.d_plus)[5]
     assert row[5] == -1.0 / dx and row[6] == 1.0 / dx
-    row = pair.d_minus.to_dense()[5]
+    row = dense_operator(pair.d_minus)[5]
     assert row[5] == 1.0 / dx and row[4] == -1.0 / dx
     # dissipation matrix is dx/2 times the periodic second difference
     s = 0.5 * np.diag(pair.mass.diagonal) @ (
-        pair.d_plus.to_dense() - pair.d_minus.to_dense()
+        dense_operator(pair.d_plus) - dense_operator(pair.d_minus)
     )
-    d2 = build_periodic_d2(PGRID, 2, "narrow").to_dense()
+    d2 = dense_operator(build_periodic_d2(PGRID, 2, "narrow"))
     np.testing.assert_allclose(s, 0.5 * dx**2 * d2, atol=1e-14)
 
 
@@ -105,7 +106,7 @@ def test_upwind_p1_average_is_central_p2():
     pair = build_periodic_upwind(PGRID, 1)
     avg = pair.central_average()
     expect = build_periodic_central_d1(PGRID, 2)
-    np.testing.assert_allclose(avg.to_dense(), expect.to_dense(), atol=1e-15)
+    np.testing.assert_allclose(dense_operator(avg), dense_operator(expect), atol=1e-15)
     assert avg.accuracy_order == 2
 
 
@@ -121,14 +122,14 @@ def test_periodic_d2_symmetry(flavor):
     op = build_periodic_d2(PGRID, 4, flavor)
     assert verify_sbp_identity(op).passed
     m = np.diag(op.mass.diagonal)
-    d = op.to_dense()
+    d = dense_operator(op)
     assert np.max(np.abs(m @ d - d.T @ m)) <= 1e-12 * np.max(np.abs(d))
 
 
 def test_narrow_d2_p2_stencil():
     op = build_periodic_d2(PGRID, 2, "narrow")
     dx2 = PGRID.spacing**2
-    row = op.to_dense()[7]
+    row = dense_operator(op)[7]
     assert row[6] == 1.0 / dx2 and row[7] == -2.0 / dx2 and row[8] == 1.0 / dx2
 
 
@@ -152,7 +153,7 @@ def test_bounded_identities_and_orders(order):
     op = build_bounded_central_d1(BGRID, order)
     assert verify_sbp_identity(op).passed
     x = BGRID.nodes
-    d = op.to_dense()
+    d = dense_operator(op)
     c = op.closure[0].shape[0]
     # boundary rows exact through p/2, interior rows through p
     for k in range(order // 2 + 1):
@@ -175,14 +176,14 @@ def test_bounded_p2_matches_displayed_example():
             [0, 0, 0, -1, 1],
         ]
     )
-    np.testing.assert_allclose(op.to_dense(), expect, atol=1e-15)
+    np.testing.assert_allclose(dense_operator(op), expect, atol=1e-15)
     np.testing.assert_allclose(op.mass.diagonal, [0.5, 1, 1, 1, 0.5], atol=1e-15)
 
 
 def test_bounded_p4_matches_classical_coefficients():
     grid = make_uniform_grid(0.0, 14.0, 15, "bounded")
     op = build_bounded_central_d1(grid, 4)
-    d = op.to_dense()
+    d = dense_operator(op)
     np.testing.assert_allclose(
         d[0, :6] * grid.spacing,
         [-24 / 17, 59 / 34, -4 / 17, -3 / 34, 0, 0],
@@ -214,7 +215,7 @@ def test_bounded_upwind_pair(order):
     pair = build_bounded_upwind(BGRID, order)
     assert verify_sbp_identity(pair).passed
     m = np.diag(pair.mass.diagonal)
-    s = 0.5 * m @ (pair.d_plus.to_dense() - pair.d_minus.to_dense())
+    s = 0.5 * m @ (dense_operator(pair.d_plus) - dense_operator(pair.d_minus))
     np.testing.assert_allclose(s, s.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(s)
     assert np.max(eigs) <= 1e-10 * max(1.0, np.max(np.abs(s)))
@@ -244,7 +245,7 @@ def test_lemma_one_vector_annihilation():
         pair = build_periodic_upwind(PGRID, pair_order)
         ops += [pair.d_plus, pair.d_minus]
     for op in ops:
-        d = op.to_dense()
+        d = dense_operator(op)
         lhs = op.mass.diagonal @ d
         assert np.max(np.abs(lhs)) <= 1e-13 * np.max(np.abs(d)), op.kind
 
@@ -312,7 +313,7 @@ def test_bounded_apply_matches_dense_oracle(order, n):
     for op, dense in ((build_bounded_central_d1(grid, order), d1),
                       (pair.d_plus, dp), (pair.d_minus, dm)):
         assert np.array_equal(op.mass.diagonal, mass)
-        got = op.to_dense()
+        got = dense_operator(op)
         off_diagonal = ~np.eye(n, dtype=bool)
         # the apply forms the diagonal as minus the sum of its row's others
         assert np.array_equal(got[off_diagonal], dense[off_diagonal]), op.kind
@@ -524,7 +525,7 @@ def test_stacked_apply_rows_equal_single_applies(data):
     build_bounded_upwind(BGRID, 4).d_plus,
 ], ids=["periodic_central", "periodic_upwind_composite_d2", "bounded_plus"])
 def test_to_dense_is_c_contiguous_and_maps_columns(op):
-    dense = op.to_dense()
+    dense = dense_operator(op)
     assert dense.flags.c_contiguous
     rng = np.random.default_rng(3)
     u = rng.normal(size=op.n)
