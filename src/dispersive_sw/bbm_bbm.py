@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linsolve
-from .errors import ConfigurationError, DomainError, NumericsError
+from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
 from .grid import Grid, split_flat
 from .sbp import DerivativeOperator, SbpOperatorSet, bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
@@ -57,10 +57,10 @@ VARIANTS = (
 )
 
 
-def bbm_soliton(t, x, gravity, depth, x0=0.0):
+def bbm_soliton(t, x, gravity, depth):
     """Exact solitary wave over constant depth.
 
-    Speed c = (5/2) sqrt(g D); with theta = sqrt(18/5) (x - c t - x0) / (2 D),
+    Speed c = (5/2) sqrt(g D); with theta = sqrt(18/5) (x - c t) / (2 D),
 
         eta = (15/4) D (2 sech^2 theta - 3 sech^4 theta),
         v   = (15/2) sqrt(g D) sech^2 theta.
@@ -68,7 +68,7 @@ def bbm_soliton(t, x, gravity, depth, x0=0.0):
     if depth <= 0:
         raise DomainError(f"soliton requires positive depth, got {depth}")
     c = 2.5 * np.sqrt(gravity * depth)
-    theta = 0.5 * np.sqrt(18.0 / 5.0) * (np.asarray(x) - c * t - x0) / depth
+    theta = 0.5 * np.sqrt(18.0 / 5.0) * (np.asarray(x) - c * t) / depth
     sech2 = 1.0 / np.cosh(theta) ** 2
     eta = 3.75 * depth * (2.0 * sech2 - 3.0 * sech2**2)
     v = 7.5 * np.sqrt(gravity * depth) * sech2
@@ -219,7 +219,7 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         )
     b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
     if b.shape != grid.nodes.shape:
-        b = np.full(grid.n_nodes, float(bathymetry_fn(grid.nodes)))
+        raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
     depth = -b  # eta0 = 0 inside this model
     if np.min(depth) <= 0.0:
         raise DomainError(

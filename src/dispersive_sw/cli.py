@@ -4,9 +4,10 @@
     dispersive-sw run --config config.yaml --check
 
 Exit codes: 0 success, 1 configuration error (a config file that cannot
-be read or an output directory that cannot be written included), 2
-runtime/solver failure (a failed factorization included), 3 threshold
-failure in --check mode.
+be read or an output directory that cannot be written included; an
+output path on a file is refused before the run), 2 runtime/solver
+failure (a failed factorization included), 3 threshold failure in
+--check mode.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).

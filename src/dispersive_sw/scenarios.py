@@ -73,10 +73,6 @@ class ScenarioResult:
     checks: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -142,9 +138,10 @@ class InvariantRecorder:
 class GaugeRecorder:
     """Sample eta at fixed positions on a uniform time grid.
 
-    States between accepted steps come from cubic Hermite interpolation;
-    the spatial sample is linear interpolation on the grid (gauges are
-    diagnostics, not accuracy-critical).
+    States between accepted steps come from cubic Hermite interpolation,
+    so with positions set the records must carry endpoint derivatives
+    (``_run`` asks for dense output then); the spatial sample is linear
+    interpolation on the grid (gauges are diagnostics, not accuracy-critical).
     """
 
     def __init__(self, grid, positions, t0, interval, eta_shift=0.0):
@@ -188,8 +185,6 @@ class GaugeRecorder:
             tq = self._next_t
             if tq <= record.t_old:
                 y = record.y_old
-            elif record.f_old is None or record.f_new is None:
-                y = record.y_new
             else:
                 y = record.interpolate(min(tq, record.t_new))
             self._take(tq, y)
@@ -334,7 +329,7 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
         if hasattr(rec, "start"):
             rec.start(0.0, y0)
     on_step = _multi_callback(*recorders) if recorders else None
-    dense = any(isinstance(r, GaugeRecorder) for r in recorders)
+    dense = any(isinstance(r, GaugeRecorder) and r.positions for r in recorders)
     run = integrate(
         disc.rhs, y0, (0.0, t_end), config,
         functional=functional, on_step=on_step, dense_output=dense,
@@ -352,13 +347,13 @@ SOLITON_DOMAIN = (-35.0, 35.0)
 SOLITON_DEPTH = 2.0
 
 
-def soliton_reference(t, grid, gravity=GRAVITY, depth=SOLITON_DEPTH, x0=0.0):
+def soliton_reference(t, grid, gravity=GRAVITY, depth=SOLITON_DEPTH):
     """Exact solitary wave folded into the periodic domain."""
     c = bbm_bbm.bbm_soliton_speed(gravity, depth)
     length = grid.length
-    disp = grid.nodes - c * t - x0
+    disp = grid.nodes - c * t
     disp = (disp + 0.5 * length) % length - 0.5 * length
-    return bbm_bbm.bbm_soliton(0.0, disp + x0, gravity, depth, x0=x0)
+    return bbm_bbm.bbm_soliton(0.0, disp, gravity, depth)
 
 
 def _soliton_case(cfg, order, n_nodes):
@@ -831,7 +826,20 @@ SCENARIO_FUNCTIONS = {
 }
 
 
+def _check_output_dir(output_dir):
+    """ConfigurationError, before any run, when output_dir or its nearest
+    existing ancestor is not a directory; creates nothing."""
+    out = Path(output_dir)
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise ConfigurationError(
+            f"cannot write outputs to {out}: {existing} is not a directory"
+        )
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    if cfg.output_dir:
+        _check_output_dir(cfg.output_dir)
     result = SCENARIO_FUNCTIONS[cfg.scenario](cfg)
     if cfg.output_dir:
         write_outputs(result, cfg.output_dir)

@@ -35,8 +35,8 @@ stack has the bits of a single apply, see ``sbp``).  The central split
 form uses the flux q = y_disp - h v, y_disp = ahat D1(ahat D1 eta), with
 eta_t = D1 q.  D1 is linear, so its advective and alpha terms
 -(D1(h v^2) + h v D1 v - v D1(h v))/2 + (D1(v y_disp) - v D1 y_disp
-+ y_disp D1 v)/2 are (D1(v q) - v D1 q + q D1 v)/2 in exact arithmetic
-(D1(v q) - v D1 q without the split form), and its layers are
++ y_disp D1 v)/2 are (D1(v q) - v D1 q + q D1 v)/2 in exact arithmetic,
+and its layers are
 
 1. D1 of [eta, v], and D2 v;
 2. D1 of [ahat D1 eta, ghat D2 v], and D2 (ghat D1 v);
@@ -56,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linsolve
-from .errors import ConfigurationError, DomainError, NumericsError
+from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
 from .grid import Grid, split_flat
 from .sbp import SbpOperatorSet, bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
@@ -152,7 +152,6 @@ class SkDiscretization:
     params: SkParameterSet
     variant: str
     operators: SbpOperatorSet
-    split_form: bool = True
     _source: Optional[Callable] = None
     _velocity_solver: linsolve.ShiftedSolver = None  # static part packed once
     _entropy_deriv: Callable = None  # derivative entering the modified entropy
@@ -228,14 +227,9 @@ class SkDiscretization:
         if central:
             q = y_disp - hv
             deta, d_vq = d1(np.array([q, v * q]))
-            if self.split_form:
-                rhs_v = 0.5 * (d_vq - v * deta + q * d1_v)
-            else:
-                rhs_v = d_vq - v * deta
-        elif self.split_form:
-            rhs_v = -0.5 * (d1_hvv + hv * d1_v - v * d1_hv)
+            rhs_v = 0.5 * (d_vq - v * deta + q * d1_v)
         else:
-            rhs_v = -(d1_hvv - v * d1_hv)
+            rhs_v = -0.5 * (d1_hvv + hv * d1_v - v * d1_hv)
         rhs_v = rhs_v - self.gravity * h * d1_eta
 
         if reflecting:
@@ -244,10 +238,7 @@ class SkDiscretization:
             d_y, d_vy = dm(np.array([y_disp, v * y_disp]))
             deta = -d1_hv + d_y
             if self._has_alpha:
-                if self.split_form:
-                    rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dp_v)
-                else:
-                    rhs_v = rhs_v + d_vy - v * d_y
+                rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dp_v)
 
         if gamma_terms:
             rhs_v = rhs_v + 0.5 * (d2_gamma + d1_gamma)
@@ -337,8 +328,7 @@ class SkModifiedEntropyFunctional(CubicIncrementFunctional):
 
 
 def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
-                            params, variant, *, split_form=True,
-                            source_terms=None):
+                            params, variant, *, source_terms=None):
     """Coefficient fields, static matrix blocks, and variant validation.
 
     ``source_terms(t, x) -> (s_h, s_hv)`` supplies manufactured sources in
@@ -361,7 +351,7 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
         )
     b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
     if b.shape != grid.nodes.shape:
-        b = np.full(grid.n_nodes, float(bathymetry_fn(grid.nodes)))
+        raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
     depth = eta0 - b
     if np.min(depth) <= 0.0:
         raise DomainError(
@@ -406,7 +396,6 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
         params=params,
         variant=variant,
         operators=operators,
-        split_form=split_form,
         _source=source_terms,
         _velocity_solver=linsolve.ShiftedSolver(beta_block),
         _entropy_deriv=entropy_deriv,

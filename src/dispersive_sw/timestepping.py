@@ -11,6 +11,10 @@ from products of state and increment (no large-value cancellation), and
 ``delta(coefficients, gamma)`` evaluates gamma (c1 + gamma (c2 + gamma c3))
 for each trial gamma of the root search.  ``value(u)`` is J(u) itself,
 read once per step to scale the root tolerance.
+
+Adaptive runs start from dt = span / 1000 and fail with NumericsError
+when a rejected step would go below ``DT_MIN`` = 1e-12; any run fails
+once ``MAX_STEPS`` = 10,000,000 steps (accepted plus rejected) are spent.
 """
 
 from __future__ import annotations
@@ -287,16 +291,17 @@ def _error_norm(err, y_old, y_new, atol, rtol):
 # driver
 
 
+DT_MIN = 1e-12  # see the module docstring
+MAX_STEPS = 10_000_000
+
+
 @dataclass
 class IntegratorConfig:
     tableau: ButcherTableau = DOPRI5
     dt: float | None = None  # fixed step size; None selects adaptive mode
     atol: float = 1e-7
     rtol: float = 1e-7
-    dt_initial: float | None = None
-    dt_min: float = 1e-12
     dt_max: float = np.inf
-    max_steps: int = 10_000_000
     relaxation: bool = False  # conserve the functional passed to integrate
 
 
@@ -367,7 +372,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     result = IntegrationResult(t=t0, y=np.array(y0, dtype=float))
     y, t = result.y, t0
     span = t_end - t0
-    dt = config.dt if not adaptive else (config.dt_initial or span / 1000.0)
+    dt = config.dt if not adaptive else span / 1000.0
     dt = min(dt, span, config.dt_max)
     err_prev = 1.0
     k1 = None  # FSAL cache; only reused when the state it belongs to is current
@@ -377,8 +382,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
         return rhs(ti, yi)
 
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        if result.n_steps + result.n_rejected >= config.max_steps:
-            raise NumericsError(f"exceeded max_steps={config.max_steps} at t={t}")
+        if result.n_steps + result.n_rejected >= MAX_STEPS:
+            raise NumericsError(f"exceeded {MAX_STEPS} steps at t={t}")
         dt_step = min(dt, t_end - t)
         try:
             du, err, k = rk_step(call_rhs, y, t, dt_step, tab, k1=k1)
@@ -391,7 +396,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             result.n_rejected += 1
             k1 = None
             dt = dt_step / 2.0
-            if dt < config.dt_min:
+            if dt < DT_MIN:
                 raise NumericsError(
                     f"step size underflow at t={t}: dt={dt:.3e} ({exc})"
                 )
@@ -405,7 +410,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             if not accept:
                 result.n_rejected += 1
                 dt = dt_next
-                if dt < config.dt_min:
+                if dt < DT_MIN:
                     raise NumericsError(
                         f"step size underflow at t={t}: dt={dt:.3e} (error too large)"
                     )
@@ -429,8 +434,6 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
         elif dense_output or (tab.is_fsal and relax):
             f_new = call_rhs(t_new, y_new)
         k1 = f_new if tab.is_fsal else None
-        if dense_output and f_new is None:
-            f_new = call_rhs(t_new, y_new)
 
         if on_step is not None:
             record = StepRecord(t, t_new, y, y_new, k[0] if dense_output else None,

@@ -116,7 +116,7 @@ def roll_apply(u, offsets, coefficients):
     return np.zeros(u.shape) if out is None else out
 
 
-def sk_central_split_rhs(disc, eta, v, t=0.0):
+def sk_central_split_rhs(disc, eta, v, t=0.0, *, split=True):
     """The central Svärd-Kalisch right-hand side spelled term by term.
 
     Dense D1 and D2 products of the split form with D(h v) and D(h v^2)
@@ -126,8 +126,9 @@ def sk_central_split_rhs(disc, eta, v, t=0.0):
         -(D(h v^2) + h v Dv - v D(h v))/2 + (D(v y) - v Dy + y Dv)/2
             - g h D eta + (D2(ghat Dv) + D(ghat D2 v))/2
 
-    (the first two groups -(D(h v^2) - v D(h v)) + D(v y) - v Dy without
-    the split form), plus the manufactured sources.  Returns eta_t, that
+    plus the manufactured sources.  With split=False the first two groups
+    are -(D(h v^2) - v D(h v)) + D(v y) - v Dy instead: the non-split form,
+    which does not conserve the modified entropy.  Returns eta_t, that
     velocity right-hand side and the largest magnitude among its terms.
     """
     d1 = dense_operator(disc.operators.d1)
@@ -136,7 +137,7 @@ def sk_central_split_rhs(disc, eta, v, t=0.0):
     hv = h * v
     y = disc.alpha_hat * (d1 @ (disc.alpha_hat * (d1 @ eta)))
     dv = d1 @ v
-    if disc.split_form:
+    if split:
         terms = [-0.5 * (d1 @ (hv * v)), -0.5 * hv * dv, 0.5 * v * (d1 @ hv),
                  0.5 * (d1 @ (v * y)), -0.5 * v * (d1 @ y), 0.5 * y * dv]
     else:
@@ -149,6 +150,16 @@ def sk_central_split_rhs(disc, eta, v, t=0.0):
         deta = deta + s_h
         terms += [s_hv, -v * s_h]
     return deta, sum(terms), max(float(np.max(np.abs(term))) for term in terms)
+
+
+def sk_central_nonsplit_rhs(disc, y, t=0.0):
+    """Flat right-hand side of the non-split central form: the terms of
+    ``sk_central_split_rhs(..., split=False)``, solved with the
+    discretization's own velocity system diag(h) - D beta D."""
+    eta, v = split_flat(np.asarray(y))
+    deta, rhs_v, _ = sk_central_split_rhs(disc, eta, v, t, split=False)
+    dv = disc._velocity_solver.factor(disc.water_height(eta)).solve(rhs_v)
+    return np.concatenate([deta, dv])
 
 
 def energy_rate_scale(disc, y, ydot):

@@ -44,13 +44,13 @@ def _bbm(variant, sourced):
                                     source_terms=source)
 
 
-def _sk(variant, params, split_form, sourced):
+def _sk(variant, params, sourced, order=4):
     bc = "periodic" if variant.startswith("periodic") else "bounded"
     grid = make_uniform_grid(-1.0, 1.0, N, bc)
-    ops = _operators(grid, 4, variant == "periodic_upwind")
+    ops = _operators(grid, order, variant == "periodic_upwind")
     source = sk_manufactured(bc, G, params).source if sourced else None
     return build_sk_discretization(grid, ops, _bathymetry, G, 0.0, params, variant,
-                                   split_form=split_form, source_terms=source)
+                                   source_terms=source)
 
 
 BBM_CASES = [
@@ -66,9 +66,10 @@ BBM_CASES = [
     for sourced in (False, True)
 ]
 
-# set2: alpha and gamma terms; set3: gamma only; set5: neither
+# set2: alpha and gamma terms; set3: gamma only; set5: neither; orders 2
+# and 4 exist for every operator family and give stencils of two widths
 SK_CASES = [
-    (variant, params, split_form, sourced)
+    (variant, params, order, sourced)
     for variant, params in [
         ("periodic_central_split", "set2"),
         ("periodic_central_split", "set3"),
@@ -78,7 +79,7 @@ SK_CASES = [
         ("periodic_upwind", "set5"),
         ("reflecting_beta_only", "set5"),
     ]
-    for split_form in (True, False)
+    for order in (2, 4)
     for sourced in (False, True)
 ]
 
@@ -116,11 +117,11 @@ def test_bbm_batched_rhs_equals_row_by_row(monkeypatch, variant, sourced):
     assert batched == looped
 
 
-@pytest.mark.parametrize("variant, params, split_form, sourced", SK_CASES)
-def test_sk_batched_rhs_equals_row_by_row(monkeypatch, variant, params, split_form,
+@pytest.mark.parametrize("variant, params, order, sourced", SK_CASES)
+def test_sk_batched_rhs_equals_row_by_row(monkeypatch, variant, params, order,
                                           sourced):
     batched, looped = _rhs_bytes_batched_and_row_by_row(
-        monkeypatch, _sk(variant, params, split_form, sourced))
+        monkeypatch, _sk(variant, params, sourced, order))
     assert batched == looped
 
 
@@ -139,11 +140,11 @@ def _apply_calls_per_rhs(monkeypatch, disc):
 @pytest.mark.parametrize("disc, calls", [
     # D1 [eta, v], D2 v | D1 [ahat D1 eta, ghat D2 v], D2 (ghat D1 v)
     # | D1 [q, v q] with the flux q = y - hv
-    (lambda: _sk("periodic_central_split", "set2", True, False), 5),
+    (lambda: _sk("periodic_central_split", "set2", False), 5),
     # layer 1 adds D+ [eta, v]; layer 2 D- (ahat D+ eta) and D1 (ghat D2 v)
     # apart; layer 3 D- [y, v y]
-    (lambda: _sk("periodic_upwind", "set2", True, False), 7),
-    (lambda: _sk("reflecting_beta_only", "set5", True, False), 1),
+    (lambda: _sk("periodic_upwind", "set2", False), 7),
+    (lambda: _sk("reflecting_beta_only", "set5", False), 1),
     (lambda: _bbm("periodic_const_narrow", False), 1),
     # reflecting: D1 [mass flux, velocity flux] | D1 of the solution | D1 of
     # the full mass flux (eta_t as a flux divergence, see bbm_bbm)

@@ -8,7 +8,12 @@ from dispersive_sw.bbm_bbm import (
     bbm_soliton_speed,
     build_bbm_discretization,
 )
-from dispersive_sw.errors import ConfigurationError, DomainError, NumericsError
+from dispersive_sw.errors import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    NumericsError,
+)
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.sbp import (
     SbpOperatorSet,
@@ -278,6 +283,19 @@ def test_dry_bathymetry_rejected():
         build_bbm_discretization(
             grid, ops, lambda x: 0.3 * np.cos(np.pi * x), G, "periodic_central_wide"
         )
+
+
+@pytest.mark.parametrize("bathymetry", [
+    lambda x: -2.0,
+    lambda x: np.full(x.size + 1, -2.0),
+    lambda x: np.full((1, x.size), -2.0),
+])
+def test_bathymetry_of_the_wrong_shape_rejected(bathymetry):
+    # a bathymetry is sampled on the nodes: a scalar is not broadcast
+    grid = make_uniform_grid(-1.0, 1.0, 64, "periodic")
+    ops = periodic_operators(grid, 4)
+    with pytest.raises(DimensionError, match="bathymetry shape"):
+        build_bbm_discretization(grid, ops, bathymetry, G, "periodic_central_wide")
 
 
 def test_const_narrow_requires_constant_bathymetry():

@@ -46,14 +46,46 @@ def test_config_file_not_utf8_exits_one(tmp_path, capsys):
     assert "c.yaml" in capsys.readouterr().err
 
 
-def test_output_dir_on_a_file_exits_one(tmp_path, capsys):
+def test_output_dir_on_a_file_exits_one(tmp_path, capsys, monkeypatch):
+    # refused before the run: the scenario never integrates
+    runs = []
+    monkeypatch.setattr(scenarios, "integrate", lambda *a, **kw: runs.append(a))
     target = tmp_path / "taken"
     target.write_text("not a directory\n")
-    code = run_cli(["run", "--scenario", "lake_at_rest", "--model", "bbm_bbm",
-                    "--n-nodes", "40", "--t-end", "0.01", "--output-dir", str(target)])
-    assert code == 1
-    assert str(target) in capsys.readouterr().err
+    for out in (target, target / "sub" / "dir"):
+        code = run_cli(["run", "--scenario", "lake_at_rest", "--model", "bbm_bbm",
+                        "--n-nodes", "40", "--t-end", "0.01", "--output-dir", str(out)])
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+    assert runs == []
     assert target.read_text() == "not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def _printed_info(out):
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+def test_dingemans_without_gauges_computes_no_dense_output(tmp_path, monkeypatch,
+                                                           capsys):
+    # fixed-step RK4 makes four RHS calls per step; the Hermite derivative at
+    # the step end is needed only to sample gauges
+    args = ["run", "--scenario", "dingemans", "--model", "bbm_bbm", "--n-nodes",
+            "128", "--t-end", "0.5", "--dt", "0.01", "--output-dir"]
+    assert run_cli(args + [str(tmp_path / "plain")]) == 0
+    printed = _printed_info(capsys.readouterr().out)
+    assert (printed["n_steps"], printed["n_rhs"]) == ("50", "200")
+    integrate = scenarios.integrate
+    monkeypatch.setattr(scenarios, "integrate",
+                        lambda *a, **kw: integrate(*a, **{**kw, "dense_output": True}))
+    assert run_cli(args + [str(tmp_path / "dense")]) == 0
+    printed = _printed_info(capsys.readouterr().out)
+    assert (printed["n_steps"], printed["n_rhs"]) == ("50", "250")
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "dense").iterdir())
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "dense" / name).read_bytes(), name
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
@@ -191,10 +223,7 @@ def test_cli_prints_run_counters_summed_over_integrations(
     monkeypatch.setattr(scenarios, "integrate", recording_integrate)
     assert run_cli(["run", *args]) == 0
     assert len(runs) == integrations
-    printed = dict(
-        line.split(": ", 1)
-        for line in capsys.readouterr().out.splitlines() if ": " in line
-    )
+    printed = _printed_info(capsys.readouterr().out)
     for name in ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks"):
         assert printed[name] == str(sum(getattr(r, name) for r in runs)), name
     assert int(printed["n_steps"]) > 0 and int(printed["n_rhs"]) > 0

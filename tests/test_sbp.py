@@ -15,6 +15,7 @@ from dispersive_sw.sbp import (
     PERIODIC_CENTRAL_ORDERS,
     UPWIND_ORDERS,
     DerivativeOperator,
+    UpwindOperatorPair,
     build_bounded_central_d1,
     build_bounded_upwind,
     build_periodic_central_d1,
@@ -274,6 +275,19 @@ def test_verify_flags_perturbed_operator():
     assert not report.passed
     expected = 1e-6 * op.mass.diagonal[3]
     assert report.residuals["periodic_sbp"] == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("order", UPWIND_ORDERS)
+def test_verify_flags_swapped_upwind_pair(order):
+    # D- in the role of D+ keeps M D+ + D-^T M = 0 (its transpose) and the
+    # consistency, but S = M (D+ - D-) / 2 turns positive semidefinite
+    pair = build_periodic_upwind(PGRID, order)
+    swapped = UpwindOperatorPair(pair.d_minus, pair.d_plus, pair.mass, order, PGRID)
+    report = verify_sbp_identity(swapped)
+    assert not report.passed
+    assert report.residuals["dissipation"] > report.threshold
+    others = {k: v for k, v in report.residuals.items() if k != "dissipation"}
+    assert max(others.values()) <= report.threshold, others
 
 
 @pytest.mark.parametrize("order", BOUNDED_ORDERS)

@@ -37,7 +37,7 @@ def test_lake_at_rest_bbm_exact():
     assert res.info["l2_error_eta"] <= 1e-12
     assert res.info["l2_error_v"] <= 1e-12
     assert res.info["n_steps"] == 20  # dt = 0.5 up to t = 10
-    assert res.all_passed
+    assert all(c.passed for c in res.checks)
 
 
 def test_lake_at_rest_sk_short():
@@ -45,7 +45,7 @@ def test_lake_at_rest_sk_short():
         scenario="lake_at_rest", model="svaerd_kalisch", order=4, t_end=0.01
     )
     res = scenario_lake_at_rest(cfg)
-    assert res.all_passed
+    assert all(c.passed for c in res.checks)
 
 
 def test_soliton_reference_wraps_periodically():
@@ -125,7 +125,7 @@ def test_traveling_wave_small_case():
         n_nodes=128, t_end=5.0,
     )
     res = scenario_traveling_wave(cfg)
-    assert res.all_passed, [c for c in res.checks if not c.passed]
+    assert all(c.passed for c in res.checks), [c for c in res.checks if not c.passed]
     assert res.info["c_fit"] == pytest.approx(res.info["c_model"], rel=2e-3)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dispersive_sw.errors import ConfigurationError, DomainError
+from dispersive_sw.errors import ConfigurationError, DimensionError, DomainError
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.manufactured import sk_manufactured
 from dispersive_sw.sbp import bounded_operators, periodic_operators
@@ -19,6 +19,7 @@ from dispersive_sw.svaerd_kalisch import (
 from .oracles import (
     fitted_phase_speed,
     modified_entropy_rate_scale,
+    sk_central_nonsplit_rhs,
     sk_central_split_rhs,
 )
 
@@ -44,14 +45,14 @@ def _positive_state(grid, seed=0, eta0=ETA0):
     return np.concatenate([eta, v])
 
 
-def _build(variant, params="set2", order=4, n=80, bc="periodic", split=True):
+def _build(variant, params="set2", order=4, n=80, bc="periodic"):
     grid = make_uniform_grid(-1.0, 1.0, n, bc)
     if bc == "periodic":
         ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
     else:
         ops = bounded_operators(grid, order)
     disc = build_sk_discretization(
-        grid, ops, _bathymetry, G, ETA0, params, variant, split_form=split
+        grid, ops, _bathymetry, G, ETA0, params, variant
     )
     return grid, ops, disc
 
@@ -170,7 +171,7 @@ def test_central_lake_at_rest_rhs_is_exactly_zero(data):
     disc = build_sk_discretization(
         grid, ops, lambda x: eta0 - depth, G, eta0,
         data.draw(st.sampled_from(["set2", "set3", "set5"])),
-        "periodic_central_split", split_form=data.draw(st.booleans()),
+        "periodic_central_split",
     )
     y = np.concatenate([np.full(n, eta0), np.zeros(n)])
     assert disc.rhs(0.0, y).tobytes() == np.zeros(2 * n).tobytes()
@@ -187,18 +188,18 @@ class _NoSolve:
 
 
 @pytest.mark.parametrize("sourced", [False, True])
-@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("params", ["set2", "set3", "set5"])
-def test_central_flux_form_equals_term_by_term_split_form(params, split, sourced):
+def test_central_flux_form_equals_term_by_term_split_form(params, order, sourced):
     # D(v q) - v D q + q D v with q = y - h v against D(h v) and D(h v^2)
     # taken apart from D(v y) and D y: equal in exact arithmetic
     n = 41
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
     source = sk_manufactured("periodic", G, params).source if sourced else None
     disc = build_sk_discretization(
-        grid, periodic_operators(grid, 4), lambda x: -2.0 - 0.3 * np.cos(np.pi * x),
-        G, 0.0, params, "periodic_central_split", split_form=split,
-        source_terms=source,
+        grid, periodic_operators(grid, order),
+        lambda x: -2.0 - 0.3 * np.cos(np.pi * x),
+        G, 0.0, params, "periodic_central_split", source_terms=source,
     )
     disc._velocity_solver = _NoSolve()
     rng = np.random.default_rng(11)
@@ -245,13 +246,12 @@ def test_upwind_with_alpha_zero_conserves():
 
 def test_naive_split_breaks_conservation_by_orders_of_magnitude():
     grid, ops, split = _build("periodic_central_split", params="set2")
-    _, _, naive = _build("periodic_central_split", params="set2", split=False)
     func = split.modified_entropy_functional()
     worst_ratio = np.inf
     for seed in range(5):
         y = _positive_state(grid, seed)
         r_split = abs(func.delta_coefficients(y, split.rhs(0.0, y))[0])
-        r_naive = abs(func.delta_coefficients(y, naive.rhs(0.0, y))[0])
+        r_naive = abs(func.delta_coefficients(y, sk_central_nonsplit_rhs(split, y))[0])
         worst_ratio = min(worst_ratio, r_naive / max(r_split, 1e-300))
     assert worst_ratio >= 1e3
 
@@ -411,6 +411,21 @@ def test_reflecting_requires_beta_only():
     with pytest.raises(ConfigurationError):
         build_sk_discretization(
             grid, ops, _bathymetry, G, ETA0, "set2", "reflecting_beta_only"
+        )
+
+
+@pytest.mark.parametrize("bathymetry", [
+    lambda x: 1.0,
+    lambda x: np.ones(x.size - 1),
+    lambda x: np.ones((x.size, 1)),
+])
+def test_bathymetry_of_the_wrong_shape_rejected(bathymetry):
+    # a bathymetry is sampled on the nodes: a scalar is not broadcast
+    grid = make_uniform_grid(-1.0, 1.0, 64, "periodic")
+    ops = periodic_operators(grid, 4)
+    with pytest.raises(DimensionError, match="bathymetry shape"):
+        build_sk_discretization(
+            grid, ops, bathymetry, G, ETA0, "set2", "periodic_central_split"
         )
 
 

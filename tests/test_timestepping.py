@@ -75,7 +75,7 @@ def test_nan_rhs_signals_step_failure_for_retry():
             return np.array([np.nan])
         return -y
 
-    cfg = IntegratorConfig(tableau=DOPRI5, dt_initial=0.5, atol=1e-6, rtol=1e-6)
+    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6)
     res = integrate(rhs, np.array([1.0]), (0.0, 0.5), cfg)
     assert res.n_rejected >= 1
     assert np.isfinite(res.y).all()
@@ -135,7 +135,7 @@ def test_step_size_underflow_aborts():
     def rhs(t, y):
         return np.array([np.nan])
 
-    cfg = IntegratorConfig(tableau=DOPRI5, dt_initial=1e-3, dt_min=1e-6)
+    cfg = IntegratorConfig(tableau=DOPRI5)
     with pytest.raises(NumericsError):
         integrate(rhs, np.array([1.0]), (0.0, 1.0), cfg)
 
