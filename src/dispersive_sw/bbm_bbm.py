@@ -31,7 +31,8 @@ assembled in these M-scaled forms.  The solve gives y = eta_t; the
 right-hand side then returns the same value as the divergence of the
 full flux, eta_t = -D-(F - P_D K D+ y / 6), F = (eta + D) v, so that the
 mass changes only by the roundoff of that one derivative, whatever the
-roundoff of the solve.
+roundoff of the solve.  ``rhs_fields(state, t)`` reads, never writes,
+the (2, N) view [eta, v] of the flat state, checked for NaN and inf at once.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ class BbmBbmDiscretization:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs_fields(self, eta, v, t=0.0):
-        if not (np.isfinite(eta).all() and np.isfinite(v).all()):
+    def rhs_fields(self, state, t=0.0):
+        if not np.isfinite(state).all():
             raise NumericsError("non-finite state passed to BBM-BBM right-hand side")
+        eta, v = state
         mass_flux = (self.still_depth + eta) * v
         vel_flux = self.gravity * eta + 0.5 * v * v
         d_mass, d_vel = self._d_outer_mass, self._d_outer_vel
@@ -151,8 +153,7 @@ class BbmBbmDiscretization:
         return deta, dv
 
     def rhs(self, t, y):
-        eta, v = split_flat(y)
-        deta, dv = self.rhs_fields(eta, v, t)
+        deta, dv = self.rhs_fields(y.reshape(2, -1), t)
         return np.concatenate([deta, dv])
 
     # -- invariants ----------------------------------------------------------

@@ -158,14 +158,14 @@ class BandCholesky:
         self.half_width = ab.shape[0] - 1
         self.n = ab.shape[1]
         self._fold = fold
-        scale = ab[-1].max()  # |a_ij| <= sqrt(a_ii a_jj) when A is SPD
+        scale = np.maximum.reduce(ab[-1])  # |a_ij| <= sqrt(a_ii a_jj) when A is SPD
         u, info = lapack.dpbtrf(ab, lower=0, overwrite_ab=True)
         if info > 0:  # pbtrf leaves the non-positive pivot in place of U[info - 1]
             raise FactorizationError("band not positive definite",
                                      pivot=float(u[-1, info - 1]))
         if info < 0:
             raise FactorizationError(f"pbtrf failed with info={info}")
-        smallest = u[-1].min()
+        smallest = np.minimum.reduce(u[-1])
         pivot = smallest * smallest
         if not pivot > self.n * _EPS * max(scale, 1e-300):  # a NaN fails too
             raise FactorizationError(

@@ -4,8 +4,8 @@ Every operator is stored as its interior stencil (offset / coefficient
 pair); a bounded one adds its boundary closure rows.  No N x N matrix is
 formed.  Each operator plans its application once, when it is built:
 one term per offset pair +/-k, in ascending |k|.  ``apply`` pads u once
-to length N + 2h, h = max |k|, and sums the terms in difference form,
-with up_k = up[h+k : h+k+N]:
+to length N + 2h, h = max |k|, by an ``np.take`` gather along the last
+axis, and sums the terms in difference form, with up_k = up[h+k : h+k+N]:
 
     antisymmetric pair (c_-k = -c_k):  c_k (up_k - up_-k)
     symmetric pair (c_-k = c_k):       c_k ((up_k - u) + (up_-k - u))
@@ -154,13 +154,13 @@ class DerivativeOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """D u, mapped along the last axis: a (m, N) stack gives m rows D u_i.
 
-        Every product is elementwise, so row i of a stack has the bits of
-        ``apply(u[i])`` (a matrix product would sum a stack in another
-        order than a single row).  The result is float64 whatever the
-        dtype of u.
+        Every product is elementwise and u is read as C-contiguous float64
+        (copied if need be, as closure sums follow the layout), so row i of
+        a stack of any layout and dtype has the bits of ``apply(u[i])``; a
+        matrix product would sum a stack in another order than a row.
         """
-        u = np.asarray(u, dtype=float)
-        up = u[..., self._plan.gather]
+        u = np.ascontiguousarray(u, dtype=float)
+        up = np.take(u, self._plan.gather, axis=-1)
         out = None
         for form, c, first, c_second, second in self._plan.terms:
             term = up[..., first] - (up[..., second] if form == "antisymmetric" else u)

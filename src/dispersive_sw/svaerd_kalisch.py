@@ -46,6 +46,8 @@ The upwind variant applies D1 to [eta, v, h v, h v^2] and D+ to [eta, v]
 in layer 1, takes y_disp = ahat D-(ahat D+ eta) in layer 2 and applies
 D- to [y_disp, v y_disp] in layer 3; the reflecting variant needs the D1
 stack of layer 1 only.  The gamma rows are left out when ghat vanishes.
+``rhs_fields(state, t)`` reads, never writes, the (2, N) view [eta, v] of
+the flat state, checked for NaN and inf at once; layer 1 differentiates it.
 """
 
 from __future__ import annotations
@@ -177,11 +179,12 @@ class SkDiscretization:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs_fields(self, eta, v, t=0.0):
-        if not (np.isfinite(eta).all() and np.isfinite(v).all()):
+    def rhs_fields(self, state, t=0.0):
+        if not np.isfinite(state).all():
             raise NumericsError("non-finite state passed to SK right-hand side")
+        eta, v = state
         h = self.water_height(eta)
-        h_min = h.min()
+        h_min = np.minimum.reduce(h)
         if h_min <= 0.0:
             raise DomainError(f"water height must stay positive, min={h_min:.3e}")
         ops = self.operators
@@ -194,12 +197,12 @@ class SkDiscretization:
 
         # layer 1: derivatives of the state
         if central:
-            d1_eta, d1_v = d1(np.array([eta, v]))
+            d1_eta, d1_v = d1(state)
         else:
             d1_eta, d1_v, d1_hv, d1_hvv = d1(np.array([eta, v, hv, hv * v]))
         if upwind:
             dp, dm = ops.upwind.d_plus.apply, ops.upwind.d_minus.apply
-            dp_eta, dp_v = dp(np.array([eta, v]))
+            dp_eta, dp_v = dp(state)
         if gamma_terms:
             d2 = ops.d2.apply
             d2_v = d2(v)
@@ -257,8 +260,7 @@ class SkDiscretization:
         return deta, dv
 
     def rhs(self, t, y):
-        eta, v = split_flat(y)
-        deta, dv = self.rhs_fields(eta, v, t)
+        deta, dv = self.rhs_fields(y.reshape(2, -1), t)
         return np.concatenate([deta, dv])
 
     # -- invariants ------------------------------------------------------------

@@ -45,6 +45,10 @@ class ButcherTableau:
     # first stage of a step equals the last stage of the previous one;
     # decided once here because integrate reads it on every step
     is_fsal: bool = field(init=False, repr=False, compare=False)
+    # nonzero (j, w_j) of each row of a, of b and of b - b_embedded (or None)
+    a_pairs: tuple = field(init=False, repr=False, compare=False)
+    b_pairs: tuple = field(init=False, repr=False, compare=False)
+    error_pairs: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.b.size
@@ -56,6 +60,13 @@ class ButcherTableau:
             raise ConfigurationError("tableau weights must sum to one")
         fsal = bool(np.allclose(self.a[-1], self.b) and abs(self.c[-1] - 1.0) < 1e-14)
         object.__setattr__(self, "is_fsal", fsal)
+
+        def pairs(weights):
+            return tuple((j, w) for j, w in enumerate(weights.tolist()) if w != 0.0)
+        object.__setattr__(self, "a_pairs", tuple(pairs(row) for row in self.a))
+        object.__setattr__(self, "b_pairs", pairs(self.b))
+        object.__setattr__(self, "error_pairs", None if self.b_embedded is None
+                           else pairs(self.b - self.b_embedded))
 
     @property
     def stages(self) -> int:
@@ -130,35 +141,31 @@ def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
     if not np.isfinite(k[0]).all():
         raise _StepFailure("non-finite right-hand side at first stage")
     for i in range(1, s):
-        yi = _scaled_stage_sum(dt, tableau.a[i, :i], k)
+        yi = _scaled_stage_sum(dt, tableau.a_pairs[i], k)
         yi += y
         k[i] = rhs(t + tableau.c[i] * dt, yi)
         if not np.isfinite(k[i]).all():
             raise _StepFailure(f"non-finite right-hand side at stage {i}")
-    du = _scaled_stage_sum(dt, tableau.b, k)
+    du = _scaled_stage_sum(dt, tableau.b_pairs, k)
     err = None
     if tableau.is_embedded:
-        err = _scaled_stage_sum(dt, tableau.b - tableau.b_embedded, k)
+        err = _scaled_stage_sum(dt, tableau.error_pairs, k)
     return du, err, k
 
 
-def _scaled_stage_sum(dt, weights, k):
-    """dt * sum(w_j k_j over nonzero w_j), accumulated in place.
+def _scaled_stage_sum(dt, pairs, k):
+    """dt * sum(w_j k_j) over the nonzero (j, w_j) a tableau lists once, in place.
 
     The bits equal those of ``dt * sum(generator)``: ``sum`` starts from
     0, and 0 + x turns a -0.0 into 0.0, hence the ``+= 0.0``.
     """
-    acc = None
-    for w, kj in zip(weights.tolist(), k):
-        if w == 0.0:
-            continue
-        if acc is None:
-            acc = w * kj
-            acc += 0.0
-        else:
-            acc += w * kj
-    if acc is None:
+    if not pairs:
         return np.zeros_like(k[0])
+    (j, w), *rest = pairs
+    acc = w * k[j]
+    acc += 0.0
+    for j, w in rest:
+        acc += w * k[j]
     acc *= dt
     return acc
 
@@ -284,7 +291,7 @@ def adaptive_controller(err_norm, dt, err_norm_prev=1.0, *, safety=0.9,
 
 def _error_norm(err, y_old, y_new, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return float(np.sqrt(np.add.reduce((err / scale) ** 2) / err.size))  # bits of np.mean
 
 
 # ---------------------------------------------------------------------------

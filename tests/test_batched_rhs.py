@@ -4,16 +4,21 @@ Each model's ``rhs_fields`` stacks the independent derivatives of one
 dependency layer into a single ``DerivativeOperator.apply``.  With
 ``apply`` replaced by a loop over the rows of a stack, every variant of
 both models must give the same bytes, signed zeros included; the counts
-pin how many applies one right-hand side makes.
+pin how many applies one right-hand side makes.  ``rhs`` hands
+``rhs_fields`` a (2, N) view of its flat state, which is checked for NaN
+and inf in one pass and never written.
 """
 
 import numpy as np
 import pytest
 
+from dispersive_sw.bbm_bbm import VARIANTS as BBM_VARIANTS
 from dispersive_sw.bbm_bbm import build_bbm_discretization
+from dispersive_sw.errors import NumericsError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.manufactured import bbm_manufactured, sk_manufactured
 from dispersive_sw.sbp import DerivativeOperator, bounded_operators, periodic_operators
+from dispersive_sw.svaerd_kalisch import VARIANTS as SK_VARIANTS
 from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
 G = 9.81
@@ -155,3 +160,46 @@ def _apply_calls_per_rhs(monkeypatch, disc):
         "bbm_reflecting_central", "bbm_upwind", "bbm_reflecting_upwind"])
 def test_one_apply_per_operator_and_layer(monkeypatch, disc, calls):
     assert _apply_calls_per_rhs(monkeypatch, disc()) == calls
+
+
+# every variant of both models, periodic and reflecting
+EVERY_VARIANT = [("bbm_bbm", variant) for variant in BBM_VARIANTS] + [
+    ("svaerd_kalisch", variant) for variant in SK_VARIANTS]
+
+
+def _discretization(model, variant):
+    if model == "bbm_bbm":
+        return _bbm(variant, False)
+    return _sk(variant, "set5" if variant.startswith("reflecting") else "set2", False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("model, variant", EVERY_VARIANT)
+def test_any_non_finite_entry_raises(model, variant, bad):
+    # one finiteness check on the whole stack covers every entry of both fields
+    disc = _discretization(model, variant)
+    y = _state(disc)
+    for i in range(y.size):
+        bad_y = y.copy()
+        bad_y[i] = bad
+        with pytest.raises(NumericsError):
+            disc.rhs(0.3, bad_y)
+        with pytest.raises(NumericsError):
+            disc.rhs_fields(bad_y.reshape(2, -1), 0.3)
+
+
+@pytest.mark.parametrize("model, variant", EVERY_VARIANT)
+def test_rhs_reads_a_view_of_its_state_and_writes_nothing(model, variant):
+    disc = _discretization(model, variant)
+    y = _state(disc)
+    before = y.tobytes()
+    seen, fields = [], disc.rhs_fields
+
+    def spy(state, t):
+        seen.append(np.shares_memory(state, y))
+        return fields(state, t)
+
+    disc.rhs_fields = spy
+    disc.rhs(0.3, y)
+    assert seen == [True]  # the state is passed as a view, not copied
+    assert y.tobytes() == before

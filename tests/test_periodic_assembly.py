@@ -142,7 +142,7 @@ def test_bbm_solves_equal_dense_solves_of_unscaled_systems(variant, order, n):
     a_mass, _, a_vel, _, d_mass, d_vel = _dense_bbm_products(ops, variant, depth**2)
     rng = np.random.default_rng(n)
     eta, v = 0.1 * rng.normal(size=n), rng.normal(size=n)
-    deta, dv = disc.rhs_fields(eta, v)
+    deta, dv = disc.rhs_fields(np.array([eta, v]))
     eye = np.eye(n)
     expected_eta = dense_inverse_solve(eye - a_mass / 6.0, -d_mass @ ((depth + eta) * v))
     expected_v = dense_inverse_solve(eye - a_vel / 6.0, -d_vel @ (G * eta + 0.5 * v * v))
@@ -278,7 +278,7 @@ def test_reflecting_bbm_rhs_equals_dense_wall_row_systems(variant, order):
     a_vel[[0, -1]] = eye[[0, -1]]
     x = grid.nodes
     eta, v = 0.1 * np.cos(3 * x), np.sin(np.pi * x) * (1 + 0.2 * x)
-    deta, dv = disc.rhs_fields(eta, v)
+    deta, dv = disc.rhs_fields(np.array([eta, v]))
     expected_eta = dense_inverse_solve(a_mass, -dm @ ((disc.still_depth + eta) * v))
     expected_v = dense_inverse_solve(a_vel, p_d * -(dp @ (G * eta + 0.5 * v * v)))
     # equal up to roundoff times the condition number (about 1e7 for upwind)
@@ -300,7 +300,7 @@ def test_reflecting_sk_velocity_equals_dense_wall_row_system(order):
     h = disc.water_height(eta)
     a = np.diag(h) - (d1 * disc.beta_hat) @ d1
     a[[0, -1]] = np.eye(n)[[0, -1]]
-    deta, dv = disc.rhs_fields(eta, v)
+    deta, dv = disc.rhs_fields(np.array([eta, v]))
     d1_v, d1_hv, d1_hvv, d1_eta = (d1 @ f for f in (v, h * v, h * v * v, eta))
     rhs_v = -0.5 * (d1_hvv + h * v * d1_v - v * d1_hv) - G * h * d1_eta
     rhs_v[[0, -1]] = 0.0

@@ -533,6 +533,36 @@ def test_stacked_apply_rows_equal_single_applies(data):
     assert stack.tobytes() == before  # the input is not modified
 
 
+@pytest.mark.parametrize("layout", ["transposed", "row_strided", "three_d"])
+@pytest.mark.parametrize("boundary", ["periodic", "bounded"])
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_strided_and_3d_stacks_give_the_bits_of_row_applies(boundary, layout, data):
+    # the pad gathers along the last axis of whatever layout it is given
+    if boundary == "bounded":
+        family, order = data.draw(st.sampled_from(BOUNDED_FAMILIES))
+        op = _bounded_operator(family, order, data.draw(st.sampled_from(BOUNDED_SIZES)))
+    else:
+        family, order = data.draw(st.sampled_from(PERIODIC_STENCILS))
+        op = _periodic_operator(family, order, data.draw(st.integers(3, 80)))
+    m = data.draw(st.integers(2, 4))  # a single row would count as contiguous
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    if layout == "transposed":
+        u = data.draw(arrays(np.float64, (op.n, m), elements=elements)).T
+    elif layout == "row_strided":
+        u = data.draw(arrays(np.float64, (2 * m, op.n), elements=elements))[::2]
+    else:
+        u = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), m, op.n),
+                             elements=elements))
+    assert layout == "three_d" or not u.flags.c_contiguous
+    before = u.tobytes()
+    out = op.apply(u)
+    assert out.shape == u.shape
+    for index in np.ndindex(u.shape[:-1]):
+        assert out[index].tobytes() == op.apply(u[index].copy()).tobytes()
+    assert u.tobytes() == before
+
+
 @pytest.mark.parametrize("op", [
     build_periodic_central_d1(PGRID, 4),
     build_periodic_d2(PGRID, 4, "upwind_composite"),

@@ -207,7 +207,7 @@ def test_central_flux_form_equals_term_by_term_split_form(params, order, sourced
         eta, v = 0.1 * rng.normal(size=n), rng.normal(size=n)
         eta[::5], eta[1::7] = 0.0, -0.0
         v[::4], v[2::6] = -0.0, 0.0
-        deta, rhs_v = disc.rhs_fields(eta, v, 0.3)
+        deta, rhs_v = disc.rhs_fields(np.array([eta, v]), 0.3)
         deta_ref, rhs_v_ref, scale = sk_central_split_rhs(disc, eta, v, 0.3)
         assert np.max(np.abs(deta - deta_ref)) <= 1e-13 * scale
         assert np.max(np.abs(rhs_v - rhs_v_ref)) <= 1e-13 * scale

@@ -115,6 +115,45 @@ def test_stage_sums_have_the_bits_of_generator_sums(data):
         assert err.tobytes() == generator_sum(db, tab.stages).tobytes()
 
 
+# a tableau with an all-zero row of a and zero weights in b and b - b_embedded
+ZERO_WEIGHTS = ButcherTableau(
+    "zero_weights", np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+    np.array([0.0, 1.0, 0.0]), np.zeros(3), order=1,
+    b_embedded=np.array([0.5, 1.0, -0.5]), embedded_order=0,
+)
+
+
+@pytest.mark.parametrize("tab", [RK4, DOPRI5, ZERO_WEIGHTS], ids=lambda tab: tab.name)
+def test_tableau_pairs_list_exactly_the_nonzero_weights_in_order(tab):
+    def nonzero(weights):
+        return [(int(j), float(weights[j])) for j in np.flatnonzero(weights)]
+
+    assert [list(row) for row in tab.a_pairs] == [nonzero(row) for row in tab.a]
+    assert list(tab.b_pairs) == nonzero(tab.b)
+    if tab.is_embedded:
+        assert list(tab.error_pairs) == nonzero(tab.b - tab.b_embedded)
+    else:
+        assert tab.error_pairs is None
+    every = [*tab.b_pairs, *(tab.error_pairs or ())]
+    every += [pair for row in tab.a_pairs for pair in row]
+    assert all(type(j) is int and type(w) is float for j, w in every)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_error_norm_has_the_bits_of_the_mean(data):
+    n = data.draw(st.integers(1, 64))
+    wide = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+    err, y_old, y_new = (data.draw(arrays(np.float64, n, elements=wide)) for _ in range(3))
+    atol = data.draw(st.floats(1e-300, 1.0))
+    rtol = data.draw(st.floats(0.0, 1.0))
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    with np.errstate(over="ignore"):  # both sides overflow to the same inf
+        expected = float(np.sqrt(np.mean((err / scale) ** 2)))
+        got = timestepping._error_norm(err, y_old, y_new, atol, rtol)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_controller_zero_error_grows_capped():
     accept, dt_next = adaptive_controller(0.0, 0.1)
     assert accept and dt_next == pytest.approx(0.5)
