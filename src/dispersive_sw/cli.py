@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 configuration error (a config file that cannot
 be read or an output directory that cannot be written included; an
 output path on a file is refused before the run), 2 runtime/solver
 failure (a failed factorization included), 3 threshold failure in
---check mode.
+--check mode.  No given value falls back to a default: an empty string,
+n_nodes below 3, a wavenumber <= 0, empty orders, fewer than two
+resolutions and a Dingemans gauge outside the domain exit 1 before the run.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).
@@ -84,11 +86,6 @@ def run_cli(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-
-    import os
-
-    if cfg.output_dir is None:
-        cfg.output_dir = os.environ.get("DISPERSIVE_SW_OUTPUT_DIR")
 
     try:
         result = run_scenario(cfg)

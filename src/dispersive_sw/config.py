@@ -59,21 +59,28 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown model {self.model!r}; available: {MODELS}"
             )
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) == "":
+                raise ConfigurationError(f"{f.name} must not be empty")
         if self.order <= 0:
             raise ConfigurationError("order must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        for name in ("atol", "rtol"):
+        if self.n_nodes is not None and self.n_nodes < 3:
+            raise ConfigurationError(f"n_nodes must be at least 3, got {self.n_nodes}")
+        for name in ("dt", "atol", "rtol", "wavenumber", "gauge_interval"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.gauge_interval <= 0:
-            raise ConfigurationError("gauge_interval must be positive")
         self.gauges = [float(gx) for gx in self.gauges]
         if self.orders is not None:
             self.orders = [int(p) for p in self.orders]
+            if not self.orders:
+                raise ConfigurationError("orders must name at least one order")
         if self.resolutions is not None:
             self.resolutions = [int(n) for n in self.resolutions]
+            if len(self.resolutions) < 2:
+                raise ConfigurationError(
+                    "resolutions must name at least two grid sizes, one EOC pair"
+                )
             if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
                 raise ConfigurationError("resolutions must be strictly increasing")
 

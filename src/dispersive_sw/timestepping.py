@@ -276,17 +276,17 @@ def _relax_increment(y, du, functional):
 # step-size controller
 
 
-def adaptive_controller(err_norm, dt, err_norm_prev=1.0, *, safety=0.9,
-                        fac_min=0.2, fac_max=5.0, order=5):
-    """PI step-size law; accept iff the weighted error norm is at most 1."""
+def adaptive_controller(err_norm, dt, err_norm_prev=1.0, *, order=5):
+    """PI step-size law with safety factor 0.9 and dt_new / dt in [0.2, 5];
+    accept iff the weighted error norm is at most 1."""
     accept = err_norm <= 1.0
     if err_norm == 0.0:
-        return accept, dt * fac_max
+        return accept, dt * 5.0
     k = order
-    factor = safety * err_norm ** (-0.7 / k) * max(err_norm_prev, 1e-16) ** (0.4 / k)
+    factor = 0.9 * err_norm ** (-0.7 / k) * max(err_norm_prev, 1e-16) ** (0.4 / k)
     if not accept:
-        factor = min(1.0, safety * err_norm ** (-1.0 / k))
-    return accept, dt * min(fac_max, max(fac_min, factor))
+        factor = min(1.0, 0.9 * err_norm ** (-1.0 / k))
+    return accept, dt * min(5.0, max(0.2, factor))
 
 
 def _error_norm(err, y_old, y_new, atol, rtol):

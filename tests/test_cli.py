@@ -127,6 +127,35 @@ def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, fiel
     assert "configuration error" in err and field in err
 
 
+@pytest.mark.parametrize("scenario, model, flags, field", [
+    ("soliton", "bbm_bbm", ["--eoc", "--orders", ",", "--resolutions", "16,32"],
+     "orders"),
+    ("manufactured", "bbm_bbm", ["--orders", "2", "--resolutions", ","], "resolutions"),
+    ("manufactured", "bbm_bbm", ["--orders", "2", "--resolutions", "32"], "resolutions"),
+    ("soliton", "bbm_bbm", ["--eoc", "--orders", "2", "--resolutions", "32", "--check"],
+     "resolutions"),
+    ("lake_at_rest", "bbm_bbm", ["--n-nodes", "0"], "n_nodes"),
+    ("lake_at_rest", "bbm_bbm", ["--variant=", "--n-nodes", "40"], "variant"),
+    ("lake_at_rest", "svaerd_kalisch", ["--parameter-set=", "--n-nodes", "40",
+                                        "--dt", "1e-3"], "parameter_set"),
+    ("traveling_wave", "bbm_bbm", ["--wavenumber", "0", "--n-nodes", "32"],
+     "wavenumber"),
+    ("traveling_wave", "bbm_bbm", ["--wavenumber", "-0.8", "--n-nodes", "32"],
+     "wavenumber"),
+    ("dingemans", "bbm_bbm", ["--gauges", "100,-500", "--n-nodes", "64"], "gauges"),
+])
+def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, field,
+                                                     tmp_path, capsys):
+    # neither a silent default nor a traceback: exit 1 naming the key, no output
+    out = tmp_path / "out"
+    code = run_cli(["run", "--scenario", scenario, "--model", model, *flags,
+                    "--t-end", "0.01", "--output-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
 def test_config_file_key_that_the_run_does_not_read_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nwavenumber: 0.8\n")

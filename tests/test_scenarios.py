@@ -101,7 +101,7 @@ def test_gauge_recorder_interpolates_between_steps():
     from dispersive_sw.timestepping import RK4, IntegratorConfig, integrate
 
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
-    rec = GaugeRecorder(grid, [0.25, 0.5], t0=0.0, interval=0.05)
+    rec = GaugeRecorder(grid, [0.25, 0.5], interval=0.05)
     n = grid.n_nodes
 
     def rhs(t, y):
