@@ -8,8 +8,10 @@ be read or an output directory that cannot be written included; an
 output path on a file is refused before the run), 2 runtime/solver
 failure (a failed factorization included), 3 threshold failure in
 --check mode.  No given value falls back to a default: an empty string,
-n_nodes below 3, a wavenumber <= 0, empty orders, fewer than two
-resolutions and a Dingemans gauge outside the domain exit 1 before the run.
+n_nodes below 3, a wavenumber <= 0, empty or repeated orders, fewer than
+two resolutions and a Dingemans gauge outside the domain exit 1 before the
+run; a missing or malformed Dingemans --experimental-data file exits 2
+before the run.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).

@@ -75,6 +75,8 @@ class ScenarioConfig:
             self.orders = [int(p) for p in self.orders]
             if not self.orders:
                 raise ConfigurationError("orders must name at least one order")
+            if len(set(self.orders)) != len(self.orders):
+                raise ConfigurationError(f"orders must not repeat an order, got {self.orders}")
         if self.resolutions is not None:
             self.resolutions = [int(n) for n in self.resolutions]
             if len(self.resolutions) < 2:

@@ -698,6 +698,9 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
         raise ConfigurationError(
             f"gauges {outside} lie outside the dingemans domain [{x_min}, {x_max}]"
         )
+    # read before the run, so a missing or malformed file fails at once
+    experimental = (read_experimental_gauges(cfg.experimental_data)
+                    if cfg.experimental_data else None)
     n = cfg.n_nodes or 512
     t_end = cfg.t_end if cfg.t_end is not None else 70.0
     grid = make_uniform_grid(*DINGEMANS_DOMAIN, n, "periodic")
@@ -737,8 +740,8 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
                     1e-9,
                 )
             )
-    if cfg.experimental_data:
-        result.tables["experimental"] = read_experimental_gauges(cfg.experimental_data)
+    if experimental is not None:
+        result.tables["experimental"] = experimental
     result.info["final_time"] = run.t
     return result
 

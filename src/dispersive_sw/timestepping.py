@@ -12,6 +12,11 @@ from products of state and increment (no large-value cancellation), and
 for each trial gamma of the root search.  ``value(u)`` is J(u) itself,
 read once per step to scale the root tolerance.
 
+``rk_step`` finds gamma inside each step attempt, from the increment and
+before the last stage of an FSAL tableau (b_s = 0), then evaluates that
+stage once, at the relaxed end state (t + gamma dt, u + gamma du): the
+embedded error estimate of a relaxed step uses it as its last stage.
+
 Adaptive runs start from dt = span / 1000 and fail with NumericsError
 when a rejected step would go below ``DT_MIN`` = 1e-12; any run fails
 once ``MAX_STEPS`` = 10,000,000 steps (accepted plus rejected) are spent.
@@ -58,7 +63,8 @@ class ButcherTableau:
             raise ConfigurationError("tableau must be explicit")
         if abs(self.b.sum() - 1.0) > 1e-13:
             raise ConfigurationError("tableau weights must sum to one")
-        fsal = bool(np.allclose(self.a[-1], self.b) and abs(self.c[-1] - 1.0) < 1e-14)
+        # exact: rk_step evaluates an FSAL last stage at y + du, not at its row of a
+        fsal = bool(np.array_equal(self.a[-1], self.b) and self.c[-1] == 1.0)
         object.__setattr__(self, "is_fsal", fsal)
 
         def pairs(weights):
@@ -125,13 +131,22 @@ class _StepFailure(Exception):
     pass
 
 
-def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
-    """One explicit RK step.
+def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None, functional=None):
+    """One explicit RK step, relaxed when a functional is given.
 
-    Returns (du, err, k_stages): the update increment dt * sum(b_i k_i),
-    the embedded error estimate (or None), and the stage derivatives.
-    Non-finite stage values raise a step-failure signal so an adaptive
-    driver can retry with a smaller step.
+    Returns (du, err, k_stages, gamma, fallback): the update increment
+    dt * sum(b_i k_i), the embedded error estimate (or None), the stage
+    derivatives, the relaxation factor (1.0 without a functional) and, when
+    the root search fell back to gamma = 1, its residual r(1) (else None).
+
+    gamma is found from du before the last stage of an FSAL tableau: its
+    b_s = 0, so du does not need that stage.  The last stage is then
+    evaluated once, at the step's end state (t + gamma dt, y + gamma du),
+    and serves as the embedded estimate's last stage, the Hermite end
+    derivative and the next step's first stage; with gamma = 1 its inputs
+    are exactly the tableau's (a[-1] == b, c[-1] == 1).  Non-finite stage
+    values, and a DomainError at any stage, fail the attempt so that an
+    adaptive driver can retry with a smaller step.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -140,17 +155,25 @@ def rk_step(rhs, y, t, dt, tableau: ButcherTableau, k1=None):
     k[0] = rhs(t, y) if k1 is None else k1
     if not np.isfinite(k[0]).all():
         raise _StepFailure("non-finite right-hand side at first stage")
-    for i in range(1, s):
+    fsal = tableau.is_fsal
+    for i in range(1, s - 1 if fsal else s):
         yi = _scaled_stage_sum(dt, tableau.a_pairs[i], k)
         yi += y
         k[i] = rhs(t + tableau.c[i] * dt, yi)
         if not np.isfinite(k[i]).all():
             raise _StepFailure(f"non-finite right-hand side at stage {i}")
     du = _scaled_stage_sum(dt, tableau.b_pairs, k)
+    gamma, fallback = 1.0, None
+    if functional is not None:
+        gamma, fallback = _relax_increment(y, du, functional)
+    if fsal:
+        k[-1] = rhs(t + gamma * dt, y + gamma * du)
+        if not np.isfinite(k[-1]).all():
+            raise _StepFailure(f"non-finite right-hand side at stage {s - 1}")
     err = None
     if tableau.is_embedded:
         err = _scaled_stage_sum(dt, tableau.error_pairs, k)
-    return du, err, k
+    return du, err, k, gamma, fallback
 
 
 def _scaled_stage_sum(dt, pairs, k):
@@ -255,7 +278,7 @@ class CubicIncrementFunctional:
 
 
 def _relax_increment(y, du, functional):
-    """(gamma, fell_back): the conservative relaxation root, else gamma = 1."""
+    """(gamma, None) for the conservative relaxation root, else (1.0, r(1))."""
     tol = ROOT_TOLERANCE * max(1.0, abs(functional.value(y)))
     coefficients = functional.delta_coefficients(y, du)
 
@@ -264,12 +287,8 @@ def _relax_increment(y, du, functional):
 
     gamma, converged = _solve_gamma(residual, GAMMA_HALF_WIDTH, tol)
     if not converged:
-        log.warning(
-            "relaxation root not found (r(1) = %.3e); falling back to gamma = 1",
-            residual(1.0),
-        )
-        return 1.0, True
-    return gamma, False
+        return 1.0, residual(1.0)
+    return gamma, None
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +378,13 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     can sample gauges by Hermite interpolation.  Fixed-dt mode is selected
     by config.dt; otherwise the embedded estimate feeds the PI controller.
 
+    Relaxation: ``rk_step`` finds gamma in every attempt, rejected ones
+    too; only an accepted step counts a fallback to gamma = 1 and logs its
+    warning.  The derivative at the accepted end state, when known (the
+    FSAL last stage, or the end derivative dense output evaluates), is the
+    next step's first stage, so a relaxed DOPRI5 step costs the six RHS
+    calls of an unrelaxed one.
+
     End time: the last step is cut to t_end - t, but a relaxed step
     advances t by gamma * dt, so a relaxed run ends at
     t_end + (gamma_last - 1) * dt_last rather than exactly at t_end (the
@@ -382,7 +408,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     dt = config.dt if not adaptive else span / 1000.0
     dt = min(dt, span, config.dt_max)
     err_prev = 1.0
-    k1 = None  # FSAL cache; only reused when the state it belongs to is current
+    k1 = None  # f(t, y) of the current state, when known
+    step_functional = functional if relax else None
 
     def call_rhs(ti, yi):
         result.n_rhs += 1
@@ -393,7 +420,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             raise NumericsError(f"exceeded {MAX_STEPS} steps at t={t}")
         dt_step = min(dt, t_end - t)
         try:
-            du, err, k = rk_step(call_rhs, y, t, dt_step, tab, k1=k1)
+            du, err, k, gamma, fallback = rk_step(call_rhs, y, t, dt_step, tab, k1=k1,
+                                                  functional=step_functional)
         except (_StepFailure, DomainError) as exc:
             # an inadmissible trial state is recoverable under step control
             if not adaptive:
@@ -424,23 +452,22 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
                 continue
             err_prev = max(err_norm, 1e-16)
             dt = min(dt_next, config.dt_max)
-        gamma = 1.0
-        if relax:
-            gamma, fell_back = _relax_increment(y, du, functional)
-            if fell_back:
-                result.relaxation_fallbacks += 1
+        if fallback is not None:
+            result.relaxation_fallbacks += 1
+            log.warning(
+                "relaxation root not found at t=%g (r(1) = %.3e); falling back to gamma = 1",
+                t, fallback,
+            )
         y_new = y + gamma * du
         t_new = t + gamma * dt_step
 
-        # FSAL: the last stage is f(t+dt, y+du), reusable as the next first
-        # stage.  After a relaxed step with gamma != 1 the derivative must be
-        # re-evaluated at the relaxed state before it can be reused.
-        f_new = None
-        if tab.is_fsal and gamma == 1.0:
+        # f(t_new, y_new), when known, is the next step's first stage; an FSAL
+        # rk_step evaluated it as its last stage already
+        if tab.is_fsal:
             f_new = k[-1]
-        elif dense_output or (tab.is_fsal and relax):
-            f_new = call_rhs(t_new, y_new)
-        k1 = f_new if tab.is_fsal else None
+        else:
+            f_new = call_rhs(t_new, y_new) if dense_output else None
+        k1 = f_new
 
         if on_step is not None:
             record = StepRecord(t, t_new, y, y_new, k[0] if dense_output else None,

@@ -69,7 +69,8 @@ def _printed_info(out):
 def test_dingemans_without_gauges_computes_no_dense_output(tmp_path, monkeypatch,
                                                            capsys):
     # fixed-step RK4 makes four RHS calls per step; the Hermite derivative at
-    # the step end is needed only to sample gauges
+    # the step end is needed only to sample gauges.  With dense output it is
+    # the next step's first stage, so only the final state costs one more call
     args = ["run", "--scenario", "dingemans", "--model", "bbm_bbm", "--n-nodes",
             "128", "--t-end", "0.5", "--dt", "0.01", "--output-dir"]
     assert run_cli(args + [str(tmp_path / "plain")]) == 0
@@ -80,7 +81,7 @@ def test_dingemans_without_gauges_computes_no_dense_output(tmp_path, monkeypatch
                         lambda *a, **kw: integrate(*a, **{**kw, "dense_output": True}))
     assert run_cli(args + [str(tmp_path / "dense")]) == 0
     printed = _printed_info(capsys.readouterr().out)
-    assert (printed["n_steps"], printed["n_rhs"]) == ("50", "250")
+    assert (printed["n_steps"], printed["n_rhs"]) == ("50", "201")
     names = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "dense").iterdir())
     for name in names:
@@ -143,6 +144,8 @@ def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, fiel
     ("traveling_wave", "bbm_bbm", ["--wavenumber", "-0.8", "--n-nodes", "32"],
      "wavenumber"),
     ("dingemans", "bbm_bbm", ["--gauges", "100,-500", "--n-nodes", "64"], "gauges"),
+    ("soliton", "bbm_bbm", ["--eoc", "--orders", "2,2", "--resolutions", "16,32"],
+     "orders"),
 ])
 def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, field,
                                                      tmp_path, capsys):
@@ -153,6 +156,23 @@ def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, fie
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
+def test_missing_experimental_data_exits_two_before_the_run(monkeypatch, tmp_path,
+                                                           capsys):
+    # the file is read before the discretization, so the run never starts
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrate called before the file was read")
+
+    monkeypatch.setattr(scenarios, "integrate", integrate)
+    out = tmp_path / "out"
+    code = run_cli(["run", "--scenario", "dingemans", "--model", "bbm_bbm",
+                    "--n-nodes", "64", "--t-end", "0.01",
+                    "--experimental-data", str(tmp_path / "missing.csv"),
+                    "--output-dir", str(out)])
+    assert code == 2
+    assert "experimental data file not found" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dispersive_sw import timestepping
 from dispersive_sw.bbm_bbm import build_bbm_discretization
-from dispersive_sw.errors import ConfigurationError, NumericsError
+from dispersive_sw.errors import ConfigurationError, DomainError, NumericsError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.timestepping import (
@@ -27,14 +27,14 @@ from .oracles import FunctionalFromCallable, matrix_exponential_reference
 
 def test_zero_rhs_is_identity():
     y = np.array([1.0, -2.0])
-    du, err, _ = rk_step(lambda t, u: np.zeros_like(u), y, 0.0, 0.3, RK4)
+    du, err, *_ = rk_step(lambda t, u: np.zeros_like(u), y, 0.0, 0.3, RK4)
     assert np.all(du == 0.0)
     assert err is None
 
 
 def test_rk4_exponential_closed_form():
     # u' = u, one step dt = 0.1: u1 = sum_{k=0..4} 0.1^k / k!
-    du, _, _ = rk_step(lambda t, u: u, np.array([1.0]), 0.0, 0.1, RK4)
+    du, *_ = rk_step(lambda t, u: u, np.array([1.0]), 0.0, 0.1, RK4)
     assert 1.0 + du[0] == pytest.approx(1.1051708333333333, abs=1e-16)
 
 
@@ -102,7 +102,7 @@ def test_stage_sums_have_the_bits_of_generator_sums(data):
         seen.append(u.copy())
         return stages[len(seen) - 1]
 
-    du, err, _ = rk_step(rhs, y, 0.0, dt, tab)
+    du, err, *_ = rk_step(rhs, y, 0.0, dt, tab)
 
     def generator_sum(weights, upto):
         return dt * sum(weights[j] * stages[j] for j in range(upto) if weights[j] != 0.0)
@@ -203,6 +203,20 @@ def test_dopri5_is_fsal():
     assert not RK4.is_fsal
 
 
+@pytest.mark.parametrize("where", ["a", "c"])
+def test_fsal_needs_the_exact_last_row(where):
+    # rk_step evaluates an FSAL last stage at y + du: a last row of a or a
+    # c[-1] one ulp away from b or 1 is not FSAL
+    a, c = DOPRI5.a.copy(), DOPRI5.c.copy()
+    if where == "a":
+        a[-1, 0] = np.nextafter(a[-1, 0], 1.0)
+    else:
+        c[-1] = np.nextafter(1.0, 0.0)
+    tab = ButcherTableau("near_dopri5", a, DOPRI5.b, c, order=5,
+                         b_embedded=DOPRI5.b_embedded, embedded_order=4)
+    assert not tab.is_fsal
+
+
 @given(st.floats(0.01, 0.2), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_relaxation_gamma_one_for_linear_functional(dt, a, b):
@@ -252,7 +266,12 @@ def test_relaxation_preserves_temporal_order():
     assert abs(eoc_relax - eoc_base) <= 0.3
 
 
-def test_relaxation_fallback_warns_and_counts():
+def _fallback_warnings(caplog):
+    return [r for r in caplog.records
+            if r.levelname == "WARNING" and "relaxation root not found" in r.message]
+
+
+def test_relaxation_fallback_warns_and_counts(caplog):
     # J strictly convex with minimum on the trajectory: r(gamma) > 0 on the
     # whole bracket, so no conservative root exists
     def rhs(t, y):
@@ -260,11 +279,56 @@ def test_relaxation_fallback_warns_and_counts():
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2))
     cfg = IntegratorConfig(tableau=RK4, dt=0.5, relaxation=True)
-    res = integrate(
-        rhs, np.array([0.0]), (0.0, 0.5), cfg, functional=functional
-    )
+    with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
+        res = integrate(
+            rhs, np.array([0.0]), (0.0, 0.5), cfg, functional=functional
+        )
     assert res.relaxation_fallbacks == 1
     assert res.gammas == [1.0]
+    [warning] = _fallback_warnings(caplog)
+    assert "r(1) = 2.500e-01" in warning.message
+
+
+class _FirstCallFallsBack(FunctionalFromCallable):
+    """The oscillator energy, but the first increment has no conservative root."""
+
+    def __init__(self):
+        super().__init__(lambda y: float(y[0] ** 2 + y[1] ** 2))
+        self.coefficient_calls = 0
+
+    def delta_coefficients(self, y, dy):
+        self.coefficient_calls += 1
+        if self.coefficient_calls == 1:
+            return 1.0, 0.0, 0.0  # r(gamma) = gamma > 0 on the whole bracket
+        return super().delta_coefficients(y, dy)
+
+
+@pytest.mark.parametrize("reject_by", ["error", "domain"])
+def test_rejected_attempt_neither_counts_nor_warns_a_fallback(reject_by, caplog):
+    # every attempt finds gamma; the first one falls back and is then rejected
+    # at its last stage (the seventh call), which only the error estimate
+    # reads: a wild derivative fails the estimate, a DomainError the attempt
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        f = np.array([y[1], -y[0]])
+        if len(calls) == 7:
+            if reject_by == "domain":
+                raise DomainError("inadmissible end state")
+            f *= 1e6
+        return f
+
+    functional = _FirstCallFallsBack()
+    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6, relaxation=True)
+    with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
+        res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 2.0), cfg,
+                        functional=functional)
+    assert res.n_rejected == 1
+    assert functional.coefficient_calls == res.n_steps + res.n_rejected
+    assert res.relaxation_fallbacks == 0
+    assert _fallback_warnings(caplog) == []
+    assert abs(functional.value(res.y) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("root, found", [(1.005, True), (1.02, False)])
@@ -379,23 +443,51 @@ def test_solve_gamma_stops_once_the_secant_step_cannot_move():
 
 
 def test_fsal_reevaluated_after_relaxed_step():
-    # count evaluations: relaxed FSAL steps must re-evaluate at the relaxed
-    # state, so the first stage cannot be the cached unrelaxed last stage
+    # record every evaluated (t, y): the first stage of each step is the
+    # previous step's last stage, evaluated once and exactly at the relaxed
+    # state (t_old + gamma dt, y_old + gamma du), not at y_old + du
     evaluations = []
 
     def rhs(t, y):
-        evaluations.append((t, y.copy()))
+        evaluations.append((t, y.tobytes()))
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
     cfg = IntegratorConfig(tableau=DOPRI5, dt=0.25, relaxation=True)
-    res = integrate(
-        rhs, np.array([1.0, 0.0]), (0.0, 1.0), cfg, functional=functional
-    )
-    # the first stage of each step after the first must match the relaxed
-    # state, which differs from y_old + du of the unrelaxed update
-    assert res.n_steps >= 3
+    y0 = np.array([1.0, 0.0])
+    records = []
+    res = integrate(rhs, y0, (0.0, 1.0), cfg, functional=functional,
+                    on_step=records.append)
+    assert res.n_steps == len(records) >= 3
+    assert all(record.gamma != 1.0 for record in records)
+    states = [(0.0, y0.tobytes())]
+    states += [(record.t_new, record.y_new.tobytes()) for record in records]
+    # one evaluation at the initial state, then six per step, the last at its end
+    assert evaluations[::6] == states
+    assert all(evaluations.count(state) == 1 for state in states)
     assert abs(functional.value(res.y) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tab, dt, dense_output, per_step", [
+    (DOPRI5, 0.25, False, 6), (DOPRI5, None, False, 6), (DOPRI5, None, True, 6),
+    (RK4, 0.25, True, 4),
+])
+def test_relaxed_run_evaluates_each_end_state_once(tab, dt, dense_output, per_step):
+    # one evaluation at the initial state, then per accepted step its stages
+    # after the first and its end derivative, which is the next first stage
+    # (for DOPRI5 the last stage is that derivative)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([y[1], -y[0]])
+
+    functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
+    cfg = IntegratorConfig(tableau=tab, dt=dt, relaxation=True)
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 3.0), cfg, functional=functional,
+                    dense_output=dense_output)
+    assert res.n_rejected == 0 and res.n_steps >= 5
+    assert res.n_rhs == len(calls) == per_step * res.n_steps + 1
 
 
 def test_fixed_step_count_and_final_time():
