@@ -100,8 +100,7 @@ class BbmBbmDiscretization:
     _solver_mass: object = None
     _solver_vel: object = None
     _vel_divisor: np.ndarray | None = None  # K of a rescaled velocity system
-    # reflecting only: D+ of the mass system and P_D K / 6 (module docstring)
-    _d_inner_mass: DerivativeOperator | None = None
+    # reflecting only: P_D K / 6 (module docstring); D+ is _d_outer_vel
     _wall_flux_weight: np.ndarray | None = None
     _source: Optional[Callable] = None
 
@@ -131,7 +130,7 @@ class BbmBbmDiscretization:
         if self._source is not None:
             s_eta, s_v = self._source(t, self.grid.nodes)
             rhs_v = rhs_v + s_v
-        if self._d_inner_mass is None:
+        if self._wall_flux_weight is None:
             deta = self._solver_mass.solve(-d_mass_flux)
             if s_eta is not None:
                 deta = deta + self._solver_mass.solve(s_eta)
@@ -144,7 +143,7 @@ class BbmBbmDiscretization:
         m = self.operators.mass.diagonal
         rhs_eta = -d_mass_flux if s_eta is None else s_eta - d_mass_flux
         y = self._solver_mass.solve(m * rhs_eta)
-        flux = mass_flux - self._wall_flux_weight * self._d_inner_mass.apply(y)
+        flux = mass_flux - self._wall_flux_weight * d_vel.apply(y)
         deta = -d_mass.apply(flux)
         if s_eta is not None:
             deta = deta + s_eta
@@ -173,7 +172,7 @@ class BbmBbmDiscretization:
         dens = 0.5 * self.gravity * eta**2 + 0.5 * (eta + self.still_depth) * v**2
         return float(w @ dens)
 
-    def energy_functional(self):
+    def functional(self):
         return BbmEnergyFunctional(self)
 
 
@@ -207,10 +206,14 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
                              *, source_terms=None):
     """Assemble and factor one of the BBM-BBM semidiscretizations.
 
-    The elliptic operators are time independent, so they are factored
-    here, once each (once in all for ``periodic_const_narrow``, whose two
-    systems coincide).  ``source_terms(t, x) -> (s_eta, s_v)`` adds
-    manufactured sources.
+    The outer pair (L, R) differentiates the (mass, velocity) fluxes: (D-,
+    D+) for the *_upwind variants, (D1, D1) otherwise.  The periodic mass
+    system is built from L K R, the velocity system from R L, or from the
+    narrow D2 for periodic_central_narrow; the reflecting ones from R and L
+    (module docstring).  The elliptic operators are time independent, so
+    they are factored here, once each (once in all for
+    ``periodic_const_narrow``, whose two systems coincide).
+    ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown BBM-BBM variant {variant!r}")
@@ -227,63 +230,43 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
             f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
         )
     kdiag = depth**2
+    if variant == "periodic_const_narrow" and np.ptp(depth) > 1e-13 * np.max(depth):
+        raise ConfigurationError("periodic_const_narrow requires constant bathymetry")
 
-    if variant in ("periodic_central_wide", "periodic_central_narrow",
-                   "periodic_const_narrow", "reflecting_central"):
-        operators.require("d1")
-        d1 = operators.d1
-        d_outer_mass = d_outer_vel = d1
-    if variant in ("periodic_central_narrow", "periodic_const_narrow"):
-        operators.require("d2")
-        if operators.d2.kind != "periodic_d2_narrow":
-            raise ConfigurationError(
-                f"{variant} needs a narrow second-derivative operator, "
-                f"got {operators.d2.kind}"
-            )
     if variant.endswith("upwind"):
-        operators.require("upwind")
-        dp, dm = operators.upwind.d_plus, operators.upwind.d_minus
-        d_outer_mass, d_outer_vel = dm, dp
+        d_outer_mass, d_outer_vel = operators.upwind.d_minus, operators.upwind.d_plus
+    else:
+        d_outer_mass = d_outer_vel = operators.d1
 
-    vel_divisor = d_inner_mass = wall_flux_weight = None
+    vel_divisor = wall_flux_weight = None
     # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and
     # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: the
     # M-scaled SPD forms of the module docstring
-    if variant == "periodic_central_wide":
-        a_mass = periodic_band(d1, d1, inner=kdiag)
-        a_vel = periodic_band(d1, d1)
-    elif variant == "periodic_central_narrow":
-        a_mass = periodic_band(d1, d1, inner=kdiag)
-        a_vel = periodic_band(operators.d2)
-    elif variant == "periodic_const_narrow":
-        if np.ptp(depth) > 1e-13 * np.max(depth):
-            raise ConfigurationError(
-                "periodic_const_narrow requires constant bathymetry"
-            )
-        # K is constant, so I - D2 K / 6 is symmetric: one system for both
-        a_mass = a_vel = periodic_band(operators.d2, inner=kdiag)
-    elif variant == "periodic_upwind":
-        a_mass = periodic_band(dm, dp, inner=kdiag)
-        a_vel = periodic_band(dp, dm)
     if grid.is_periodic:
+        if variant == "periodic_const_narrow":
+            # K is constant, so I - D2 K / 6 is symmetric: one system for both
+            a_mass = a_vel = periodic_band(operators.d2, inner=kdiag)
+        else:
+            a_mass = periodic_band(d_outer_mass, d_outer_vel, inner=kdiag)
+            a_vel = (periodic_band(operators.d2) if variant == "periodic_central_narrow"
+                     else periodic_band(d_outer_vel, d_outer_mass))
         solver_mass = solver_vel = linsolve.factor(a_mass.shifted(1.0, -6.0))
         if a_vel is not a_mass:
             vel_divisor = kdiag
             solver_vel = linsolve.factor(a_vel.shifted(1.0 / kdiag, -6.0))
     else:
         m = operators.mass.diagonal
-        d_inner_mass = d_outer_vel
         wall_flux_weight = kdiag / 6.0
         wall_flux_weight[0] = wall_flux_weight[-1] = 0.0
         solver_mass = linsolve.factor(
-            bounded_band(d_inner_mass, m * wall_flux_weight).shifted(m)
+            bounded_band(d_outer_vel, m * wall_flux_weight).shifted(m)
         )
         solver_vel = linsolve.factor(
             bounded_band(d_outer_mass, m).shifted(m / kdiag, 6.0).interior()
         )
         vel_divisor = kdiag[1:-1]
 
-    disc = BbmBbmDiscretization(
+    return BbmBbmDiscretization(
         grid=grid,
         gravity=float(gravity),
         bathymetry=b,
@@ -295,8 +278,6 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
         _solver_mass=solver_mass,
         _solver_vel=solver_vel,
         _vel_divisor=vel_divisor,
-        _d_inner_mass=d_inner_mass,
         _wall_flux_weight=wall_flux_weight,
         _source=source_terms,
     )
-    return disc

@@ -11,7 +11,11 @@ failure (a failed factorization included), 3 threshold failure in
 n_nodes below 3, a wavenumber <= 0, empty or repeated orders, fewer than
 two resolutions and a Dingemans gauge outside the domain exit 1 before the
 run; a missing or malformed Dingemans --experimental-data file exits 2
-before the run.
+before the run.  A given key that the run does not read exits 1 before
+the run (see ``config``), among them --relaxation or --no-relaxation for
+reflecting_bump (it runs an unrelaxed and a relaxed half), --atol and
+--rtol in a fixed-step run (--dt given, or lake_at_rest) and
+--gauge-interval without --gauges.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).

@@ -95,14 +95,18 @@ def _unread_fields(cfg: ScenarioConfig):
     scenario, dingemans = cfg.scenario, cfg.scenario == "dingemans"
     manufactured = scenario == "manufactured"
     eoc = manufactured or (scenario == "soliton" and cfg.eoc)
+    # a lake at rest supplies its own dt, so its runs are always fixed-step
+    adaptive = cfg.dt is None and scenario != "lake_at_rest"
     return {name for name, read in (
         ("parameter_set", cfg.model == "svaerd_kalisch"),
         ("reflecting", manufactured),
         ("wavenumber", scenario == "traveling_wave"), ("eoc", scenario == "soliton"),
         ("orders", eoc), ("resolutions", eoc),
         ("order", not eoc), ("n_nodes", not eoc),
-        ("gauges", dingemans), ("gauge_interval", dingemans),
+        ("gauges", dingemans), ("gauge_interval", dingemans and bool(cfg.gauges)),
         ("experimental_data", dingemans),
+        ("relaxation", scenario != "reflecting_bump"),
+        ("atol", adaptive), ("rtol", adaptive),
     ) if not read}
 
 

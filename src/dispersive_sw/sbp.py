@@ -56,6 +56,10 @@ O(width^2).  With M = dx I away from the boundary, the identities read
 c_+k + c_-k = 0 (D1), c_+k = c_-k (D2), c+_k + c-_-k = 0 (upwind pair)
 and sum_k c_k = 0 (consistency) on the stencils; a bounded operator is
 checked, in addition, on its two dense w x w corner blocks.
+
+The bundles build and verify each operator once: the periodic upwind
+bundle takes D1 and the composite D2 = D+ D- from its one pair, and the
+bounded upwind pair extends the bundle's one bounded central D1.
 """
 
 from __future__ import annotations
@@ -208,6 +212,19 @@ class UpwindOperatorPair:
             "periodic_central_d1", order, self.grid, self.mass,
             offsets=off, coefficients=coef,
         )
+
+    def second_derivative(self) -> DerivativeOperator:
+        """D+ D- of a periodic pair, a second-derivative operator symmetric
+        against M; refused on a grid no wider than its stencil."""
+        offsets, coef = _convolve_stencils(
+            self.d_plus.offsets, self.d_plus.coefficients,
+            self.d_minus.offsets, self.d_minus.coefficients,
+        )
+        _require_periodic(self.grid, offsets.size)
+        op = DerivativeOperator("periodic_d2_upwind_composite", self.accuracy_order,
+                                self.grid, self.mass, offsets=offsets, coefficients=coef)
+        _assert_report(verify_sbp_identity(op))
+        return op
 
 
 # ---------------------------------------------------------------------------
@@ -413,32 +430,16 @@ def build_periodic_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
     return pair
 
 
-def build_periodic_d2(grid: Grid, order: int, flavor="narrow") -> DerivativeOperator:
-    """Periodic second-derivative operator, symmetric against M.
-
-    flavor "narrow" uses the classical compact stencil, "upwind_composite"
-    forms D+ D-.
-    """
-    if flavor == "narrow":
-        if order not in _NARROW_D2:
-            raise ConfigurationError(f"no narrow D2 of order {order}")
-        coef = np.array(_NARROW_D2[order]) / grid.spacing**2
-        half = order // 2
-        offsets, coef = _trim_stencil(np.arange(-half, half + 1), coef)
-        kind = "periodic_d2_narrow"
-    elif flavor == "upwind_composite":
-        pair = build_periodic_upwind(grid, order)
-        offsets, coef = _convolve_stencils(
-            pair.d_plus.offsets, pair.d_plus.coefficients,
-            pair.d_minus.offsets, pair.d_minus.coefficients,
-        )
-        kind = "periodic_d2_upwind_composite"
-    else:
-        raise ConfigurationError(f"unknown D2 flavor {flavor!r}")
+def build_periodic_d2(grid: Grid, order: int) -> DerivativeOperator:
+    """Periodic narrow second-derivative operator, symmetric against M."""
+    if order not in _NARROW_D2:
+        raise ConfigurationError(f"no narrow D2 of order {order}")
+    coef = np.array(_NARROW_D2[order]) / grid.spacing**2
+    half = order // 2
+    offsets, coef = _trim_stencil(np.arange(-half, half + 1), coef)
     _require_periodic(grid, offsets.size)
-    op = DerivativeOperator(
-        kind, order, grid, _periodic_mass(grid), offsets=offsets, coefficients=coef
-    )
+    op = DerivativeOperator("periodic_d2_narrow", order, grid, _periodic_mass(grid),
+                            offsets=offsets, coefficients=coef)
     _assert_report(verify_sbp_identity(op))
     return op
 
@@ -500,8 +501,9 @@ def build_bounded_central_d1(grid: Grid, order: int) -> DerivativeOperator:
     return op
 
 
-def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
-    """Bounded upwind pair D+/- = D1 -/+ M^-1 S with S = -4^-p Delta^T Delta.
+def build_bounded_upwind(central: DerivativeOperator) -> UpwindOperatorPair:
+    """Bounded upwind pair D+/- = D1 -/+ M^-1 S with S = -4^-p Delta^T Delta,
+    D1 the bounded central operator ``central`` of order p.
 
     Delta is the p-th undivided difference, so S is symmetric negative
     semidefinite and annihilates polynomials below degree p; the pair
@@ -514,7 +516,7 @@ def build_bounded_upwind(grid: Grid, order: int) -> UpwindOperatorPair:
     over max(c, p) + p columns; the right ones mirror the left ones of the
     partner, D+[N-1-i, N-1-j] = -D-[i, j].
     """
-    central = build_bounded_central_d1(grid, order)
+    grid, order = central.grid, central.accuracy_order
     rows = max(central.closure[0].shape[0], order)
     width = rows + order
     _require_bounded(grid, width)
@@ -668,38 +670,25 @@ def verify_sbp_identity(op) -> IdentityReport:
 class SbpOperatorSet:
     """Operators sharing one grid and norm, as required by a model variant."""
 
-    grid: Grid
-    accuracy_order: int
     mass: MassMatrix
-    d1: DerivativeOperator | None = None
+    d1: DerivativeOperator
     d2: DerivativeOperator | None = None
     upwind: UpwindOperatorPair | None = None
 
-    def require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigurationError(
-                    f"operator set lacks {name!r} required by the chosen variant"
-                )
-
 
 def periodic_operators(grid, order, *, upwind=False):
-    """Convenience bundle for periodic semidiscretizations.
-
-    With upwind=True the central first derivative is the pair average and
-    the second derivative the upwind composite, so all stencils stay narrow.
-    """
+    """Bundle for periodic semidiscretizations: D1 and D2, plus the pair.
+    With upwind=True, D1 is the pair average and D2 = D+ D-, so all
+    stencils stay narrow."""
     if upwind:
         pair = build_periodic_upwind(grid, order)
-        d1 = pair.central_average()
-        d2 = build_periodic_d2(grid, order, "upwind_composite")
-        return SbpOperatorSet(grid, order, pair.mass, d1=d1, d2=d2, upwind=pair)
+        return SbpOperatorSet(pair.mass, pair.central_average(),
+                              pair.second_derivative(), pair)
     d1 = build_periodic_central_d1(grid, order)
-    d2 = build_periodic_d2(grid, order)
-    return SbpOperatorSet(grid, order, d1.mass, d1=d1, d2=d2)
+    return SbpOperatorSet(d1.mass, d1, build_periodic_d2(grid, order))
 
 
 def bounded_operators(grid, order, *, upwind=False):
+    """Bundle for reflecting semidiscretizations: D1, plus the pair built on it."""
     d1 = build_bounded_central_d1(grid, order)
-    pair = build_bounded_upwind(grid, order) if upwind else None
-    return SbpOperatorSet(grid, order, d1.mass, d1=d1, upwind=pair)
+    return SbpOperatorSet(d1.mass, d1, upwind=build_bounded_upwind(d1) if upwind else None)

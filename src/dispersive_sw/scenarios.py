@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -297,26 +297,17 @@ def _snapshot(disc, y, shift):
     )
 
 
-def _functional(disc):
-    if isinstance(disc, bbm_bbm.BbmBbmDiscretization):
-        return disc.energy_functional()
-    return disc.modified_entropy_functional()
-
-
 # integrator counters summed over a scenario's integrate calls into its info
 RUN_COUNTERS = ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks")
 
 
 def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=None,
-         atol=None, rtol=None, relaxation=None, recorders=(), dt_max=np.inf):
-    relaxation = cfg.relaxation if relaxation is None else relaxation
-    functional = _functional(disc) if relaxation else None
+         atol=None, rtol=None, recorders=(), dt_max=np.inf):
     config = IntegratorConfig(
         tableau=RK4 if (cfg.dt or dt) is not None else DOPRI5,
         dt=cfg.dt if cfg.dt is not None else dt,
         atol=cfg.atol if cfg.atol is not None else (atol or 1e-7),
         rtol=cfg.rtol if cfg.rtol is not None else (rtol or 1e-7),
-        relaxation=relaxation,
         dt_max=dt_max,
     )
     for rec in recorders:
@@ -327,7 +318,8 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
             rec(record)
 
     run = integrate(
-        disc.rhs, y0, (0.0, t_end), config, functional=functional,
+        disc.rhs, y0, (0.0, t_end), config,
+        functional=disc.functional() if cfg.relaxation else None,
         on_step=on_step if recorders else None,
         dense_output=any(isinstance(r, GaugeRecorder) for r in recorders),
     )
@@ -494,7 +486,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     bbm = cfg.model == "bbm_bbm"
     dt = cfg.dt if cfg.dt is not None else (0.5 if bbm else 2e-4)
     t_end = cfg.t_end if cfg.t_end is not None else (10.0 if bbm else 1.0)
-    run = _run(result, disc, y0, t_end, cfg, dt=dt, relaxation=False)
+    run = _run(result, disc, y0, t_end, cfg, dt=dt)
     eta, v = split_flat(run.y)
     eta_ref, v_ref = split_flat(y0)
     err_eta = l2_norm(eta - eta_ref, ops.mass)
@@ -529,7 +521,7 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     y0 = np.concatenate([level + np.exp(-50.0 * grid.nodes**2), np.zeros(n)])
     for relaxed in (False, True):
         recorder = InvariantRecorder(disc)
-        run = _run(result, disc, y0, t_end, cfg, relaxation=relaxed,
+        run = _run(result, disc, y0, t_end, replace(cfg, relaxation=relaxed),
                    recorders=[recorder])
         tag = "relaxed" if relaxed else "baseline"
         result.tables[f"invariants_{tag}"] = (recorder.header(), recorder.rows)

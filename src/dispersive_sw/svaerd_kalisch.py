@@ -290,7 +290,7 @@ class SkDiscretization:
         modified = entropy_density + 0.5 * self.beta_hat * self._entropy_deriv(v) ** 2
         return h, v, entropy_density, modified
 
-    def modified_entropy_functional(self):
+    def functional(self):
         return SkModifiedEntropyFunctional(self)
 
 
@@ -369,17 +369,14 @@ def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
     beta_hat = params.beta_tilde * depth**3
     gamma_hat = params.gamma_tilde * root_gd * depth**3
 
-    operators.require("d1")
     d1 = operators.d1
     entropy_deriv = d1.apply
     # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind,
     # or D1^T (M beta) D1 without the wall unknowns: symmetric positive
     # semidefinite, so diag(h) (or M diag(h)) plus it is SPD for h > 0
     if variant == "periodic_central_split":
-        operators.require("d2")
         beta_block = periodic_band(d1, d1, inner=-beta_hat)
     elif variant == "periodic_upwind":
-        operators.require("upwind", "d2")
         pair = operators.upwind
         beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
         entropy_deriv = pair.d_minus.apply

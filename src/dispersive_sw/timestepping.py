@@ -1,8 +1,8 @@
 """Explicit Runge-Kutta time stepping with an optional relaxation wrapper.
 
-Relaxation rescales the update increment, u_new = u + gamma * du with
-gamma near 1 chosen so that a designated nonlinear functional J is
-exactly conserved across the step; the step then
+A run relaxes exactly when it is given a functional J.  Relaxation
+rescales the update increment, u_new = u + gamma * du with gamma near 1
+chosen so that J is exactly conserved across the step; the step then
 advances time by gamma * dt.  For the energy functionals of both models
 the increment J(u + gamma du) - J(u) is an exact cubic polynomial in
 gamma, so a functional answers in two steps: ``delta_coefficients(u, du)``
@@ -328,7 +328,6 @@ class IntegratorConfig:
     atol: float = 1e-7
     rtol: float = 1e-7
     dt_max: float = np.inf
-    relaxation: bool = False  # conserve the functional passed to integrate
 
 
 @dataclass
@@ -378,7 +377,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     can sample gauges by Hermite interpolation.  Fixed-dt mode is selected
     by config.dt; otherwise the embedded estimate feeds the PI controller.
 
-    Relaxation: ``rk_step`` finds gamma in every attempt, rejected ones
+    Relaxation is on exactly when ``functional`` is given, and conserves
+    it: ``rk_step`` finds gamma in every attempt, rejected ones
     too; only an accepted step counts a fallback to gamma = 1 and logs its
     warning.  The derivative at the accepted end state, when known (the
     FSAL last stage, or the end derivative dense output evaluates), is the
@@ -395,9 +395,6 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     if not t_end > t0:
         raise ConfigurationError("empty time span")
     tab = config.tableau
-    relax = config.relaxation
-    if relax and functional is None:
-        raise ConfigurationError("relaxation requested but no functional supplied")
     adaptive = config.dt is None
     if adaptive and not tab.is_embedded:
         raise ConfigurationError(f"tableau {tab.name} has no embedded error estimate")
@@ -409,7 +406,6 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     dt = min(dt, span, config.dt_max)
     err_prev = 1.0
     k1 = None  # f(t, y) of the current state, when known
-    step_functional = functional if relax else None
 
     def call_rhs(ti, yi):
         result.n_rhs += 1
@@ -421,7 +417,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
         dt_step = min(dt, t_end - t)
         try:
             du, err, k, gamma, fallback = rk_step(call_rhs, y, t, dt_step, tab, k1=k1,
-                                                  functional=step_functional)
+                                                  functional=functional)
         except (_StepFailure, DomainError) as exc:
             # an inadmissible trial state is recoverable under step control
             if not adaptive:
@@ -473,7 +469,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             record = StepRecord(t, t_new, y, y_new, k[0] if dense_output else None,
                                 f_new, gamma)
             on_step(record)
-        if relax:
+        if functional is not None:
             result.gammas.append(gamma)
         y, t = y_new, t_new
         result.n_steps += 1

@@ -15,12 +15,7 @@ from dispersive_sw.errors import (
     NumericsError,
 )
 from dispersive_sw.grid import make_uniform_grid, split_flat
-from dispersive_sw.sbp import (
-    SbpOperatorSet,
-    bounded_operators,
-    build_periodic_d2,
-    periodic_operators,
-)
+from dispersive_sw.sbp import bounded_operators, periodic_operators
 from dispersive_sw.timestepping import RK4, IntegratorConfig, integrate
 
 from .oracles import dense_operator, energy_rate_scale
@@ -139,7 +134,7 @@ def test_lake_at_rest_rhs_vanishes(variant, bc):
 def test_energy_conservative_variants_have_zero_energy_rate(variant, bc):
     grid, ops, disc = _build(variant, bc=bc)
     assert disc.variant in ENERGY_CONSERVATIVE_VARIANTS
-    func = disc.energy_functional()
+    func = disc.functional()
     for seed in range(5):
         y = _smooth_state(grid, seed)
         if bc == "bounded":
@@ -155,7 +150,7 @@ def test_central_narrow_violates_energy_measurably():
     # negative control: narrow D2 in the velocity equation only
     grid, ops, disc = _build("periodic_central_narrow")
     assert disc.variant not in ENERGY_CONSERVATIVE_VARIANTS
-    func = disc.energy_functional()
+    func = disc.functional()
     y = _smooth_state(grid, 1)
     ydot = disc.rhs(0.0, y)
     rate = abs(func.delta_coefficients(y, ydot)[0]) / energy_rate_scale(disc, y, ydot)
@@ -233,7 +228,7 @@ def test_invariant_values_for_constant_state():
 
 def test_energy_functional_delta_matches_direct_difference():
     grid, ops, disc = _build("periodic_central_wide")
-    func = disc.energy_functional()
+    func = disc.functional()
     rng = np.random.default_rng(8)
     y = _smooth_state(grid, 9)
     dy = 1e-3 * rng.normal(size=y.size)
@@ -247,7 +242,7 @@ def test_energy_rate_matches_finite_difference_of_flow():
     # independent oracle: central difference of E along the exact flow,
     # approximated by accurate short RK4 runs forward and backward in time
     grid, ops, disc = _build("periodic_central_narrow")
-    func = disc.energy_functional()
+    func = disc.functional()
     y = _smooth_state(grid, 10)
     eps = 5e-3
     cfg = IntegratorConfig(tableau=RK4, dt=eps / 8)
@@ -304,17 +299,6 @@ def test_const_narrow_requires_constant_bathymetry():
     with pytest.raises(ConfigurationError):
         build_bbm_discretization(
             grid, ops, _variable_bathymetry, G, "periodic_const_narrow"
-        )
-
-
-def test_narrow_variants_require_narrow_d2():
-    grid = make_uniform_grid(-1.0, 1.0, 64, "periodic")
-    ops = periodic_operators(grid, 4)
-    ops = SbpOperatorSet(grid, 4, ops.mass, d1=ops.d1,
-                         d2=build_periodic_d2(grid, 4, "upwind_composite"))
-    with pytest.raises(ConfigurationError):
-        build_bbm_discretization(
-            grid, ops, _variable_bathymetry, G, "periodic_central_narrow"
         )
 
 

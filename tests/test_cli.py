@@ -9,10 +9,10 @@ import pytest
 
 import dispersive_sw
 from dispersive_sw import linsolve, scenarios
-from dispersive_sw.bbm_bbm import BbmBbmDiscretization
+from dispersive_sw.bbm_bbm import BbmBbmDiscretization, BbmEnergyFunctional
 from dispersive_sw.cli import run_cli
 from dispersive_sw.config import MODELS, SCENARIOS
-from dispersive_sw.svaerd_kalisch import SkDiscretization
+from dispersive_sw.svaerd_kalisch import SkDiscretization, SkModifiedEntropyFunctional
 
 
 def test_check_mode_lake_at_rest_exits_zero(tmp_path):
@@ -119,6 +119,18 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     ("manufactured", "bbm_bbm", ["--order", "4", "--orders", "2", "--resolutions",
                                  "16,32", "--t-end", "0.01"], "order"),
     ("lake_at_rest", "bbm_bbm", ["--wavenumber", "0.8"], "wavenumber"),
+    # a reflecting bump runs an unrelaxed and a relaxed half whatever the flag
+    ("reflecting_bump", "bbm_bbm", ["--no-relaxation", "--n-nodes", "64", "--t-end",
+                                    "0.01"], "relaxation"),
+    # a fixed-step run reads no tolerance; a lake at rest always is one
+    ("lake_at_rest", "bbm_bbm", ["--atol", "1e-3", "--n-nodes", "40", "--t-end",
+                                 "0.5"], "atol"),
+    ("lake_at_rest", "svaerd_kalisch", ["--rtol", "5", "--n-nodes", "40", "--t-end",
+                                        "0.001"], "rtol"),
+    ("traveling_wave", "bbm_bbm", ["--dt", "0.01", "--atol", "1e-3", "--n-nodes", "32",
+                                   "--t-end", "0.02"], "atol"),
+    ("dingemans", "bbm_bbm", ["--gauge-interval", "0.5", "--n-nodes", "64", "--t-end",
+                              "0.01"], "gauge_interval"),
 ])
 def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, field,
                                                     capsys):
@@ -174,6 +186,31 @@ def test_missing_experimental_data_exits_two_before_the_run(monkeypatch, tmp_pat
     assert code == 2
     assert "experimental data file not found" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, functional, t_end", [
+    ("bbm_bbm", BbmEnergyFunctional, "2"),
+    ("svaerd_kalisch", SkModifiedEntropyFunctional, "0.002"),
+])
+def test_relaxed_lake_at_rest_writes_the_unrelaxed_bytes(model, functional, t_end,
+                                                         monkeypatch, tmp_path, capsys):
+    # du = 0.0 exactly at rest, so r(gamma) vanishes and gamma = 1: relaxing
+    # reads the functional and leaves every byte as it was
+    calls = []
+    value = functional.value
+    monkeypatch.setattr(functional, "value", lambda self, y: calls.append(1) or value(self, y))
+    outputs = []
+    for flag in ("--relaxation", "--no-relaxation"):
+        out = tmp_path / flag
+        code = run_cli(["run", "--scenario", "lake_at_rest", "--model", model,
+                        "--n-nodes", "40", "--t-end", t_end, flag, "--check",
+                        "--output-dir", str(out)])
+        assert code == 0
+        outputs.append(((out / "errors.csv").read_bytes(),
+                        capsys.readouterr().out.replace(str(out), "")))
+        assert bool(calls) == (flag == "--relaxation")
+        calls.clear()
+    assert outputs[0] == outputs[1]
 
 
 def test_config_file_key_that_the_run_does_not_read_exits_one(tmp_path, capsys):

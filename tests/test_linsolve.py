@@ -48,7 +48,7 @@ def test_consistency_rhs_a_times_one():
 def test_bbm_elliptic_matrix_against_dense_inverse():
     # I - (1/6) Dc^2 D2 at N = 32 versus explicit inverse multiplication
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
-    d2 = build_periodic_d2(grid, 2, "narrow")
+    d2 = build_periodic_d2(grid, 2)
     band = periodic_band(d2, inner=np.full(32, -(2.0**2) / 6.0)).shifted(1.0)
     a = np.eye(32) - (2.0**2 / 6.0) * dense_operator(d2)
     np.testing.assert_allclose(dense_band(band), a, atol=1e-12)

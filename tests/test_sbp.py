@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dispersive_sw import sbp
 from dispersive_sw.errors import ConfigurationError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.sbp import (
@@ -21,6 +22,7 @@ from dispersive_sw.sbp import (
     build_periodic_central_d1,
     build_periodic_d2,
     build_periodic_upwind,
+    bounded_operators,
     periodic_operators,
     verify_sbp_identity,
 )
@@ -99,7 +101,7 @@ def test_upwind_p1_is_forward_backward():
     s = 0.5 * np.diag(pair.mass.diagonal) @ (
         dense_operator(pair.d_plus) - dense_operator(pair.d_minus)
     )
-    d2 = dense_operator(build_periodic_d2(PGRID, 2, "narrow"))
+    d2 = dense_operator(build_periodic_d2(PGRID, 2))
     np.testing.assert_allclose(s, 0.5 * dx**2 * d2, atol=1e-14)
 
 
@@ -118,9 +120,11 @@ def test_upwind_average_is_valid_central_operator(order):
     assert verify_sbp_identity(avg).passed
 
 
-@pytest.mark.parametrize("flavor", ["narrow", "upwind_composite"])
-def test_periodic_d2_symmetry(flavor):
-    op = build_periodic_d2(PGRID, 4, flavor)
+@pytest.mark.parametrize("op", [
+    build_periodic_d2(PGRID, 4),
+    build_periodic_upwind(PGRID, 4).second_derivative(),
+], ids=["narrow", "upwind_composite"])
+def test_periodic_d2_symmetry(op):
     assert verify_sbp_identity(op).passed
     m = np.diag(op.mass.diagonal)
     d = dense_operator(op)
@@ -128,7 +132,7 @@ def test_periodic_d2_symmetry(flavor):
 
 
 def test_narrow_d2_p2_stencil():
-    op = build_periodic_d2(PGRID, 2, "narrow")
+    op = build_periodic_d2(PGRID, 2)
     dx2 = PGRID.spacing**2
     row = dense_operator(op)[7]
     assert row[6] == 1.0 / dx2 and row[7] == -2.0 / dx2 and row[8] == 1.0 / dx2
@@ -141,7 +145,7 @@ def test_periodic_d2_accuracy(order):
     errs = []
     for n in (16, 32):
         grid = make_uniform_grid(0.0, 1.0, n, "periodic")
-        op = build_periodic_d2(grid, order, "narrow")
+        op = build_periodic_d2(grid, order)
         u = np.sin(2 * np.pi * grid.nodes)
         exact = -(2 * np.pi) ** 2 * u
         errs.append(np.max(np.abs(op.apply(u) - exact)))
@@ -213,7 +217,7 @@ def test_bounded_telescoping():
 
 @pytest.mark.parametrize("order", BOUNDED_ORDERS)
 def test_bounded_upwind_pair(order):
-    pair = build_bounded_upwind(BGRID, order)
+    pair = build_bounded_upwind(build_bounded_central_d1(BGRID, order))
     assert verify_sbp_identity(pair).passed
     m = np.diag(pair.mass.diagonal)
     s = 0.5 * m @ (dense_operator(pair.d_plus) - dense_operator(pair.d_minus))
@@ -228,8 +232,8 @@ def test_bounded_upwind_dissipation_scales_like_d1(order):
     blocks = []
     for n in (64, 4096):
         grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
-        pair = build_bounded_upwind(grid, order)
         d1 = build_bounded_central_d1(grid, order)
+        pair = build_bounded_upwind(d1)
         width = pair.d_plus.closure[0].shape[1]
         columns = np.eye(n)[: 3 * width]  # row j: e_j, so apply(e_j)[i] = D[i, j]
         difference = pair.d_plus.apply(columns) - d1.apply(columns)
@@ -241,7 +245,7 @@ def test_bounded_upwind_dissipation_scales_like_d1(order):
 def test_lemma_one_vector_annihilation():
     # 1^T M D = 0 for every periodic operator
     ops = [build_periodic_central_d1(PGRID, p) for p in PERIODIC_CENTRAL_ORDERS]
-    ops += [build_periodic_d2(PGRID, p, "narrow") for p in PERIODIC_CENTRAL_ORDERS]
+    ops += [build_periodic_d2(PGRID, p) for p in PERIODIC_CENTRAL_ORDERS]
     for pair_order in UPWIND_ORDERS:
         pair = build_periodic_upwind(PGRID, pair_order)
         ops += [pair.d_plus, pair.d_minus]
@@ -295,7 +299,7 @@ def test_bounded_identity_residuals_equal_dense_form(order):
     # stencil and corner blocks form the same products as np.diag(M) @ D on
     # the dense matrices of the oracle; consistency sums in another order
     central = build_bounded_central_d1(BGRID, order)
-    pair = build_bounded_upwind(BGRID, order)
+    pair = build_bounded_upwind(central)
     d1, _ = dense_bounded_central_d1(BGRID, order)
     dp, dm, _ = dense_bounded_upwind(BGRID, order)
     for op, dense in ((central, d1), (pair, (dp, dm))):
@@ -319,12 +323,13 @@ def test_bounded_closure_table_matches_exact_derivation(order):
 @pytest.mark.parametrize("order", BOUNDED_ORDERS)
 def test_bounded_apply_matches_dense_oracle(order, n):
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
-    pair = build_bounded_upwind(grid, order)
+    central = build_bounded_central_d1(grid, order)
+    pair = build_bounded_upwind(central)
     d1, mass = dense_bounded_central_d1(grid, order)
     dp, dm, _ = dense_bounded_upwind(grid, order)
     rng = np.random.default_rng(n)
     u = rng.normal(size=n)
-    for op, dense in ((build_bounded_central_d1(grid, order), d1),
+    for op, dense in ((central, d1),
                       (pair.d_plus, dp), (pair.d_minus, dm)):
         assert np.array_equal(op.mass.diagonal, mass)
         got = dense_operator(op)
@@ -338,9 +343,8 @@ def test_bounded_apply_matches_dense_oracle(order, n):
 
 def _periodic_operators_and_pairs(grid):
     ops = [build_periodic_central_d1(grid, p) for p in PERIODIC_CENTRAL_ORDERS]
-    for flavor in ("narrow", "upwind_composite"):
-        orders = UPWIND_ORDERS if flavor == "upwind_composite" else PERIODIC_CENTRAL_ORDERS
-        ops += [build_periodic_d2(grid, p, flavor) for p in orders]
+    ops += [build_periodic_d2(grid, p) for p in PERIODIC_CENTRAL_ORDERS]
+    ops += [build_periodic_upwind(grid, p).second_derivative() for p in UPWIND_ORDERS]
     ops += [build_periodic_upwind(grid, p) for p in UPWIND_ORDERS]
     ops += [pair.central_average() for pair in ops[-len(UPWIND_ORDERS):]]
     return ops
@@ -370,7 +374,7 @@ def test_unsupported_orders_rejected():
     with pytest.raises(ConfigurationError):
         build_bounded_central_d1(BGRID, 8)
     with pytest.raises(ConfigurationError):
-        build_periodic_d2(PGRID, 4, "spectral")
+        build_periodic_d2(PGRID, 3)
 
 
 def test_grid_too_small_for_stencil():
@@ -382,18 +386,25 @@ def test_grid_too_small_for_stencil():
         build_bounded_central_d1(tinyb, 6)
 
 
+@pytest.mark.parametrize("bundle, builder, grid", [
+    (periodic_operators, "build_periodic_upwind", PGRID),
+    (bounded_operators, "build_bounded_central_d1", BGRID),
+], ids=["periodic", "bounded"])
+def test_upwind_bundle_builds_each_operator_once(bundle, builder, grid, monkeypatch):
+    # the periodic bundle takes D1 and D2 from its one pair; the bounded pair
+    # extends the bundle's one central D1
+    calls = []
+    original = getattr(sbp, builder)
+    monkeypatch.setattr(sbp, builder, lambda *args: calls.append(args) or original(*args))
+    bundle(grid, 4, upwind=True)
+    assert len(calls) == 1
+
+
 def test_bounded_on_periodic_grid_rejected():
     with pytest.raises(ConfigurationError):
         build_bounded_central_d1(PGRID, 2)
     with pytest.raises(ConfigurationError):
         build_periodic_central_d1(BGRID, 2)
-
-
-def test_operator_set_requirements():
-    ops = periodic_operators(PGRID, 4)
-    ops.require("d1", "d2")
-    with pytest.raises(ConfigurationError):
-        ops.require("upwind")
 
 
 # every periodic operator family: (family, order)
@@ -411,9 +422,11 @@ def _periodic_operator(family, order, n):
     try:
         if family == "central":
             return build_periodic_central_d1(grid, order)
-        if family in ("narrow", "upwind_composite"):
-            return build_periodic_d2(grid, order, family)
+        if family == "narrow":
+            return build_periodic_d2(grid, order)
         pair = build_periodic_upwind(grid, order)
+        if family == "upwind_composite":
+            return pair.second_derivative()
     except ConfigurationError:
         reject()
     if family == "plus":
@@ -453,7 +466,7 @@ def _bounded_operator(family, order, n):
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
     if family == "central":
         return build_bounded_central_d1(grid, order)
-    pair = build_bounded_upwind(grid, order)
+    pair = build_bounded_upwind(build_bounded_central_d1(grid, order))
     return pair.d_plus if family == "plus" else pair.d_minus
 
 
@@ -565,8 +578,8 @@ def test_strided_and_3d_stacks_give_the_bits_of_row_applies(boundary, layout, da
 
 @pytest.mark.parametrize("op", [
     build_periodic_central_d1(PGRID, 4),
-    build_periodic_d2(PGRID, 4, "upwind_composite"),
-    build_bounded_upwind(BGRID, 4).d_plus,
+    build_periodic_upwind(PGRID, 4).second_derivative(),
+    build_bounded_upwind(build_bounded_central_d1(BGRID, 4)).d_plus,
 ], ids=["periodic_central", "periodic_upwind_composite_d2", "bounded_plus"])
 def test_to_dense_is_c_contiguous_and_maps_columns(op):
     dense = dense_operator(op)
@@ -594,13 +607,15 @@ def _sbp_operator(family, order, n, length):
     grid = make_uniform_grid(0.0, length, n, bc)
     if family == "central":
         return build_periodic_central_d1(grid, order)
-    if family in ("narrow", "upwind_composite"):
-        return build_periodic_d2(grid, order, family)
+    if family == "narrow":
+        return build_periodic_d2(grid, order)
     if family == "bounded_central":
         return build_bounded_central_d1(grid, order)
     if family == "bounded_pair":
-        return build_bounded_upwind(grid, order)
+        return build_bounded_upwind(build_bounded_central_d1(grid, order))
     pair = build_periodic_upwind(grid, order)
+    if family == "upwind_composite":
+        return pair.second_derivative()
     return pair if family == "upwind_pair" else pair.central_average()
 
 

@@ -215,7 +215,7 @@ def test_central_flux_form_equals_term_by_term_split_form(params, order, sourced
 
 def test_central_split_conserves_modified_entropy():
     grid, ops, disc = _build("periodic_central_split", params="set2")
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     for seed in range(10):
         y = _positive_state(grid, seed)
         ydot = disc.rhs(0.0, y)
@@ -226,7 +226,7 @@ def test_central_split_conserves_modified_entropy():
 
 def test_upwind_dissipates_modified_entropy():
     grid, ops, disc = _build("periodic_upwind", params="set2")
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     for seed in range(10):
         y = _positive_state(grid, seed)
         ydot = disc.rhs(0.0, y)
@@ -237,7 +237,7 @@ def test_upwind_dissipates_modified_entropy():
 
 def test_upwind_with_alpha_zero_conserves():
     grid, ops, disc = _build("periodic_upwind", params="set3")
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     y = _positive_state(grid, 3)
     ydot = disc.rhs(0.0, y)
     scale = modified_entropy_rate_scale(disc, y, ydot)
@@ -246,7 +246,7 @@ def test_upwind_with_alpha_zero_conserves():
 
 def test_naive_split_breaks_conservation_by_orders_of_magnitude():
     grid, ops, split = _build("periodic_central_split", params="set2")
-    func = split.modified_entropy_functional()
+    func = split.functional()
     worst_ratio = np.inf
     for seed in range(5):
         y = _positive_state(grid, seed)
@@ -258,7 +258,7 @@ def test_naive_split_breaks_conservation_by_orders_of_magnitude():
 
 def test_reflecting_conserves_modified_entropy_and_mass():
     grid, ops, disc = _build("reflecting_beta_only", params="set5", bc="bounded")
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     n = grid.n_nodes
     for seed in range(5):
         y = _positive_state(grid, seed)
@@ -317,7 +317,7 @@ def test_gamma_block_alone_conserves_entropy():
         grid, ops, lambda x: np.ones_like(x), G, ETA0, gamma_only,
         "periodic_central_split",
     )
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     y = _positive_state(grid, 9)
     ydot = disc.rhs(0.0, y)
     scale = modified_entropy_rate_scale(disc, y, ydot)
@@ -342,7 +342,7 @@ def test_invariant_values():
 
 def test_modified_entropy_delta_matches_direct_difference():
     grid, ops, disc = _build("periodic_central_split")
-    func = disc.modified_entropy_functional()
+    func = disc.functional()
     rng = np.random.default_rng(10)
     y = _positive_state(grid, 11)
     dy = 1e-3 * rng.normal(size=y.size)

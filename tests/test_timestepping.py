@@ -224,7 +224,7 @@ def test_relaxation_gamma_one_for_linear_functional(dt, a, b):
     # vanishes identically and gamma = 1 exactly
     functional = FunctionalFromCallable(lambda y: a * y[0] + b * y[1] + 3.0)
     y = np.array([0.7, -0.2])
-    cfg = IntegratorConfig(tableau=RK4, dt=dt, relaxation=True)
+    cfg = IntegratorConfig(tableau=RK4, dt=dt)
     res = integrate(lambda t, y: np.zeros_like(y), y, (0.0, dt), cfg,
                     functional=functional)
     assert res.gammas == [1.0] and res.relaxation_fallbacks == 0
@@ -237,7 +237,7 @@ def test_relaxation_harmonic_oscillator_conserves_quadratic():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1, relaxation=True)
+    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
     res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0), cfg, functional=functional)
     assert abs(functional.value(res.y) - 1.0) <= 1e-13
     assert all(abs(g - 1.0) < 1e-2 for g in res.gammas)
@@ -254,7 +254,7 @@ def test_relaxation_preserves_temporal_order():
     for relax in (False, True):
         errs[relax] = []
         for dt in (0.2, 0.1, 0.05):
-            cfg = IntegratorConfig(tableau=RK4, dt=dt, relaxation=relax)
+            cfg = IntegratorConfig(tableau=RK4, dt=dt)
             res = integrate(
                 rhs, np.array([1.0, 0.0]), (0.0, 5.0), cfg,
                 functional=functional if relax else None,
@@ -278,7 +278,7 @@ def test_relaxation_fallback_warns_and_counts(caplog):
         return np.ones_like(y)
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.5, relaxation=True)
+    cfg = IntegratorConfig(tableau=RK4, dt=0.5)
     with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
         res = integrate(
             rhs, np.array([0.0]), (0.0, 0.5), cfg, functional=functional
@@ -320,7 +320,7 @@ def test_rejected_attempt_neither_counts_nor_warns_a_fallback(reject_by, caplog)
         return f
 
     functional = _FirstCallFallsBack()
-    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6, relaxation=True)
+    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6)
     with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
         res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 2.0), cfg,
                         functional=functional)
@@ -341,7 +341,7 @@ def test_relaxation_searches_gamma_within_one_percent_of_one(root, found):
     dt = 0.5
     c = 0.5 * root * dt
     functional = FunctionalFromCallable(lambda y: float((y[0] - c) ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=dt, relaxation=True)
+    cfg = IntegratorConfig(tableau=RK4, dt=dt)
     res = integrate(rhs, np.array([0.0]), (0.0, dt), cfg, functional=functional)
     assert res.relaxation_fallbacks == (0 if found else 1)
     assert res.gammas == [pytest.approx(root if found else 1.0, abs=1e-12)]
@@ -378,7 +378,7 @@ def _bbm_problem():
                                     "periodic_const_narrow")
     x = grid.nodes
     y0 = np.concatenate([0.1 * np.cos(np.pi * x), 0.2 * np.sin(np.pi * x)])
-    return disc.rhs, y0, 0.2, disc.energy_functional()
+    return disc.rhs, y0, 0.2, disc.functional()
 
 
 @pytest.mark.parametrize("problem", [_oscillator_problem, _bbm_problem])
@@ -398,7 +398,7 @@ def test_relaxation_builds_the_cubic_once_per_step(problem, monkeypatch):
     monkeypatch.setattr(timestepping, "_solve_gamma", counting_solve_gamma)
     rhs, y0, t_end, inner = problem()
     functional = _CountingFunctional(inner)
-    cfg = IntegratorConfig(tableau=DOPRI5, relaxation=True)
+    cfg = IntegratorConfig(tableau=DOPRI5)
     res = integrate(rhs, y0, (0.0, t_end), cfg, functional=functional)
     assert res.relaxation_fallbacks == 0 and res.n_steps >= 5
     assert functional.calls["delta_coefficients"] == len(res.gammas) == res.n_steps
@@ -453,7 +453,7 @@ def test_fsal_reevaluated_after_relaxed_step():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=DOPRI5, dt=0.25, relaxation=True)
+    cfg = IntegratorConfig(tableau=DOPRI5, dt=0.25)
     y0 = np.array([1.0, 0.0])
     records = []
     res = integrate(rhs, y0, (0.0, 1.0), cfg, functional=functional,
@@ -483,7 +483,7 @@ def test_relaxed_run_evaluates_each_end_state_once(tab, dt, dense_output, per_st
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=tab, dt=dt, relaxation=True)
+    cfg = IntegratorConfig(tableau=tab, dt=dt)
     res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 3.0), cfg, functional=functional,
                     dense_output=dense_output)
     assert res.n_rejected == 0 and res.n_steps >= 5
@@ -521,12 +521,6 @@ def test_empty_time_span_rejected():
         integrate(lambda t, y: y, np.array([1.0]), (1.0, 1.0), cfg)
 
 
-def test_relaxation_requires_functional():
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1, relaxation=True)
-    with pytest.raises(ConfigurationError):
-        integrate(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
-
-
 def test_adaptive_needs_embedded_weights():
     cfg = IntegratorConfig(tableau=RK4, dt=None)
     with pytest.raises(ConfigurationError):
@@ -540,7 +534,7 @@ def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1, relaxation=True)
+    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
     records = []
     t_end = 2.05
     res = integrate(rhs, np.array([1.0, 0.0]), (0.0, t_end), cfg,
