@@ -88,6 +88,9 @@ def bbm_phase_speed(k, h0, gravity):
 
 @dataclass(eq=False)
 class BbmBbmDiscretization:
+    """The BBM-BBM semidiscretization of one variant: its operators,
+    factored elliptic systems, right-hand side and invariants."""
+
     grid: Grid
     gravity: float
     bathymetry: np.ndarray

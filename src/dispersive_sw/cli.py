@@ -8,10 +8,11 @@ be read or an output directory that cannot be written included; an
 output path on a file is refused before the run), 2 runtime/solver
 failure (a failed factorization included), 3 threshold failure in
 --check mode.  No given value falls back to a default: an empty string,
-n_nodes below 3, a wavenumber <= 0, empty or repeated orders, fewer than
-two resolutions and a Dingemans gauge outside the domain exit 1 before the
-run; a missing or malformed Dingemans --experimental-data file exits 2
-before the run.  A given key that the run does not read exits 1 before
+n_nodes below 3, a t_end, dt, atol, rtol, wavenumber or gauge interval
+that is not positive and finite, a non-finite gauge, empty or repeated
+orders, fewer than two resolutions and a Dingemans gauge outside the
+domain exit 1 before the run; a missing or malformed Dingemans
+--experimental-data file exits 2 before the run.  A given key that the run does not read exits 1 before
 the run (see ``config``), among them --relaxation or --no-relaxation for
 reflecting_bump (it runs an unrelaxed and a relaxed half), --atol and
 --rtol in a fixed-step run (--dt given, or lake_at_rest) and
@@ -20,10 +21,14 @@ A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).
 
-Optional heavy dependencies (sympy, scipy.optimize, yaml) are imported
-inside the functions that need them, never at module level, and
-scipy.linalg is not imported at all: ``linsolve`` loads only its LAPACK
-extension.
+Importing this module loads numpy, scipy's LAPACK extension and the
+standard-library modules that a run calls, nothing more: each run starts
+a fresh interpreter and pays every import again.  Optional heavy
+dependencies (sympy, scipy.optimize, yaml) are imported inside the
+functions that need them, never at module level.  Neither the scipy
+package nor scipy.linalg is imported: ``linsolve`` loads only the LAPACK
+extension, without their package ``__init__``.  ``logging`` is imported
+only when a relaxation fallback is logged.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ value.  Command-line flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,9 @@ MODELS = ("bbm_bbm", "svaerd_kalisch")
 
 @dataclass
 class ScenarioConfig:
+    """One run: scenario, model and discretization choices, validated on
+    construction (see the module docstring for the keys)."""
+
     scenario: str
     model: str = "bbm_bbm"
     variant: str | None = None  # scenario default when None
@@ -66,11 +70,14 @@ class ScenarioConfig:
             raise ConfigurationError("order must be positive")
         if self.n_nodes is not None and self.n_nodes < 3:
             raise ConfigurationError(f"n_nodes must be at least 3, got {self.n_nodes}")
-        for name in ("dt", "atol", "rtol", "wavenumber", "gauge_interval"):
+        # NaN fails every comparison, so "not 0 < v < inf" refuses it too
+        for name in ("t_end", "dt", "atol", "rtol", "wavenumber", "gauge_interval"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if v is not None and not 0 < v < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {v}")
         self.gauges = [float(gx) for gx in self.gauges]
+        if not all(math.isfinite(gx) for gx in self.gauges):
+            raise ConfigurationError(f"gauges must be finite, got {self.gauges}")
         if self.orders is not None:
             self.orders = [int(p) for p in self.orders]
             if not self.orders:

@@ -17,6 +17,8 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True, eq=False)
 class Grid:
+    """Uniform nodes on [x_min, x_max]; a periodic grid omits x_max."""
+
     x_min: float
     x_max: float
     n_nodes: int

@@ -18,13 +18,17 @@ a state that is dry to working precision.
 
 LAPACK comes from scipy's compiled extension ``scipy.linalg._flapack``,
 loaded from its file under its own name and registered in
-``sys.modules``.  Importing ``scipy.linalg`` would run that package's
-``__init__``, which pulls in array-API, f2py and testing modules that
-no run uses and makes up most of the cold import of the CLI.  There is
-one module either way: a later ``import scipy.linalg`` reuses the
-registered one, and one registered before is reused here, so
-``scipy.linalg.lapack`` hands out the very same functions.  A scipy
-without the file raises ``ImportError``; there is no second path.
+``sys.modules``.  Neither ``scipy.linalg`` nor ``scipy`` itself is
+imported: scipy's directory comes from ``importlib.util.find_spec``,
+which executes nothing for a top-level package.  No run uses what their
+package ``__init__`` pulls in: array-API, f2py and testing modules for
+``scipy.linalg``; ``subprocess``, the build config and version parsing
+for ``scipy``.  There is one module either way: a later
+``import scipy.linalg`` reuses the registered one, and one registered
+before is reused here, so ``scipy.linalg.lapack`` hands out the very
+same functions.  A missing scipy raises the ``ModuleNotFoundError`` of
+``import scipy``, and a scipy without the file an ``ImportError`` naming
+its version; there is no second path.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import DimensionError, FactorizationError
 
@@ -44,10 +47,14 @@ def _load_flapack():
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    found = importlib.machinery.PathFinder.find_spec(
-        "_flapack", [str(Path(scipy.__path__[0], "linalg"))]
-    )
+    package = importlib.util.find_spec("scipy")
+    if package is None:  # not installed, or blocked: the import says which
+        import scipy  # noqa: F401
+    linalg = [str(Path(path, "linalg")) for path in package.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
     if found is None:
+        import scipy
+
         raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
     spec = importlib.util.spec_from_file_location(name, found.origin)
     module = importlib.util.module_from_spec(spec)

@@ -46,6 +46,9 @@ def _solution_exprs(bc_kind):
 
 @dataclass(frozen=True)
 class ManufacturedCase:
+    """Exact solution, its time derivative, source terms and bathymetry of
+    one manufactured test, as numpy callables of (t, x)."""
+
     bc_kind: str
     exact: Callable  # exact(t, x) -> (eta, v)
     exact_dt: Callable  # time derivative of the exact fields

@@ -558,6 +558,8 @@ def build_bounded_upwind(central: DerivativeOperator) -> UpwindOperatorPair:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Residuals of one operator's SBP identities against its threshold."""
+
     kind: str
     residuals: dict
     threshold: float

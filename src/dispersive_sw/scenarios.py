@@ -57,6 +57,8 @@ GRAVITY = 9.81
 
 @dataclass
 class CheckResult:
+    """One --check gate: the measured value against its threshold."""
+
     name: str
     value: float
     threshold: float
@@ -73,6 +75,8 @@ class CheckResult:
 
 @dataclass
 class ScenarioResult:
+    """What a scenario run produced: CSV tables, gates and printed info."""
+
     scenario: str
     tables: dict = field(default_factory=dict)  # name -> (header, rows)
     checks: list = field(default_factory=list)

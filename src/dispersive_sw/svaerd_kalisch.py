@@ -143,6 +143,9 @@ def sk_dispersion_omega(k, params, h0, gravity):
 
 @dataclass(eq=False)
 class SkDiscretization:
+    """The Svärd-Kalisch semidiscretization of one variant: its operators,
+    coefficient fields, right-hand side and invariants."""
+
     grid: Grid
     gravity: float
     eta0: float

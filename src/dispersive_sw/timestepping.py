@@ -20,18 +20,20 @@ embedded error estimate of a relaxed step uses it as its last stage.
 Adaptive runs start from dt = span / 1000 and fail with NumericsError
 when a rejected step would go below ``DT_MIN`` = 1e-12; any run fails
 once ``MAX_STEPS`` = 10,000,000 steps (accepted plus rejected) are spent.
+
+A relaxed step whose root search fails keeps gamma = 1; ``integrate``
+counts it and logs a warning on the ``dispersive_sw.timestepping``
+logger.  ``logging`` is imported there, on the first such step, so that
+a run without fallbacks never loads it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericsError
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ButcherTableau:
+    """Explicit Runge-Kutta coefficients, with an optional embedded pair."""
+
     name: str
     a: np.ndarray  # s x s, strictly lower triangular
     b: np.ndarray
@@ -323,6 +327,8 @@ MAX_STEPS = 10_000_000
 
 @dataclass
 class IntegratorConfig:
+    """Tableau, step size or tolerances, and the largest adaptive step."""
+
     tableau: ButcherTableau = DOPRI5
     dt: float | None = None  # fixed step size; None selects adaptive mode
     atol: float = 1e-7
@@ -359,6 +365,9 @@ class StepRecord:
 
 @dataclass
 class IntegrationResult:
+    """End time and state of an ``integrate`` call, with its counters and
+    the gamma of every accepted step."""
+
     t: float
     y: np.ndarray
     n_steps: int = 0
@@ -450,7 +459,9 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             dt = min(dt_next, config.dt_max)
         if fallback is not None:
             result.relaxation_fallbacks += 1
-            log.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "relaxation root not found at t=%g (r(1) = %.3e); falling back to gamma = 1",
                 t, fallback,
             )

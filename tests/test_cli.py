@@ -158,6 +158,18 @@ def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, fiel
     ("dingemans", "bbm_bbm", ["--gauges", "100,-500", "--n-nodes", "64"], "gauges"),
     ("soliton", "bbm_bbm", ["--eoc", "--orders", "2,2", "--resolutions", "16,32"],
      "orders"),
+    # non-finite numbers: no run with an infinite step, tolerance or wave
+    ("soliton", "bbm_bbm", ["--dt", "inf", "--n-nodes", "32"], "dt"),
+    ("soliton", "bbm_bbm", ["--dt", "nan", "--n-nodes", "32"], "dt"),
+    ("soliton", "bbm_bbm", ["--atol", "inf", "--n-nodes", "32"], "atol"),
+    ("soliton", "bbm_bbm", ["--rtol", "inf", "--n-nodes", "32"], "rtol"),
+    ("traveling_wave", "bbm_bbm", ["--wavenumber", "inf", "--n-nodes", "32"],
+     "wavenumber"),
+    ("traveling_wave", "bbm_bbm", ["--wavenumber", "nan", "--n-nodes", "32"],
+     "wavenumber"),
+    ("dingemans", "bbm_bbm", ["--gauges", "3.04", "--gauge-interval", "nan",
+                              "--n-nodes", "64"], "gauge_interval"),
+    ("dingemans", "bbm_bbm", ["--gauges", "3.04,nan", "--n-nodes", "64"], "gauges"),
 ])
 def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, field,
                                                      tmp_path, capsys):
@@ -168,6 +180,18 @@ def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, fie
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan", "0", "-1"])
+def test_bad_t_end_exits_one_before_the_run(t_end, tmp_path, capsys):
+    # refused by the config, before integrate sees the span
+    out = tmp_path / "out"
+    code = run_cli(["run", "--scenario", "soliton", "--model", "bbm_bbm",
+                    "--n-nodes", "32", "--t-end", t_end, "--output-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "t_end" in err
     assert not out.exists()
 
 
@@ -399,7 +423,7 @@ def test_every_elliptic_solve_is_one_band_cholesky(args, monkeypatch, capsys):
 
 _IMPORT_PROBE = """
 import json, sys
-HEAVY = ("scipy.linalg", "scipy.optimize", "sympy", "yaml")
+HEAVY = ("logging", "scipy", "scipy.linalg", "scipy.optimize", "sympy", "yaml")
 loaded = lambda: sorted(m for m in HEAVY if m in sys.modules)
 steps = {}
 from dispersive_sw.cli import run_cli
@@ -441,15 +465,18 @@ def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
+    # linsolve loads the LAPACK extension without scipy's package __init__,
+    # and timestepping imports logging only to log a relaxation fallback
     assert steps["import"] == []
     assert steps["lake_at_rest"] == []
-    # scipy.optimize imports scipy.linalg
-    assert steps["dingemans_wavenumber"] == ["scipy.linalg", "scipy.optimize"]
+    # scipy.optimize imports scipy, scipy.linalg and logging
+    scipy_optimize = ["logging", "scipy", "scipy.linalg", "scipy.optimize"]
+    assert steps["dingemans_wavenumber"] == scipy_optimize
     assert steps["wavenumber"] == "0.8406220896381472"
-    assert steps["config"] == ["scipy.linalg", "scipy.optimize", "yaml"]
+    assert steps["config"] == [*scipy_optimize, "yaml"]
     # tabulated closures
-    assert steps["reflecting_bump"] == ["scipy.linalg", "scipy.optimize", "yaml"]
-    assert steps["manufactured"] == ["scipy.linalg", "scipy.optimize", "sympy", "yaml"]
+    assert steps["reflecting_bump"] == [*scipy_optimize, "yaml"]
+    assert steps["manufactured"] == [*scipy_optimize, "sympy", "yaml"]
 
 
 class _Built(Exception):

@@ -262,3 +262,28 @@ def test_scipy_without_the_lapack_extension_is_an_import_error(tmp_path):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError")
     assert "scipy.linalg._flapack" in last and "0.0.stub" in last
+
+
+_BLOCKED_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # as if scipy were not installed
+try:
+    import dispersive_sw.linsolve
+except ImportError as exc:
+    print(type(exc).__name__, exc.name)
+"""
+
+
+def test_missing_scipy_is_a_module_not_found_error_naming_scipy():
+    # scipy is located without its package __init__; a missing one still fails
+    # the import, as `import scipy` does
+    src = str(Path(dispersive_sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_SCIPY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ModuleNotFoundError", "scipy"]

@@ -192,6 +192,10 @@ def test_config_validation():
         config_from_mapping({"scenario": "soliton", "model": "kdv"})
     with pytest.raises(ConfigurationError):
         ScenarioConfig(scenario="soliton", dt=-0.1)
+    # a NaN tolerance would reject every step until MAX_STEPS
+    for key in ("atol", "rtol"):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_mapping({"scenario": "soliton", key: float("nan")})
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         ScenarioConfig(scenario="manufactured", resolutions=[128, 64])
     cfg = config_from_mapping({"scenario": "manufactured", "orders": [2.0, 4]})
