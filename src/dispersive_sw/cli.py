@@ -7,16 +7,17 @@ Exit codes: 0 success, 1 configuration error (a config file that cannot
 be read or an output directory that cannot be written included; an
 output path on a file is refused before the run), 2 runtime/solver
 failure (a failed factorization included), 3 threshold failure in
---check mode.  No given value falls back to a default: an empty string,
-n_nodes below 3, a t_end, dt, atol, rtol, wavenumber or gauge interval
-that is not positive and finite, a non-finite gauge, empty or repeated
-orders, fewer than two resolutions and a Dingemans gauge outside the
-domain exit 1 before the run; a missing or malformed Dingemans
---experimental-data file exits 2 before the run.  A given key that the run does not read exits 1 before
-the run (see ``config``), among them --relaxation or --no-relaxation for
-reflecting_bump (it runs an unrelaxed and a relaxed half), --atol and
---rtol in a fixed-step run (--dt given, or lake_at_rest) and
---gauge-interval without --gauges.
+--check mode.  No given value falls back to a default: a config file
+value not of its key's type (a string for a number, say), an empty
+string, n_nodes below 3, a t_end, dt, atol, rtol, wavenumber or gauge
+interval that is not positive and finite, a non-finite gauge, empty or
+repeated orders, fewer than two resolutions and a Dingemans gauge
+outside the domain exit 1 before the run; a missing or malformed
+Dingemans --experimental-data file exits 2 before the run.  A given key
+that the run does not read exits 1 before the run (see ``config``),
+among them --relaxation or --no-relaxation for reflecting_bump (it runs
+an unrelaxed and a relaxed half), --atol and --rtol in a fixed-step run
+(--dt given, or lake_at_rest) and --gauge-interval without --gauges.
 A run prints its info, including the integrator counters summed over its
 integrations (n_steps, n_rhs, n_rejected, relaxation_fallbacks; see
 scenarios.RUN_COUNTERS).
@@ -86,19 +87,10 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        mapping = {}
-        if args.config:
-            mapping.update(load_config_file(args.config))
-        for key, value in vars(args).items():
-            if key in ("command", "config") or value is None:
-                continue
-            mapping[key] = value
+        mapping = load_config_file(args.config) if args.config else {}
+        mapping.update((key, value) for key, value in vars(args).items()
+                       if key not in ("command", "config") and value is not None)
         cfg = config_from_mapping(mapping)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         result = run_scenario(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -112,13 +104,10 @@ def run_cli(argv=None) -> int:
     if cfg.output_dir:
         print(f"outputs written to {cfg.output_dir}")
     if cfg.check:
-        failed = False
         for check in result.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"{status}: {check.name} value={check.value:.6e} "
-                  f"threshold={check.threshold:.6e}")
-            failed = failed or not check.passed
-        if failed:
+            print(f"{'PASS' if check.passed else 'FAIL'}: {check.name} "
+                  f"value={check.value:.6e} threshold={check.threshold:.6e}")
+        if not all(check.passed for check in result.checks):
             return 3
     return 0
 

@@ -1,15 +1,18 @@
 """Scenario configuration: dataclass, YAML loading, validation.
 
 Config files are YAML mappings using exactly the documented keys below;
-unknown keys are errors, not warnings, and so is a key that the run does
-not read (``wavenumber`` outside a traveling-wave run, say), whatever its
-value.  Command-line flags override file values.
+unknown keys are errors, not warnings, and so is a value that is not of
+its key's annotated type (an int passes for a float, a bool for no
+number) and a key that the run does not read (``wavenumber`` outside a
+traveling-wave run, say), whatever its value.  Command-line flags
+override file values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,11 +46,11 @@ class ScenarioConfig:
     rtol: float | None = None
     relaxation: bool = False
     parameter_set: str | None = None  # Svärd-Kalisch coefficient set
-    gauges: list = field(default_factory=list)
+    gauges: list[float] = field(default_factory=list)
     gauge_interval: float = 0.1
     output_dir: str | None = None
-    orders: list | None = None  # EOC mode: operator orders
-    resolutions: list | None = None  # EOC mode: grid sizes
+    orders: list[int] | None = None  # EOC mode: operator orders
+    resolutions: list[int] | None = None  # EOC mode: grid sizes
     eoc: bool = False
     check: bool = False
     experimental_data: str | None = None
@@ -55,14 +58,10 @@ class ScenarioConfig:
     reflecting: bool = False  # manufactured scenario: use wall conditions
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigurationError(
-                f"unknown scenario {self.scenario!r}; available: {SCENARIOS}"
-            )
-        if self.model not in MODELS:
-            raise ConfigurationError(
-                f"unknown model {self.model!r}; available: {MODELS}"
-            )
+        for name, choices in (("scenario", SCENARIOS), ("model", MODELS)):
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(
+                    f"unknown {name} {getattr(self, name)!r}; available: {choices}")
         for f in dataclasses.fields(self):
             if getattr(self, f.name) == "":
                 raise ConfigurationError(f"{f.name} must not be empty")
@@ -79,13 +78,11 @@ class ScenarioConfig:
         if not all(math.isfinite(gx) for gx in self.gauges):
             raise ConfigurationError(f"gauges must be finite, got {self.gauges}")
         if self.orders is not None:
-            self.orders = [int(p) for p in self.orders]
             if not self.orders:
                 raise ConfigurationError("orders must name at least one order")
             if len(set(self.orders)) != len(self.orders):
                 raise ConfigurationError(f"orders must not repeat an order, got {self.orders}")
         if self.resolutions is not None:
-            self.resolutions = [int(n) for n in self.resolutions]
             if len(self.resolutions) < 2:
                 raise ConfigurationError(
                     "resolutions must name at least two grid sizes, one EOC pair"
@@ -94,7 +91,18 @@ class ScenarioConfig:
                 raise ConfigurationError("resolutions must be strictly increasing")
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a config value is of the annotated type ``kind``."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_has_type(value, option) for option in args)
+    kind = (int, float) if kind is float else kind
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _unread_fields(cfg: ScenarioConfig):
@@ -118,15 +126,19 @@ def _unread_fields(cfg: ScenarioConfig):
 
 
 def config_from_mapping(mapping) -> ScenarioConfig:
-    """The config of a CLI or file mapping; a given key the run does not read
-    is refused, even when its value equals the default."""
-    unknown = set(mapping) - _FIELD_NAMES
+    """The config of a CLI or file mapping; a value not of its key's type,
+    and a given key the run does not read even at its default, is refused."""
+    unknown = set(mapping) - _FIELD_TYPES.keys()
     if unknown:
         raise ConfigurationError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(_FIELD_NAMES)}"
+            f"unknown config keys {sorted(unknown)}; allowed: {sorted(_FIELD_TYPES)}"
         )
     if "scenario" not in mapping:
         raise ConfigurationError("config must name a scenario")
+    for name, value in mapping.items():
+        if not _has_type(value, _FIELD_TYPES[name]):
+            kind = ScenarioConfig.__annotations__[name]
+            raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
     cfg = ScenarioConfig(**mapping)
     unread = sorted(_unread_fields(cfg).intersection(mapping))
     if unread:

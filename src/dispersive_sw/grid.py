@@ -66,10 +66,6 @@ class MassMatrix:
         if np.any(self.diagonal <= 0.0):
             raise ConfigurationError("mass matrix weights must be positive")
 
-    @property
-    def n(self) -> int:
-        return self.diagonal.size
-
 
 def l2_norm(u, mass: MassMatrix) -> float:
     """sqrt(u^T M u) of an array u."""

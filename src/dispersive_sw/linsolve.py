@@ -1,18 +1,19 @@
 """Reusable factorizations for the elliptic systems of both models.
 
 Every elliptic system is symmetric positive definite (SPD) by the SBP
-property, the reflecting ones once scaled by the norm M (see
-``bbm_bbm`` and ``svaerd_kalisch``).  They arrive as a ``Band`` of upper
-offset diagonals, so the storage itself states the symmetry, and take
-one banded Cholesky, LAPACK's pbtrf/pbtrs, in O(N w^2); no N x N array
-is formed.  A ``PeriodicBand`` wraps around: the fold permutation 0,
-N-1, 1, N-2, ... places the wrap-around neighbours of every node within
-2w folded positions, so a periodic band of half-width w factors as an
-ordinary band of half-width 2w.
+property, the reflecting ones once scaled by the norm M (see ``bbm_bbm``
+and ``svaerd_kalisch``).  They arrive as a ``Band`` of upper offset
+diagonals, so the storage itself states the symmetry, and take one
+banded Cholesky, LAPACK's pbtrf/pbtrs, in O(N w^2); no N x N array is
+formed.  pbtrf factors them as its lower storage, and pbtrs solves in
+upper storage (see ``BandCholesky``).  A ``PeriodicBand`` wraps around:
+the fold permutation 0, N-1, 1, N-2, ... places the wrap-around
+neighbours of every node within 2w folded positions, so a periodic band
+of half-width w factors as an ordinary band of half-width 2w.
 
 There is no second path: a band that is not positive definite to working
 precision raises ``FactorizationError``.  For A = diag(h) + D^T beta D
-with h > 0 and beta >= 0, every Cholesky pivot satisfies u_ii^2 >=
+with h > 0 and beta >= 0, every Cholesky pivot satisfies l_ii^2 >=
 lambda_min(A) >= min h, so the pivot check (n eps max|A|) fails only on
 a state that is dry to working precision.
 
@@ -106,13 +107,11 @@ class Band:
         return Band(self.diagonals[:, 1:-1])
 
     def pack(self):
-        """(ab, None): pbtrf upper storage (b + 1, n), b = min(w, n - 1)."""
-        n = self.n
-        b = min(self.w, n - 1)
-        ab = np.zeros((b + 1, n), order="F")
-        for k in range(b + 1):
-            ab[b - k, k:] = self.diagonals[k, : n - k]
-        return ab, None
+        """(flat, b, None): pbtrf lower storage (b + 1, n), b = min(w, n - 1),
+        which is the diagonals themselves, flat in F order behind b * b
+        zeros (see ``BandCholesky``)."""
+        b = min(self.w, self.n - 1)
+        return np.concatenate((np.zeros(b * b), self.diagonals[: b + 1].ravel("F"))), b, None
 
 
 class PeriodicBand(Band):
@@ -121,68 +120,70 @@ class PeriodicBand(Band):
     entries that meet in the same position add up.
     """
 
-    def _columns(self):
-        """Column index of every stored entry, shaped like ``diagonals``."""
-        return (np.arange(self.n) + np.arange(self.w + 1)[:, None]) % self.n
-
     def pack(self):
-        """(ab, fold): pbtrf upper storage (b + 1, n) of the folded matrix,
-        half-width b = min(2w, n - 1)."""
+        """(flat, b, fold): pbtrf lower storage (b + 1, n) of the folded
+        matrix, half-width b = min(2w, n - 1), flat in F order behind b * b
+        zeros (see ``BandCholesky``)."""
         n = self.n
         fold = Fold(n)
         b = min(2 * self.w, n - 1)
-        rows = fold.position[None, :]
-        cols = fold.position[self._columns()]
-        # an offset k > 0 with k % n == 0 lands on the diagonal with its mirror
         k = np.arange(self.w + 1)[:, None]
+        rows = fold.position[None, :]
+        cols = fold.position[(np.arange(n) + k) % n]
+        # an offset k > 0 with k % n == 0 lands on the diagonal with its mirror
         values = np.where((k > 0) & (k % n == 0), 2.0, 1.0) * self.diagonals
-        flat = (b - np.abs(rows - cols)) * n + np.maximum(rows, cols)
-        ab = np.bincount(flat.ravel(), values.ravel(), (b + 1) * n)
-        return np.asfortranarray(ab.reshape(b + 1, n)), fold
-
-
-def _check_length(n, rhs):
-    if rhs.shape[0] != n:
-        raise DimensionError(
-            f"rhs of length {rhs.shape[0]} does not match system size {n}"
-        )
+        # entry (|r - c|, min(r, c)) of the lower storage
+        flat = b * b + np.abs(rows - cols) + (b + 1) * np.minimum(rows, cols)
+        return np.bincount(flat.ravel(), values.ravel(), b * b + (b + 1) * n), b, fold
 
 
 _EPS = np.finfo(float).eps
 
 
 class BandCholesky:
-    """Banded Cholesky A = U^T U of an SPD band (pbtrf/pbtrs).
+    """Banded Cholesky A = L L^T = U^T U of an SPD band (pbtrf/pbtrs).
 
-    ``ab`` is pbtrf upper storage (b + 1, n), factored in place.  For a
-    periodic band it holds the folded matrix A[order][:, order], and
+    ``flat`` is the lower storage of A as ``pack`` gives it, factored in
+    place; for a periodic band A is the folded A[order][:, order], and
     ``solve`` folds the right-hand side and unfolds the solution.
     ``FactorizationError`` when A is not positive definite or a pivot
-    u_ii^2 is at or below n eps max|A|.
+    l_ii^2 is at or below n eps max|A|.  Why lower storage: for kd <= 64
+    pbtrf runs an unblocked column loop whose BLAS calls scale and update
+    unit-stride columns of L, but rows of U with stride kd in upper
+    storage; the arithmetic and bits are the same, in less time.  The
+    solves take U = L^T in upper storage, where pbtrs is faster and has
+    the bits it always had: the b * b leading zeros make U[b - k, j] =
+    L[j, j - k] the view of ``flat`` with element strides (b, b + 1), and
+    ``u`` is one copy of it.
     """
 
-    def __init__(self, ab: np.ndarray, fold: Fold | None):
-        self.half_width = ab.shape[0] - 1
-        self.n = ab.shape[1]
+    def __init__(self, flat: np.ndarray, half_width: int, fold: Fold | None):
+        b = self.half_width = half_width
+        n = self.n = (flat.size - b * b) // (b + 1)
         self._fold = fold
-        scale = np.maximum.reduce(ab[-1])  # |a_ij| <= sqrt(a_ii a_jj) when A is SPD
-        u, info = lapack.dpbtrf(ab, lower=0, overwrite_ab=True)
-        if info > 0:  # pbtrf leaves the non-positive pivot in place of U[info - 1]
+        step = flat.itemsize
+        lower = np.ndarray((b + 1, n), float, flat, b * b * step, None, "F")
+        scale = np.maximum.reduce(lower[0])  # |a_ij| <= sqrt(a_ii a_jj) when A is SPD
+        lower, info = lapack.dpbtrf(lower, lower=1, overwrite_ab=True)
+        if info > 0:  # pbtrf leaves the non-positive pivot in place of L[info - 1]
             raise FactorizationError("band not positive definite",
-                                     pivot=float(u[-1, info - 1]))
+                                     pivot=float(lower[0, info - 1]))
         if info < 0:
             raise FactorizationError(f"pbtrf failed with info={info}")
-        smallest = np.minimum.reduce(u[-1])
+        smallest = np.minimum.reduce(lower[0])
         pivot = smallest * smallest
-        if not pivot > self.n * _EPS * max(scale, 1e-300):  # a NaN fails too
+        if not pivot > n * _EPS * max(scale, 1e-300):  # a NaN fails too
             raise FactorizationError(
                 f"matrix singular to working precision (pivot {pivot:.3e})", pivot=pivot
             )
-        self.u = u
+        self.u = np.asfortranarray(
+            np.ndarray((b + 1, n), float, flat, 0, (b * step, (b + 1) * step)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        _check_length(self.n, rhs)
+        if rhs.shape[0] != self.n:
+            raise DimensionError(
+                f"rhs of length {rhs.shape[0]} does not match system size {self.n}")
         fold = self._fold
         if fold is None:
             x, info = lapack.dpbtrs(self.u, rhs, lower=0)
@@ -197,24 +198,25 @@ class ShiftedSolver:
     """Repeatedly factor (static + diag(d)) for changing diagonals d.
 
     The static band is packed once (folded, when periodic); per call only
-    the diagonal moves, so a re-factor adds the (folded) diagonal to a
-    copy of the packed band and runs one pbtrf.  Used by the velocity
-    equation of the Svärd-Kalisch model, whose system matrix depends on
-    the water height.
+    the diagonal moves, so a re-factor adds the (folded) diagonal to row 0
+    of a copy of the packed lower storage and factors that copy in place
+    (see ``BandCholesky``).  Used by the velocity equation of the
+    Svärd-Kalisch model, whose system matrix depends on the water height.
     """
 
     def __init__(self, static_part: Band):
         self.n = static_part.n
-        self._ab0, self._fold = static_part.pack()
+        self._flat0, self._half_width, self._fold = static_part.pack()
 
     def factor(self, diagonal: np.ndarray) -> BandCholesky:
         diagonal = np.asarray(diagonal, dtype=float)
         if diagonal.shape[0] != self.n:
             raise DimensionError("diagonal length does not match system size")
-        fold = self._fold
-        ab = self._ab0.copy(order="F")
-        ab[-1] += diagonal if fold is None else diagonal[fold.order]
-        return BandCholesky(ab, fold)
+        fold, b = self._fold, self._half_width
+        flat = self._flat0.copy()
+        row = flat[b * b :: b + 1]  # the diagonal, row 0 of the lower storage
+        row += diagonal if fold is None else diagonal[fold.order]
+        return BandCholesky(flat, b, fold)
 
 
 def factor(band: Band) -> BandCholesky:

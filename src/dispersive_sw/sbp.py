@@ -4,7 +4,7 @@ Every operator is stored as its interior stencil (offset / coefficient
 pair); a bounded one adds its boundary closure rows.  No N x N matrix is
 formed.  Each operator plans its application once, when it is built:
 one term per offset pair +/-k, in ascending |k|.  ``apply`` pads u once
-to length N + 2h, h = max |k|, by an ``np.take`` gather along the last
+to length N + 2h, h = max |k|, by a ``take`` gather along the last
 axis, and sums the terms in difference form, with up_k = up[h+k : h+k+N]:
 
     antisymmetric pair (c_-k = -c_k):  c_k (up_k - up_-k)
@@ -164,7 +164,7 @@ class DerivativeOperator:
         matrix product would sum a stack in another order than a row.
         """
         u = np.ascontiguousarray(u, dtype=float)
-        up = np.take(u, self._plan.gather, axis=-1)
+        up = u.take(self._plan.gather, axis=-1)
         out = None
         for form, c, first, c_second, second in self._plan.terms:
             term = up[..., first] - (up[..., second] if form == "antisymmetric" else u)

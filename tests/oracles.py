@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from dispersive_sw.grid import make_uniform_grid, split_flat
-from dispersive_sw.linsolve import PeriodicBand
+from dispersive_sw.linsolve import Fold, PeriodicBand
 from dispersive_sw.sbp import periodic_operators
 from dispersive_sw.svaerd_kalisch import sk_parameter_set
 from dispersive_sw.timestepping import CubicIncrementFunctional
@@ -209,6 +209,43 @@ def dense_band(band):
         if k:
             a[cols, rows] += diagonal[rows]
     return a
+
+
+def upper_cholesky(band, diagonal=None):
+    """The banded Cholesky of ``band`` plus diag(``diagonal``) in pbtrf
+    upper storage, as ``linsolve`` factored before it took the lower one:
+    (u, info, order) from dpbtrf(lower=0), ``order`` the fold of a
+    ``PeriodicBand`` (half-width min(2w, n - 1)) or None."""
+    n, w = band.n, band.w
+    if isinstance(band, PeriodicBand):
+        fold = Fold(n)
+        order, position = fold.order, fold.position
+        b = min(2 * w, n - 1)
+        offsets = np.arange(w + 1)[:, None]
+        rows = position[None, :]
+        cols = position[(np.arange(n) + offsets) % n]
+        values = np.where((offsets > 0) & (offsets % n == 0), 2.0, 1.0) * band.diagonals
+        flat = (b - np.abs(rows - cols)) * n + np.maximum(rows, cols)
+        ab = np.bincount(flat.ravel(), values.ravel(), (b + 1) * n).reshape(b + 1, n)
+    else:
+        order = None
+        b = min(w, n - 1)
+        ab = np.zeros((b + 1, n))
+        for k in range(b + 1):
+            ab[b - k, k:] = band.diagonals[k, : n - k]
+    ab = np.asfortranarray(ab)
+    if diagonal is not None:
+        ab[-1] += diagonal if order is None else diagonal[order]
+    u, info = sla.lapack.dpbtrf(ab, lower=0)
+    return u, info, order
+
+
+def upper_cholesky_solve(u, order, rhs):
+    """pbtrs with the upper-storage factor of ``upper_cholesky``."""
+    if order is None:
+        return sla.lapack.dpbtrs(u, rhs, lower=0)[0]
+    x = sla.lapack.dpbtrs(u, rhs[order], lower=0)[0]
+    return x[np.argsort(order)]
 
 
 def dense_inverse_solve(a, rhs):

@@ -237,6 +237,39 @@ def test_relaxed_lake_at_rest_writes_the_unrelaxed_bytes(model, functional, t_en
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("scenario: lake_at_rest\nt_end: soon\n", "t_end"),
+    ("scenario: lake_at_rest\nn_nodes: many\n", "n_nodes"),
+    ("scenario: lake_at_rest\norder: 4.0\n", "order"),
+    ("scenario: lake_at_rest\ndt: true\n", "dt"),
+    ('scenario: lake_at_rest\nrelaxation: "no"\n', "relaxation"),
+    ("scenario: lake_at_rest\ncheck: 1\n", "check"),
+    ("scenario: lake_at_rest\nvariant: 3\n", "variant"),
+    ("scenario: lake_at_rest\nmodel: [bbm_bbm]\n", "model"),
+    ("scenario: manufactured\norders: [4, x]\nresolutions: [16, 32]\n", "orders"),
+    ("scenario: manufactured\nresolutions: 16\n", "resolutions"),
+    ("scenario: dingemans\ngauges: 3.0\n", "gauges"),
+    ("scenario: dingemans\ngauges: [3.04, true]\n", "gauges"),
+], ids=["t_end", "n_nodes", "order", "dt", "relaxation", "check", "variant", "model",
+        "orders", "resolutions", "gauges", "gauge_item"])
+def test_config_file_value_of_the_wrong_type_exits_one(tmp_path, capsys, lines, key):
+    # a string where a number belongs used to end in a traceback, and the
+    # string "no" turned relaxation on
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(lines)
+    code = run_cli(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_int_for_a_float_is_accepted(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nt_end: 1\ndt: 1\n")
+    assert run_cli(["run", "--config", str(cfg), "--check"]) == 0
+
+
 def test_config_file_key_that_the_run_does_not_read_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nwavenumber: 0.8\n")

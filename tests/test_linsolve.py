@@ -7,18 +7,29 @@ import numpy as np
 import pytest
 
 import dispersive_sw
-from dispersive_sw import linsolve
+from dispersive_sw import bbm_bbm, linsolve, scenarios, svaerd_kalisch
+from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.errors import DimensionError, FactorizationError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.sbp import (
+    BOUNDED_ORDERS,
+    PERIODIC_CENTRAL_ORDERS,
+    UPWIND_ORDERS,
     bounded_band,
     build_bounded_central_d1,
     build_periodic_central_d1,
     build_periodic_d2,
     periodic_band,
 )
+from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
-from .oracles import dense_band, dense_inverse_solve, dense_operator
+from .oracles import (
+    dense_band,
+    dense_inverse_solve,
+    dense_operator,
+    upper_cholesky,
+    upper_cholesky_solve,
+)
 
 
 def _spd_band(n, w, rng, margin=1.0):
@@ -287,3 +298,137 @@ def test_missing_scipy_is_a_module_not_found_error_naming_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ModuleNotFoundError", "scipy"]
+
+
+# -- lower storage: the bits of the upper-storage factor -----------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _model_bands(monkeypatch, model, variant, order, n):
+    """Every band the discretization of (model, variant) hands to ``linsolve`` on n
+    nodes, each as (band, whether a ``ShiftedSolver`` re-factors it)."""
+    bands = []
+    factor = linsolve.factor
+
+    def recording_factor(band):
+        bands.append((band, False))
+        return factor(band)
+
+    class RecordingShiftedSolver(linsolve.ShiftedSolver):
+        def __init__(self, static_part):
+            bands.append((static_part, True))
+            super().__init__(static_part)
+
+    monkeypatch.setattr(linsolve, "factor", recording_factor)
+    monkeypatch.setattr(linsolve, "ShiftedSolver", RecordingShiftedSolver)
+    bc = "bounded" if variant.startswith("reflecting") else "periodic"
+    grid = make_uniform_grid(-1.0, 1.0, n, bc)
+    ops = scenarios._operators(grid, variant, order)
+    if variant == "periodic_const_narrow":
+        depth = np.full(n, 0.7)
+    else:
+        depth = 1.0 + 0.3 * np.sin(np.pi * grid.nodes) + 0.1 * np.cos(5.0 * grid.nodes)
+    if model == "bbm_bbm":
+        build_bbm_discretization(grid, ops, lambda x: -depth, 9.81, variant)
+    else:
+        # reflecting boundaries take set5 only (no alpha or gamma terms)
+        params = "set5" if bc == "bounded" else "set2"
+        build_sk_discretization(grid, ops, lambda x: 0.5 - depth, 9.81, 0.5, params, variant)
+    monkeypatch.undo()
+    assert bands
+    return bands
+
+
+def _variant_cases():
+    for model, variants in (("bbm_bbm", bbm_bbm.VARIANTS),
+                            ("svaerd_kalisch", svaerd_kalisch.VARIANTS)):
+        for variant in variants:
+            if variant.startswith("reflecting"):
+                # the smallest grids the p = 6 closures take, and a larger one
+                orders, sizes = BOUNDED_ORDERS, (24, 41)
+            else:
+                # n = 10: offsets of the wider bands wrap (2w + 1 > n)
+                orders = UPWIND_ORDERS if variant.endswith("upwind") else PERIODIC_CENTRAL_ORDERS
+                sizes = (10, 41)
+            for order in orders:
+                for n in sizes:
+                    yield model, variant, order, n
+
+
+@pytest.mark.parametrize("model, variant, order, n", list(_variant_cases()))
+def test_every_model_band_factors_to_the_bits_of_the_upper_storage_factor(
+        monkeypatch, model, variant, order, n):
+    rng = np.random.default_rng(order * 100 + n)
+    for band, shifted in _model_bands(monkeypatch, model, variant, order, n):
+        rhs = rng.normal(size=band.n)
+        if shifted:
+            solver = linsolve.ShiftedSolver(band)
+            for _ in range(3):
+                # water heights: random positive shifts of the static part
+                diagonal = rng.uniform(0.05, 3.0, size=band.n)
+                fact = solver.factor(diagonal)
+                u, info, fold_order = upper_cholesky(band, diagonal)
+                assert info == 0
+                assert _bits(fact.u) == _bits(u)
+                assert _bits(fact.solve(rhs)) == _bits(upper_cholesky_solve(u, fold_order, rhs))
+        else:
+            fact = linsolve.factor(band)
+            u, info, fold_order = upper_cholesky(band)
+            assert info == 0
+            assert _bits(fact.u) == _bits(u)
+            assert _bits(fact.solve(rhs)) == _bits(upper_cholesky_solve(u, fold_order, rhs))
+
+
+@pytest.mark.parametrize("n, w", [(3, 2), (5, 2), (7, 4), (16, 2), (16, 8)])
+def test_wrapping_periodic_bands_factor_to_the_bits_of_the_upper_storage_factor(n, w):
+    # (3, 2), (5, 2), (7, 4) and (16, 8): offsets wrap (2w + 1 > n) and add up
+    rng = np.random.default_rng(100 * n + w)
+    band = linsolve.PeriodicBand(rng.normal(size=(w + 1, n)))
+    band = band.shifted(1.0 - np.linalg.eigvalsh(dense_band(band))[0])
+    u, info, order = upper_cholesky(band)
+    assert info == 0
+    fact = linsolve.factor(band)
+    assert _bits(fact.u) == _bits(u)
+    rhs = rng.normal(size=n)
+    assert _bits(fact.solve(rhs)) == _bits(upper_cholesky_solve(u, order, rhs))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_indefinite_band_reports_the_pivot_of_the_upper_storage_factor(periodic):
+    static = _periodic_static_part() if periodic else _spd_band(40, 4, np.random.default_rng(12))
+    diagonal = np.full(static.n, -3.0)
+    diagonal[: static.n // 2] = 1.0  # the first pivots are positive
+    u, info, order = upper_cholesky(static, diagonal)
+    assert info > 0
+    expected = u[-1, info - 1]
+    with pytest.raises(FactorizationError) as err:
+        linsolve.factor(static.shifted(diagonal))
+    assert err.value.pivot == expected
+    solver = linsolve.ShiftedSolver(static)
+    with pytest.raises(FactorizationError) as err:
+        solver.factor(diagonal)
+    assert err.value.pivot == expected
+
+
+def test_factoring_never_writes_the_band_or_the_packed_static_band():
+    rng = np.random.default_rng(13)
+    # one diagonal: its packed storage may be the band's own array
+    for band in (linsolve.Band(np.full((1, 6), 2.0)), _spd_band(20, 3, rng),
+                 _periodic_static_part().shifted(1.0)):
+        before = band.diagonals.copy()
+        linsolve.factor(band)
+        assert _bits(band.diagonals) == _bits(before)
+    static = _periodic_static_part()
+    before = static.diagonals.copy()
+    solver = linsolve.ShiftedSolver(static)
+    diagonal = rng.uniform(0.5, 1.5, size=static.n)
+    first = solver.factor(diagonal).u.copy()
+    with pytest.raises(FactorizationError):
+        solver.factor(np.full(static.n, -1.0))
+    for _ in range(2):
+        assert _bits(solver.factor(diagonal).u) == _bits(first)
+    assert _bits(linsolve.ShiftedSolver(static).factor(diagonal).u) == _bits(first)
+    assert _bits(static.diagonals) == _bits(before)
