@@ -33,6 +33,10 @@ full flux, eta_t = -D-(F - P_D K D+ y / 6), F = (eta + D) v, so that the
 mass changes only by the roundoff of that one derivative, whatever the
 roundoff of the solve.  ``rhs_fields(state, t)`` reads, never writes,
 the (2, N) view [eta, v] of the flat state, checked for NaN and inf at once.
+It returns a new (2, N) array [eta_t, v_t].  For periodic_const_narrow
+without sources, whose two systems are one, that array comes straight
+from one stacked solve of both negated flux derivatives; the other
+periodic variants solve two different systems, so they keep two solves.
 """
 
 from __future__ import annotations
@@ -125,7 +129,11 @@ class BbmBbmDiscretization:
         vel_flux = self.gravity * eta + 0.5 * v * v
         d_mass, d_vel = self._d_outer_mass, self._d_outer_vel
         if d_mass is d_vel:
-            d_mass_flux, d_vel_flux = d_mass.apply(np.array([mass_flux, vel_flux]))
+            d_fluxes = d_mass.apply(np.array([mass_flux, vel_flux]))
+            if self._solver_vel is self._solver_mass and self._source is None:
+                # periodic_const_narrow: both fields in one stacked solve
+                return self._solver_mass.solve(np.negative(d_fluxes, out=d_fluxes))
+            d_mass_flux, d_vel_flux = d_fluxes
         else:
             d_mass_flux, d_vel_flux = d_mass.apply(mass_flux), d_vel.apply(vel_flux)
         rhs_v = -d_vel_flux
@@ -140,7 +148,7 @@ class BbmBbmDiscretization:
             dv = self._solver_vel.solve(rhs_v)
             if self._vel_divisor is not None:
                 dv /= self._vel_divisor
-            return deta, dv
+            return np.array([deta, dv])
         # reflecting: the M-scaled systems, eta_t as a flux divergence; v_t
         # is zero at the walls exactly
         m = self.operators.mass.diagonal
@@ -152,11 +160,10 @@ class BbmBbmDiscretization:
             deta = deta + s_eta
         dv = np.zeros(self.n)
         dv[1:-1] = self._solver_vel.solve((m * rhs_v)[1:-1]) / self._vel_divisor
-        return deta, dv
+        return np.array([deta, dv])
 
     def rhs(self, t, y):
-        deta, dv = self.rhs_fields(y.reshape(2, -1), t)
-        return np.concatenate([deta, dv])
+        return self.rhs_fields(y.reshape(2, -1), t).reshape(-1)
 
     # -- invariants ----------------------------------------------------------
 
@@ -215,7 +222,8 @@ def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
     narrow D2 for periodic_central_narrow; the reflecting ones from R and L
     (module docstring).  The elliptic operators are time independent, so
     they are factored here, once each (once in all for
-    ``periodic_const_narrow``, whose two systems coincide).
+    ``periodic_const_narrow``, whose two systems coincide and whose
+    right-hand side solves both fields in one call).
     ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
     """
     if variant not in VARIANTS:

@@ -148,8 +148,21 @@ def config_from_mapping(mapping) -> ScenarioConfig:
     return cfg
 
 
+# a YAML 1.2 float; YAML 1.1 reads one without a dot (2e-3) as a string
+_YAML_1_2_FLOAT = r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
+
+
 def load_config_file(path) -> dict:
+    import re
+
     import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    # tried after SafeLoader's own resolvers, so ints stay ints
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_YAML_1_2_FLOAT),
+                                 list("-+.0123456789"))
 
     path = Path(path)
     if not path.exists():
@@ -159,7 +172,7 @@ def load_config_file(path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"could not read config file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if data is None:

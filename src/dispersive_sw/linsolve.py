@@ -9,7 +9,10 @@ formed.  pbtrf factors them as its lower storage, and pbtrs solves in
 upper storage (see ``BandCholesky``).  A ``PeriodicBand`` wraps around:
 the fold permutation 0, N-1, 1, N-2, ... places the wrap-around
 neighbours of every node within 2w folded positions, so a periodic band
-of half-width w factors as an ordinary band of half-width 2w.
+of half-width w factors as an ordinary band of half-width 2w.  A solve
+maps along the last axis: an (m, N) stack is folded by one gather,
+solved by one pbtrs call with m right-hand sides and unfolded by one
+gather, and each row keeps the bits of its own solve.
 
 There is no second path: a band that is not positive definite to working
 precision raises ``FactorizationError``.  For A = diag(h) + D^T beta D
@@ -180,18 +183,24 @@ class BandCholesky:
             np.ndarray((b + 1, n), float, flat, 0, (b * step, (b + 1) * step)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs along the last axis, as ``DerivativeOperator.apply`` maps:
+        a length-n vector, or an (m, n) stack of m right-hand sides in one
+        pbtrs call on the F-ordered (n, m) view ``.T``.  pbtrs solves column
+        by column, so row i of the result has the bits of solving row i
+        alone.  The result is a new array; ``rhs`` is not written."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n:
+        if rhs.shape[-1] != self.n:
             raise DimensionError(
-                f"rhs of length {rhs.shape[0]} does not match system size {self.n}")
+                f"rhs of length {rhs.shape[-1]} does not match system size {self.n}")
         fold = self._fold
         if fold is None:
-            x, info = lapack.dpbtrs(self.u, rhs, lower=0)
-        else:
-            x, info = lapack.dpbtrs(self.u, rhs[fold.order], lower=0, overwrite_b=True)
+            x, info = lapack.dpbtrs(self.u, rhs.T, lower=0)
+        else:  # the gathered copy is pbtrs's to overwrite
+            x, info = lapack.dpbtrs(self.u, rhs.take(fold.order, axis=-1).T,
+                                    lower=0, overwrite_b=True)
         if info != 0:
             raise FactorizationError(f"pbtrs failed with info={info}")
-        return x if fold is None else x[fold.position]
+        return x.T if fold is None else x.T.take(fold.position, axis=-1)
 
 
 class ShiftedSolver:

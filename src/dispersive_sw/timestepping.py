@@ -29,6 +29,8 @@ a run without fallbacks never loads it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +203,13 @@ def _scaled_stage_sum(dt, pairs, k):
 # residuals stay within tol * max(1, |J(u)|) does not respond to the increment
 GAMMA_HALF_WIDTH = 1e-2
 ROOT_TOLERANCE = 1e-14
+_EPS = sys.float_info.epsilon
+
+
+def _sign(x):
+    """np.sign of a scalar without a NumPy call: -1.0, 1.0, the zero itself,
+    or NaN, which equals no sign."""
+    return 1.0 if x > 0 else -1.0 if x < 0 else x
 
 
 def _solve_gamma(residual, half_width, tol, max_iter=50):
@@ -226,13 +235,13 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
         return 1.0, True
     lo, hi = 1.0 - half_width, 1.0 + half_width
     r_lo, r_hi = residual(lo), residual(hi)
-    if not (np.isfinite(r_lo) and np.isfinite(r_hi) and np.isfinite(r1)):
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and math.isfinite(r1)):
         return 1.0, False
     if max(abs(r1), abs(r_lo), abs(r_hi)) <= tol:
         return 1.0, True
-    if np.sign(r_lo) != np.sign(r1):
+    if _sign(r_lo) != _sign(r1):
         a, b, ra, rb = lo, 1.0, r_lo, r1
-    elif np.sign(r1) != np.sign(r_hi):
+    elif _sign(r1) != _sign(r_hi):
         a, b, ra, rb = 1.0, hi, r1, r_hi
     else:
         return 1.0, abs(r1) <= tol
@@ -243,7 +252,7 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
             cand = (a * rb - b * ra) / (rb - ra)
         else:
             cand = 0.5 * (a + b)
-        if not np.isfinite(cand):
+        if not math.isfinite(cand):
             cand = 0.5 * (a + b)
         elif not a < cand < b:
             if best == (a if cand <= a else b):
@@ -252,9 +261,9 @@ def _solve_gamma(residual, half_width, tol, max_iter=50):
         rc = residual(cand)
         if abs(rc) <= abs(r_best):
             best, r_best = cand, rc
-        if rc == 0.0 or (b - a) <= 16 * np.finfo(float).eps:
+        if rc == 0.0 or (b - a) <= 16 * _EPS:
             break
-        if np.sign(rc) == np.sign(ra):
+        if _sign(rc) == _sign(ra):
             a, ra = cand, rc
             if side == -1:
                 rb *= 0.5

@@ -203,3 +203,31 @@ def test_rhs_reads_a_view_of_its_state_and_writes_nothing(model, variant):
     disc.rhs(0.3, y)
     assert seen == [True]  # the state is passed as a view, not copied
     assert y.tobytes() == before
+
+
+@pytest.mark.parametrize("model, variant", EVERY_VARIANT)
+def test_rhs_returns_a_fresh_c_contiguous_array(model, variant):
+    disc = _discretization(model, variant)
+    y = _state(disc)
+    out = disc.rhs(0.3, y)
+    assert out.shape == y.shape and out.flags.c_contiguous
+    assert not np.shares_memory(out, y)
+
+
+def test_const_narrow_solves_both_fields_in_one_call_with_the_bits_of_two():
+    disc = _bbm("periodic_const_narrow", False)
+    y = _state(disc)
+    eta, v = y.reshape(2, -1)
+    d1, solver = disc.operators.d1, disc._solver_mass
+    deta = solver.solve(-d1.apply((disc.still_depth + eta) * v))
+    dv = solver.solve(-d1.apply(disc.gravity * eta + 0.5 * v * v))
+    calls = []
+    solve = solver.solve
+
+    def counting_solve(rhs):
+        calls.append(np.shape(rhs))
+        return solve(rhs)
+
+    solver.solve = counting_solve
+    assert disc.rhs(0.3, y).tobytes() == np.concatenate([deta, dv]).tobytes()
+    assert calls == [(2, disc.n)]

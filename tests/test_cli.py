@@ -11,7 +11,7 @@ import dispersive_sw
 from dispersive_sw import linsolve, scenarios
 from dispersive_sw.bbm_bbm import BbmBbmDiscretization, BbmEnergyFunctional
 from dispersive_sw.cli import run_cli
-from dispersive_sw.config import MODELS, SCENARIOS
+from dispersive_sw.config import MODELS, SCENARIOS, load_config_file
 from dispersive_sw.svaerd_kalisch import SkDiscretization, SkModifiedEntropyFunctional
 
 
@@ -241,6 +241,7 @@ def test_relaxed_lake_at_rest_writes_the_unrelaxed_bytes(model, functional, t_en
     ("scenario: lake_at_rest\nt_end: soon\n", "t_end"),
     ("scenario: lake_at_rest\nn_nodes: many\n", "n_nodes"),
     ("scenario: lake_at_rest\norder: 4.0\n", "order"),
+    ("scenario: lake_at_rest\nn_nodes: 4e1\n", "n_nodes"),  # a YAML 1.2 float
     ("scenario: lake_at_rest\ndt: true\n", "dt"),
     ('scenario: lake_at_rest\nrelaxation: "no"\n', "relaxation"),
     ("scenario: lake_at_rest\ncheck: 1\n", "check"),
@@ -250,7 +251,7 @@ def test_relaxed_lake_at_rest_writes_the_unrelaxed_bytes(model, functional, t_en
     ("scenario: manufactured\nresolutions: 16\n", "resolutions"),
     ("scenario: dingemans\ngauges: 3.0\n", "gauges"),
     ("scenario: dingemans\ngauges: [3.04, true]\n", "gauges"),
-], ids=["t_end", "n_nodes", "order", "dt", "relaxation", "check", "variant", "model",
+], ids=["t_end", "n_nodes", "order", "n_nodes_exponent", "dt", "relaxation", "check", "variant", "model",
         "orders", "resolutions", "gauges", "gauge_item"])
 def test_config_file_value_of_the_wrong_type_exits_one(tmp_path, capsys, lines, key):
     # a string where a number belongs used to end in a traceback, and the
@@ -268,6 +269,18 @@ def test_config_file_int_for_a_float_is_accepted(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nt_end: 1\ndt: 1\n")
     assert run_cli(["run", "--config", str(cfg), "--check"]) == 0
+
+
+def test_config_file_float_in_exponent_form_without_a_dot_is_a_float(tmp_path, capsys):
+    # YAML 1.1 reads 2e-3 as a string; the config file reads it as YAML 1.2 does
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: lake_at_rest\nmodel: bbm_bbm\nt_end: 2e-3\ndt: 2e-4\n")
+    assert load_config_file(cfg) == {"scenario": "lake_at_rest", "model": "bbm_bbm",
+                                     "t_end": 0.002, "dt": 0.0002}
+    code = run_cli(["run", "--config", str(cfg), "--check",
+                    "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "n_steps: 10\n" in capsys.readouterr().out  # t_end / dt
 
 
 def test_config_file_key_that_the_run_does_not_read_exits_one(tmp_path, capsys):

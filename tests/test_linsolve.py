@@ -432,3 +432,41 @@ def test_factoring_never_writes_the_band_or_the_packed_static_band():
         assert _bits(solver.factor(diagonal).u) == _bits(first)
     assert _bits(linsolve.ShiftedSolver(static).factor(diagonal).u) == _bits(first)
     assert _bits(static.diagonals) == _bits(before)
+
+
+# -- stacks: one pbtrs call, the bits of one solve per row -----------------------
+
+
+def _stack(rng, n):
+    """Three right-hand sides: random, signed zeros among random, and all -0.0."""
+    stack = rng.normal(size=(3, n))
+    stack[1, ::2] = 0.0
+    stack[1, 1::4] = -0.0
+    stack[2] = -0.0
+    return stack
+
+
+@pytest.mark.parametrize("model, variant, order, n", list(_variant_cases()))
+def test_every_model_band_solves_a_stack_to_the_bits_of_its_rows(
+        monkeypatch, model, variant, order, n):
+    rng = np.random.default_rng(order * 100 + n + 1)
+    for band, shifted in _model_bands(monkeypatch, model, variant, order, n):
+        fact = (linsolve.ShiftedSolver(band).factor(rng.uniform(0.05, 3.0, size=band.n))
+                if shifted else linsolve.factor(band))
+        stack = _stack(rng, band.n)
+        before = stack.copy()
+        x = fact.solve(stack)
+        assert x.shape == stack.shape and x.flags.c_contiguous
+        assert not np.shares_memory(x, stack) and _bits(stack) == _bits(before)
+        for i in range(stack.shape[0]):
+            assert _bits(x[i]) == _bits(fact.solve(stack[i])), i
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stack_of_the_wrong_length_raises(periodic):
+    band = _periodic_static_part().shifted(1.0) if periodic else _spd_band(
+        16, 3, np.random.default_rng(14))
+    fact = linsolve.factor(band)
+    for shape in ((2, band.n + 1), (2, band.n - 1), (band.n, 2)):
+        with pytest.raises(DimensionError):
+            fact.solve(np.ones(shape))

@@ -229,8 +229,8 @@ def test_folded_cholesky_matches_dense_inverse(system):
     fact = linsolve.factor(band)
     assert isinstance(fact, linsolve.BandCholesky)
     assert fact.half_width == min(2 * w, n - 1)
-    rhs = rng.normal(size=(n, 2))
-    expected = dense_inverse_solve(a, rhs)
+    rhs = rng.normal(size=(2, n))  # a stack: one right-hand side per row
+    expected = dense_inverse_solve(a, rhs.T).T
     np.testing.assert_allclose(fact.solve(rhs), expected,
                                atol=1e-9 * np.max(np.abs(expected)))
 

@@ -259,3 +259,24 @@ def test_dingemans_outputs_are_on_the_surface_level(model, x_tilde):
         expected = np.interp(pos, grid.nodes, eta0)
         assert abs(samples[0][1] - expected) <= 1e-15, (pos, samples[0][1], expected)
     assert abs(samples[0][1] - 0.8) <= 1e-15
+
+
+@pytest.mark.parametrize("variant, relaxation, gated", [
+    ("periodic_central_wide", True, True),
+    ("periodic_upwind", True, True),
+    ("periodic_central_wide", False, False),
+    # the non-conservative variant: its drift is reported, not gated
+    ("periodic_central_narrow", True, False),
+])
+def test_dingemans_bbm_bbm_reports_energy_drift_and_gates_it_when_relaxed(
+        variant, relaxation, gated):
+    cfg = ScenarioConfig(scenario="dingemans", model="bbm_bbm", variant=variant,
+                         relaxation=relaxation, n_nodes=256, t_end=2.0)
+    res = run_scenario(cfg)
+    drift = res.info["energy_drift"]
+    checks = {c.name: c for c in res.checks}
+    assert ("dingemans_energy_relaxed" in checks) == gated
+    if gated:
+        check = checks["dingemans_energy_relaxed"]
+        assert check.value == drift and check.threshold == 1e-12 and check.passed
+    assert "modified_entropy_drift" not in res.info

@@ -442,6 +442,17 @@ def test_solve_gamma_stops_once_the_secant_step_cannot_move():
         assert abs(residual(gamma)) <= 16 * np.finfo(float).eps * abs(c1)
 
 
+_SIGNED = [2.5, -1e-300, 0.0, -0.0, np.inf, -np.inf, np.nan,
+           np.float64(-3.0), np.float64(0.0), np.float64(np.nan)]
+
+
+@pytest.mark.parametrize("x", _SIGNED)
+def test_scalar_sign_compares_as_np_sign_does(x):
+    # the root iteration only compares signs; a NaN residual equals no sign
+    for y in _SIGNED:
+        assert (timestepping._sign(x) == timestepping._sign(y)) == (np.sign(x) == np.sign(y))
+
+
 def test_fsal_reevaluated_after_relaxed_step():
     # record every evaluated (t, y): the first stage of each step is the
     # previous step's last stage, evaluated once and exactly at the relaxed
