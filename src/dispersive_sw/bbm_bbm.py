@@ -41,15 +41,12 @@ periodic variants solve two different systems, so they keep two solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from . import linsolve
 from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
-from .grid import Grid, split_flat
-from .sbp import DerivativeOperator, SbpOperatorSet, bounded_band, periodic_band
+from .grid import split_flat
+from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
 VARIANTS = (
@@ -90,26 +87,29 @@ def bbm_phase_speed(k, h0, gravity):
     return np.sqrt(gravity * h0) / (1.0 + (h0 * k) ** 2 / 6.0)
 
 
-@dataclass(eq=False)
 class BbmBbmDiscretization:
     """The BBM-BBM semidiscretization of one variant: its operators,
     factored elliptic systems, right-hand side and invariants."""
 
-    grid: Grid
-    gravity: float
-    bathymetry: np.ndarray
-    still_depth: np.ndarray
-    variant: str
-    operators: SbpOperatorSet
-    # derivatives applied outside the fluxes; one batched apply when they coincide
-    _d_outer_mass: DerivativeOperator = None
-    _d_outer_vel: DerivativeOperator = None
-    _solver_mass: object = None
-    _solver_vel: object = None
-    _vel_divisor: np.ndarray | None = None  # K of a rescaled velocity system
-    # reflecting only: P_D K / 6 (module docstring); D+ is _d_outer_vel
-    _wall_flux_weight: np.ndarray | None = None
-    _source: Optional[Callable] = None
+    def __init__(self, grid, gravity, bathymetry, still_depth, variant, operators,
+                 _d_outer_mass=None, _d_outer_vel=None, _solver_mass=None,
+                 _solver_vel=None, _vel_divisor=None, _wall_flux_weight=None,
+                 _source=None):
+        self.grid = grid
+        self.gravity = gravity
+        self.bathymetry = bathymetry
+        self.still_depth = still_depth
+        self.variant = variant
+        self.operators = operators
+        # derivatives applied outside the fluxes; one batched apply when they coincide
+        self._d_outer_mass = _d_outer_mass
+        self._d_outer_vel = _d_outer_vel
+        self._solver_mass = _solver_mass
+        self._solver_vel = _solver_vel
+        self._vel_divisor = _vel_divisor  # K of a rescaled velocity system
+        # reflecting only: P_D K / 6 (module docstring); D+ is _d_outer_vel
+        self._wall_flux_weight = _wall_flux_weight
+        self._source = _source  # source(t, x), or None
 
     #: keys of invariants(), and the one relaxation keeps
     invariant_names = ("mass", "velocity", "energy")

@@ -29,7 +29,9 @@ dependencies (sympy, scipy.optimize, yaml) are imported inside the
 functions that need them, never at module level.  Neither the scipy
 package nor scipy.linalg is imported: ``linsolve`` loads only the LAPACK
 extension, without their package ``__init__``.  ``logging`` is imported
-only when a relaxation fallback is logged.
+only when a relaxation fallback is logged.  Importing runs no generated
+code: records are plain classes with written-out ``__init__`` methods,
+not classes whose methods a decorator generates and compiles at import.
 """
 
 from __future__ import annotations

@@ -1,19 +1,15 @@
-"""Scenario configuration: dataclass, YAML loading, validation.
+"""Scenario configuration: keys, YAML loading, validation.
 
-Config files are YAML mappings using exactly the documented keys below;
+Config files are YAML mappings using exactly the keys of ``KEYS``;
 unknown keys are errors, not warnings, and so is a value that is not of
-its key's annotated type (an int passes for a float, a bool for no
-number) and a key that the run does not read (``wavenumber`` outside a
-traveling-wave run, say), whatever its value.  Command-line flags
-override file values.
+its key's type (an int passes for a float, a bool for no number) and a
+key that the run does not read (``wavenumber`` outside a traveling-wave
+run, say), whatever its value.  Command-line flags override file values.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import typing
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -30,41 +26,50 @@ SCENARIOS = (
 MODELS = ("bbm_bbm", "svaerd_kalisch")
 
 
-@dataclass
+# every config key: its type, as a refused value is told it, and its default
+KEYS = {
+    "scenario": ("str", None),  # required
+    "model": ("str", "bbm_bbm"),
+    "variant": ("str | None", None),  # scenario default when None
+    "order": ("int", 4),
+    "n_nodes": ("int | None", None),
+    "t_end": ("float | None", None),
+    "dt": ("float | None", None),  # fixed step size; None means adaptive
+    "atol": ("float | None", None),
+    "rtol": ("float | None", None),
+    "relaxation": ("bool", False),
+    "parameter_set": ("str | None", None),  # Svärd-Kalisch coefficient set
+    "gauges": ("list[float]", ()),
+    "gauge_interval": ("float", 0.1),
+    "output_dir": ("str | None", None),
+    "orders": ("list[int] | None", None),  # EOC mode: operator orders
+    "resolutions": ("list[int] | None", None),  # EOC mode: grid sizes
+    "eoc": ("bool", False),
+    "check": ("bool", False),
+    "experimental_data": ("str | None", None),
+    "wavenumber": ("float", 0.8),  # traveling-wave scenario
+    "reflecting": ("bool", False),  # manufactured scenario: use wall conditions
+}
+
+
 class ScenarioConfig:
-    """One run: scenario, model and discretization choices, validated on
-    construction (see the module docstring for the keys)."""
+    """One run: scenario, model and discretization choices (the attributes
+    named in ``KEYS``), validated on construction."""
 
-    scenario: str
-    model: str = "bbm_bbm"
-    variant: str | None = None  # scenario default when None
-    order: int = 4
-    n_nodes: int | None = None
-    t_end: float | None = None
-    dt: float | None = None  # fixed step size; None means adaptive
-    atol: float | None = None
-    rtol: float | None = None
-    relaxation: bool = False
-    parameter_set: str | None = None  # Svärd-Kalisch coefficient set
-    gauges: list[float] = field(default_factory=list)
-    gauge_interval: float = 0.1
-    output_dir: str | None = None
-    orders: list[int] | None = None  # EOC mode: operator orders
-    resolutions: list[int] | None = None  # EOC mode: grid sizes
-    eoc: bool = False
-    check: bool = False
-    experimental_data: str | None = None
-    wavenumber: float = 0.8  # traveling-wave scenario
-    reflecting: bool = False  # manufactured scenario: use wall conditions
-
-    def __post_init__(self):
+    def __init__(self, scenario, **values):
+        values["scenario"] = scenario
+        unknown = values.keys() - KEYS.keys()
+        if unknown:
+            raise TypeError(f"unknown config keys {sorted(unknown)}")
+        for name, (_, default) in KEYS.items():
+            setattr(self, name, values.get(name, default))
         for name, choices in (("scenario", SCENARIOS), ("model", MODELS)):
             if getattr(self, name) not in choices:
                 raise ConfigurationError(
                     f"unknown {name} {getattr(self, name)!r}; available: {choices}")
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) == "":
-                raise ConfigurationError(f"{f.name} must not be empty")
+        for name in KEYS:
+            if getattr(self, name) == "":
+                raise ConfigurationError(f"{name} must not be empty")
         if self.order <= 0:
             raise ConfigurationError("order must be positive")
         if self.n_nodes is not None and self.n_nodes < 3:
@@ -91,18 +96,16 @@ class ScenarioConfig:
                 raise ConfigurationError("resolutions must be strictly increasing")
 
 
-_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a config value is of the annotated type ``kind``."""
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if args:  # X | None
-        return any(_has_type(value, option) for option in args)
-    kind = (int, float) if kind is float else kind
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """Whether a config value is of the type ``kind`` of ``KEYS``."""
+    if " | " in kind:
+        return any(_has_type(value, option) for option in kind.split(" | "))
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    return isinstance(value, _TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
 
 
 def _unread_fields(cfg: ScenarioConfig):
@@ -128,16 +131,16 @@ def _unread_fields(cfg: ScenarioConfig):
 def config_from_mapping(mapping) -> ScenarioConfig:
     """The config of a CLI or file mapping; a value not of its key's type,
     and a given key the run does not read even at its default, is refused."""
-    unknown = set(mapping) - _FIELD_TYPES.keys()
+    unknown = set(mapping) - KEYS.keys()
     if unknown:
         raise ConfigurationError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(_FIELD_TYPES)}"
+            f"unknown config keys {sorted(unknown)}; allowed: {sorted(KEYS)}"
         )
     if "scenario" not in mapping:
         raise ConfigurationError("config must name a scenario")
     for name, value in mapping.items():
-        if not _has_type(value, _FIELD_TYPES[name]):
-            kind = ScenarioConfig.__annotations__[name]
+        kind = KEYS[name][0]
+        if not _has_type(value, kind):
             raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
     cfg = ScenarioConfig(**mapping)
     unread = sorted(_unread_fields(cfg).intersection(mapping))

@@ -8,23 +8,21 @@ all periodic derivative operators are circulant on those N nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform nodes on [x_min, x_max]; a periodic grid omits x_max."""
 
-    x_min: float
-    x_max: float
-    n_nodes: int
-    spacing: float
-    bc_kind: str  # "periodic" or "bounded"
-    nodes: np.ndarray
+    def __init__(self, x_min, x_max, n_nodes, spacing, bc_kind, nodes):
+        self.x_min = x_min
+        self.x_max = x_max
+        self.n_nodes = n_nodes
+        self.spacing = spacing
+        self.bc_kind = bc_kind  # "periodic" or "bounded"
+        self.nodes = nodes
 
     @property
     def length(self) -> float:
@@ -56,15 +54,13 @@ def make_uniform_grid(x_min, x_max, n_nodes, bc_kind="periodic") -> Grid:
     return Grid(float(x_min), float(x_max), n_nodes, float(dx), bc_kind, nodes)
 
 
-@dataclass(frozen=True, eq=False)
 class MassMatrix:
     """Diagonal quadrature weights inducing the discrete inner product."""
 
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.diagonal <= 0.0):
+    def __init__(self, diagonal):
+        if np.any(diagonal <= 0.0):
             raise ConfigurationError("mass matrix weights must be positive")
+        self.diagonal = diagonal
 
 
 def l2_norm(u, mass: MassMatrix) -> float:

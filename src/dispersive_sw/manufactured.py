@@ -15,15 +15,13 @@ both over the bathymetry b(x) = -5 - 2 cos(2 pi x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 import sympy as sp
 
 from .errors import ConfigurationError
-from .svaerd_kalisch import SkParameterSet, sk_parameter_set
+from .svaerd_kalisch import sk_parameter_set
 
 _X, _T = sp.symbols("x t", real=True)
 
@@ -44,16 +42,16 @@ def _solution_exprs(bc_kind):
     return eta, v
 
 
-@dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution, its time derivative, source terms and bathymetry of
     one manufactured test, as numpy callables of (t, x)."""
 
-    bc_kind: str
-    exact: Callable  # exact(t, x) -> (eta, v)
-    exact_dt: Callable  # time derivative of the exact fields
-    source: Callable  # source(t, x) -> model-specific source pair
-    bathymetry: Callable
+    def __init__(self, bc_kind, exact, exact_dt, source, bathymetry):
+        self.bc_kind = bc_kind
+        self.exact = exact  # exact(t, x) -> (eta, v)
+        self.exact_dt = exact_dt  # time derivative of the exact fields
+        self.source = source  # source(t, x) -> model-specific source pair
+        self.bathymetry = bathymetry
 
 
 def _lambdify(expr):

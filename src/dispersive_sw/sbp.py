@@ -64,7 +64,6 @@ bounded upwind pair extends the bundle's one bounded central D1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -129,27 +128,22 @@ PERIODIC_CENTRAL_ORDERS = (2, 4, 6, 8)
 UPWIND_ORDERS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True, eq=False)
 class DerivativeOperator:
     """Derivative operator (interior stencil, plus closure rows when bounded)
     together with the norm it satisfies SBP against."""
 
-    kind: str
-    accuracy_order: int
-    grid: Grid
-    mass: MassMatrix
-    offsets: np.ndarray
-    coefficients: np.ndarray
-    # bounded only: (left, right), the dense first and last c rows over the
-    # first and last w columns, w = c + halo
-    closure: tuple | None = None
-    # stencil plan, see _StencilPlan
-    _plan: _StencilPlan = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        plan = _StencilPlan(self.offsets, self.coefficients, self.grid.n_nodes,
-                            self.closure is None)
-        object.__setattr__(self, "_plan", plan)
+    def __init__(self, kind, accuracy_order, grid, mass, offsets, coefficients,
+                 closure=None):
+        self.kind = kind
+        self.accuracy_order = accuracy_order
+        self.grid = grid
+        self.mass = mass
+        self.offsets = offsets
+        self.coefficients = coefficients
+        # bounded only: (left, right), the dense first and last c rows over the
+        # first and last w columns, w = c + halo
+        self.closure = closure
+        self._plan = _StencilPlan(offsets, coefficients, grid.n_nodes, closure is None)
 
     @property
     def n(self) -> int:
@@ -190,16 +184,16 @@ class DerivativeOperator:
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class UpwindOperatorPair:
     """Biased derivative pair; M D+ + D-^T M = 0 (periodic) or
     e_R e_R^T - e_L e_L^T (bounded), and M (D+ - D-)/2 <= 0."""
 
-    d_plus: DerivativeOperator
-    d_minus: DerivativeOperator
-    mass: MassMatrix
-    accuracy_order: int
-    grid: Grid
+    def __init__(self, d_plus, d_minus, mass, accuracy_order, grid):
+        self.d_plus = d_plus
+        self.d_minus = d_minus
+        self.mass = mass
+        self.accuracy_order = accuracy_order
+        self.grid = grid
 
     def central_average(self) -> DerivativeOperator:
         """(D+ + D-)/2 of a periodic pair, a central first-derivative SBP operator."""
@@ -556,14 +550,14 @@ def build_bounded_upwind(central: DerivativeOperator) -> UpwindOperatorPair:
 # identity verification
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Residuals of one operator's SBP identities against its threshold."""
 
-    kind: str
-    residuals: dict
-    threshold: float
-    passed: bool
+    def __init__(self, kind, residuals, threshold, passed):
+        self.kind = kind
+        self.residuals = residuals
+        self.threshold = threshold
+        self.passed = passed
 
 
 def _assert_report(report: IdentityReport):
@@ -609,13 +603,17 @@ def _closure_adjoint_residual(left, right):
 
 
 def _row_sum_and_consistency(op):
-    """(max row sum of |D|, max |D 1|), from the stencil and closure rows."""
+    """(max row sum of |D|, max |M D 1|), from the stencil and closure rows;
+    a stencil row has the interior weight, a closure row its own."""
+    m = op.mass.diagonal
     row_sum = np.sum(np.abs(op.coefficients))
-    consistency = abs(float(np.sum(op.coefficients)))
+    consistency = m[op.n // 2] * abs(float(np.sum(op.coefficients)))
     if op.closure is not None:
         rows = np.vstack(op.closure)
+        c = op.closure[0].shape[0]
+        weights = np.concatenate([m[:c], m[op.n - c:]])
         row_sum = max(row_sum, np.max(np.sum(np.abs(rows), axis=1)))
-        consistency = max(consistency, float(np.max(np.abs(np.sum(rows, axis=1)))))
+        consistency = max(consistency, float(np.max(weights * np.abs(np.sum(rows, axis=1)))))
     return row_sum, consistency
 
 
@@ -623,9 +621,11 @@ def verify_sbp_identity(op) -> IdentityReport:
     """Residuals of the defining SBP identities, with a PASS flag.
 
     The threshold is 1e-12 * scale with scale = max|M| * max-row-sum|D|.
-    Periodic operators are checked on their stencils in O(width) (their
-    norm is dx I), bounded ones on their stencils and corner blocks in
-    O(width^2).
+    Every residual carries M, as the adjoint ones do: consistency is
+    max |M D 1| and the D2 moment sum_k k c_k is weighted by dx, so their
+    roundoff does not grow with N against the threshold.  Periodic
+    operators are checked on their stencils in O(width) (their norm is
+    dx I), bounded ones on their stencils and corner blocks in O(width^2).
     """
     m = op.mass.diagonal
     if isinstance(op, UpwindOperatorPair):
@@ -658,7 +658,7 @@ def verify_sbp_identity(op) -> IdentityReport:
         residuals["consistency"] = consistency
         if kind.startswith("periodic_d2"):
             moments = _stencil_moments(op.offsets, op.coefficients, 1)
-            residuals["annihilates_linears"] = float(abs(moments[1]))
+            residuals["annihilates_linears"] = float(m[0] * abs(moments[1]))
     threshold = 1e-12 * (np.max(m) * max(row_sum, 1.0))
     passed = all(v <= threshold for v in residuals.values())
     return IdentityReport(kind, residuals, threshold, passed)
@@ -668,14 +668,14 @@ def verify_sbp_identity(op) -> IdentityReport:
 # operator bundles
 
 
-@dataclass(frozen=True, eq=False)
 class SbpOperatorSet:
     """Operators sharing one grid and norm, as required by a model variant."""
 
-    mass: MassMatrix
-    d1: DerivativeOperator
-    d2: DerivativeOperator | None = None
-    upwind: UpwindOperatorPair | None = None
+    def __init__(self, mass, d1, d2=None, upwind=None):
+        self.mass = mass
+        self.d1 = d1
+        self.d2 = d2
+        self.upwind = upwind
 
 
 def periodic_operators(grid, order, *, upwind=False):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +54,14 @@ GRAVITY = 9.81
 # results, checks, output
 
 
-@dataclass
 class CheckResult:
     """One --check gate: the measured value against its threshold."""
 
-    name: str
-    value: float
-    threshold: float
-    passed: bool
+    def __init__(self, name, value, threshold, passed):
+        self.name = name
+        self.value = value
+        self.threshold = threshold
+        self.passed = passed
 
     @classmethod
     def at_most(cls, name, value, threshold):
@@ -73,14 +72,14 @@ class CheckResult:
         return cls(name, float(value), float(width), bool(abs(value - target) <= width))
 
 
-@dataclass
 class ScenarioResult:
     """What a scenario run produced: CSV tables, gates and printed info."""
 
-    scenario: str
-    tables: dict = field(default_factory=dict)  # name -> (header, rows)
-    checks: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    def __init__(self, scenario, tables=None, checks=None, info=None):
+        self.scenario = scenario
+        self.tables = {} if tables is None else tables  # name -> (header, rows)
+        self.checks = [] if checks is None else checks
+        self.info = {} if info is None else info
 
 
 def _fmt(value) -> str:
@@ -185,19 +184,17 @@ class GaugeRecorder:
 # EOC study
 
 
-@dataclass
 class EocTable:
     """(N, L2 errors) rows with pairwise observed orders."""
 
-    order: int
-    entries: list  # (n_nodes, err_eta, err_v)
-
-    def __post_init__(self):
-        ns = [e[0] for e in self.entries]
+    def __init__(self, order, entries):
+        ns = [e[0] for e in entries]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigurationError("EOC resolutions must increase")
-        if any(e[1] <= 0 or e[2] <= 0 for e in self.entries):
+        if any(e[1] <= 0 or e[2] <= 0 for e in entries):
             raise ConfigurationError("EOC errors must be positive")
+        self.order = order
+        self.entries = entries  # (n_nodes, err_eta, err_v)
 
     def eoc(self):
         out = []
@@ -525,8 +522,8 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     y0 = np.concatenate([level + np.exp(-50.0 * grid.nodes**2), np.zeros(n)])
     for relaxed in (False, True):
         recorder = InvariantRecorder(disc)
-        run = _run(result, disc, y0, t_end, replace(cfg, relaxation=relaxed),
-                   recorders=[recorder])
+        run = _run(result, disc, y0, t_end,
+                   ScenarioConfig(**dict(vars(cfg), relaxation=relaxed)), recorders=[recorder])
         tag = "relaxed" if relaxed else "baseline"
         result.tables[f"invariants_{tag}"] = (recorder.header(), recorder.rows)
         mass_drift = recorder.drift("mass", 1.0)

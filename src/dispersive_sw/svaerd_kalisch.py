@@ -52,28 +52,25 @@ the flat state, checked for NaN and inf at once; layer 1 differentiates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
 import numpy as np
 
 from . import linsolve
 from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
-from .grid import Grid, split_flat
-from .sbp import SbpOperatorSet, bounded_band, periodic_band
+from .grid import split_flat
+from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
 VARIANTS = ("periodic_central_split", "periodic_upwind", "reflecting_beta_only")
 
 
-@dataclass(frozen=True)
 class SkParameterSet:
     """Dimensionless dispersion coefficients (alpha, beta, gamma tilde)."""
 
-    name: str
-    alpha_tilde: float
-    beta_tilde: float
-    gamma_tilde: float
+    def __init__(self, name, alpha_tilde, beta_tilde, gamma_tilde):
+        self.name = name
+        self.alpha_tilde = alpha_tilde
+        self.beta_tilde = beta_tilde
+        self.gamma_tilde = gamma_tilde
 
 
 PARAMETER_SETS = {
@@ -141,37 +138,35 @@ def sk_dispersion_omega(k, params, h0, gravity):
     return float(omega)
 
 
-@dataclass(eq=False)
 class SkDiscretization:
     """The Svärd-Kalisch semidiscretization of one variant: its operators,
     coefficient fields, right-hand side and invariants."""
-
-    grid: Grid
-    gravity: float
-    eta0: float
-    bathymetry: np.ndarray
-    still_depth: np.ndarray
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    gamma_hat: np.ndarray
-    params: SkParameterSet
-    variant: str
-    operators: SbpOperatorSet
-    _source: Optional[Callable] = None
-    _velocity_solver: linsolve.ShiftedSolver = None  # static part packed once
-    _entropy_deriv: Callable = None  # derivative entering the modified entropy
-    # whether the alpha / gamma dispersion terms are present; the coefficient
-    # fields are fixed, so this is decided once instead of on every RHS call
-    _has_alpha: bool = field(init=False, repr=False)
-    _has_gamma: bool = field(init=False, repr=False)
 
     #: keys of invariants(), and the one relaxation keeps
     invariant_names = ("mass", "discharge", "entropy", "modified_entropy")
     conserved = "modified_entropy"
 
-    def __post_init__(self):
-        self._has_alpha = bool(np.any(self.alpha_hat))
-        self._has_gamma = bool(np.any(self.gamma_hat))
+    def __init__(self, grid, gravity, eta0, bathymetry, still_depth, alpha_hat, beta_hat,
+                 gamma_hat, params, variant, operators, _source=None,
+                 _velocity_solver=None, _entropy_deriv=None):
+        self.grid = grid
+        self.gravity = gravity
+        self.eta0 = eta0
+        self.bathymetry = bathymetry
+        self.still_depth = still_depth
+        self.alpha_hat = alpha_hat
+        self.beta_hat = beta_hat
+        self.gamma_hat = gamma_hat
+        self.params = params
+        self.variant = variant
+        self.operators = operators
+        self._source = _source  # source(t, x), or None
+        self._velocity_solver = _velocity_solver  # static part packed once
+        self._entropy_deriv = _entropy_deriv  # derivative entering the modified entropy
+        # whether the alpha / gamma dispersion terms are present; the coefficient
+        # fields are fixed, so this is decided once instead of on every RHS call
+        self._has_alpha = bool(np.any(alpha_hat))
+        self._has_gamma = bool(np.any(gamma_hat))
 
     @property
     def n(self) -> int:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,43 +41,35 @@ from .errors import ConfigurationError, DomainError, NumericsError
 # tableaus
 
 
-@dataclass(frozen=True)
 class ButcherTableau:
     """Explicit Runge-Kutta coefficients, with an optional embedded pair."""
 
-    name: str
-    a: np.ndarray  # s x s, strictly lower triangular
-    b: np.ndarray
-    c: np.ndarray
-    order: int
-    b_embedded: np.ndarray | None = None
-    embedded_order: int | None = None
-    # first stage of a step equals the last stage of the previous one;
-    # decided once here because integrate reads it on every step
-    is_fsal: bool = field(init=False, repr=False, compare=False)
-    # nonzero (j, w_j) of each row of a, of b and of b - b_embedded (or None)
-    a_pairs: tuple = field(init=False, repr=False, compare=False)
-    b_pairs: tuple = field(init=False, repr=False, compare=False)
-    error_pairs: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        s = self.b.size
-        if self.a.shape != (s, s) or self.c.size != s:
+    def __init__(self, name, a, b, c, order, b_embedded=None, embedded_order=None):
+        s = b.size
+        if a.shape != (s, s) or c.size != s:
             raise ConfigurationError("inconsistent tableau dimensions")
-        if np.any(np.abs(np.triu(self.a)) > 0):
+        if np.any(np.abs(np.triu(a)) > 0):
             raise ConfigurationError("tableau must be explicit")
-        if abs(self.b.sum() - 1.0) > 1e-13:
+        if abs(b.sum() - 1.0) > 1e-13:
             raise ConfigurationError("tableau weights must sum to one")
-        # exact: rk_step evaluates an FSAL last stage at y + du, not at its row of a
-        fsal = bool(np.array_equal(self.a[-1], self.b) and self.c[-1] == 1.0)
-        object.__setattr__(self, "is_fsal", fsal)
+        self.name = name
+        self.a = a  # s x s, strictly lower triangular
+        self.b = b
+        self.c = c
+        self.order = order
+        self.b_embedded = b_embedded
+        self.embedded_order = embedded_order
+        # first stage of a step equals the last stage of the previous one;
+        # decided once here because integrate reads it on every step.  Exact:
+        # rk_step evaluates an FSAL last stage at y + du, not at its row of a
+        self.is_fsal = bool(np.array_equal(a[-1], b) and c[-1] == 1.0)
 
         def pairs(weights):
             return tuple((j, w) for j, w in enumerate(weights.tolist()) if w != 0.0)
-        object.__setattr__(self, "a_pairs", tuple(pairs(row) for row in self.a))
-        object.__setattr__(self, "b_pairs", pairs(self.b))
-        object.__setattr__(self, "error_pairs", None if self.b_embedded is None
-                           else pairs(self.b - self.b_embedded))
+        # nonzero (j, w_j) of each row of a, of b and of b - b_embedded (or None)
+        self.a_pairs = tuple(pairs(row) for row in a)
+        self.b_pairs = pairs(b)
+        self.error_pairs = None if b_embedded is None else pairs(b - b_embedded)
 
     @property
     def stages(self) -> int:
@@ -334,28 +325,28 @@ DT_MIN = 1e-12  # see the module docstring
 MAX_STEPS = 10_000_000
 
 
-@dataclass
 class IntegratorConfig:
     """Tableau, step size or tolerances, and the largest adaptive step."""
 
-    tableau: ButcherTableau = DOPRI5
-    dt: float | None = None  # fixed step size; None selects adaptive mode
-    atol: float = 1e-7
-    rtol: float = 1e-7
-    dt_max: float = np.inf
+    def __init__(self, tableau=DOPRI5, dt=None, atol=1e-7, rtol=1e-7, dt_max=np.inf):
+        self.tableau = tableau
+        self.dt = dt  # fixed step size; None selects adaptive mode
+        self.atol = atol
+        self.rtol = rtol
+        self.dt_max = dt_max
 
 
-@dataclass
 class StepRecord:
     """One accepted step, enough for cubic Hermite dense output."""
 
-    t_old: float
-    t_new: float
-    y_old: np.ndarray
-    y_new: np.ndarray
-    f_old: np.ndarray | None
-    f_new: np.ndarray | None
-    gamma: float
+    def __init__(self, t_old, t_new, y_old, y_new, f_old, f_new, gamma):
+        self.t_old = t_old
+        self.t_new = t_new
+        self.y_old = y_old
+        self.y_new = y_new
+        self.f_old = f_old  # f_old and f_new: None without dense output
+        self.f_new = f_new
+        self.gamma = gamma
 
     def interpolate(self, t):
         """Cubic Hermite evaluation inside [t_old, t_new]."""
@@ -372,18 +363,19 @@ class StepRecord:
         )
 
 
-@dataclass
 class IntegrationResult:
     """End time and state of an ``integrate`` call, with its counters and
     the gamma of every accepted step."""
 
-    t: float
-    y: np.ndarray
-    n_steps: int = 0
-    n_rejected: int = 0
-    n_rhs: int = 0
-    relaxation_fallbacks: int = 0
-    gammas: list = field(default_factory=list)
+    def __init__(self, t, y, n_steps=0, n_rejected=0, n_rhs=0, relaxation_fallbacks=0,
+                 gammas=None):
+        self.t = t
+        self.y = y
+        self.n_steps = n_steps
+        self.n_rejected = n_rejected
+        self.n_rhs = n_rhs
+        self.relaxation_fallbacks = relaxation_fallbacks
+        self.gammas = [] if gammas is None else gammas
 
 
 def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,

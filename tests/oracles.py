@@ -303,8 +303,8 @@ def dense_sbp_residuals(op, dense=None):
         dp, dm = dense or (dense_operator(op.d_plus), dense_operator(op.d_minus))
         return {
             "adjoint": float(np.max(np.abs(boundary_corrected(m @ dp + dm.T @ m)))),
-            "consistency_plus": float(np.max(np.abs(dp @ ones))),
-            "consistency_minus": float(np.max(np.abs(dm @ ones))),
+            "consistency_plus": float(np.max(np.abs(m @ (dp @ ones)))),
+            "consistency_minus": float(np.max(np.abs(m @ (dm @ ones)))),
         }
     d = dense_operator(op) if dense is None else dense
     residuals = {}
@@ -316,7 +316,7 @@ def dense_sbp_residuals(op, dense=None):
         )
     elif op.kind.startswith("periodic_d2"):
         residuals["symmetry"] = float(np.max(np.abs(m @ d - d.T @ m)))
-    residuals["consistency"] = float(np.max(np.abs(d @ ones)))
+    residuals["consistency"] = float(np.max(np.abs(m @ (d @ ones))))
     return residuals
 
 

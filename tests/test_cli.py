@@ -474,9 +474,11 @@ loaded = lambda: sorted(m for m in HEAVY if m in sys.modules)
 steps = {}
 from dispersive_sw.cli import run_cli
 steps["import"] = loaded()
+steps["dataclasses"] = ["dataclasses" in sys.modules]
 assert run_cli(["run", "--scenario", "lake_at_rest", "--model", "svaerd_kalisch",
                 "--n-nodes", "40", "--t-end", "0.01", "--dt", "1e-3"]) == 0
 steps["lake_at_rest"] = loaded()
+steps["dataclasses"].append("dataclasses" in sys.modules)
 from dispersive_sw.scenarios import dingemans_wavenumber
 steps["wavenumber"] = repr(dingemans_wavenumber())
 steps["dingemans_wavenumber"] = loaded()
@@ -515,6 +517,8 @@ def test_heavy_dependencies_load_only_where_a_run_uses_them(tmp_path):
     # and timestepping imports logging only to log a relaxation fallback
     assert steps["import"] == []
     assert steps["lake_at_rest"] == []
+    # records are plain classes: no dataclass code is generated for a run
+    assert steps["dataclasses"] == [False, False]
     # scipy.optimize imports scipy, scipy.linalg and logging
     scipy_optimize = ["logging", "scipy", "scipy.linalg", "scipy.optimize"]
     assert steps["dingemans_wavenumber"] == scipy_optimize

@@ -366,6 +366,53 @@ def test_periodic_stencil_residuals_match_dense_form(n):
                 assert report.residuals[key] == value, (op, key)
 
 
+def _every_operator(length, n):
+    """Every operator and pair of every order at spacing dx = length / n:
+    n periodic nodes and n + 1 bounded ones on [0, length]."""
+    ops = _periodic_operators_and_pairs(make_uniform_grid(0.0, length, n, "periodic"))
+    bounded = make_uniform_grid(0.0, length, n + 1, "bounded")
+    for order in BOUNDED_ORDERS:
+        d1 = build_bounded_central_d1(bounded, order)
+        ops += [d1, build_bounded_upwind(d1)]
+    return ops
+
+
+FINE = (1e-4, 1000)  # dx = 1e-7, the spacing of 2e7 nodes on [-1, 1]
+
+
+def test_every_operator_passes_its_identity_check_on_a_fine_grid():
+    # consistency and the D2 moment carry M as the adjoint residuals do, so
+    # their roundoff does not grow like 1/dx (1/dx^2) past the threshold
+    for op in _every_operator(*FINE):
+        report = verify_sbp_identity(op)
+        assert report.passed, (report.kind, report.residuals, report.threshold)
+
+
+def _perturbed(op, closure):
+    """op with one coefficient scaled by 1 + 1e-6: its largest off-centre
+    stencil one, or entry (0, 1) of its left closure rows; a pair's D+."""
+    if isinstance(op, UpwindOperatorPair):
+        return UpwindOperatorPair(_perturbed(op.d_plus, closure), op.d_minus, op.mass,
+                                  op.accuracy_order, op.grid)
+    coefficients, rows = op.coefficients.copy(), op.closure
+    if closure:
+        left = rows[0].copy()
+        left[0, 1] *= 1 + 1e-6
+        rows = (left, rows[1])
+    else:
+        coefficients[np.argmax(np.abs(coefficients) * (op.offsets != 0))] *= 1 + 1e-6
+    return DerivativeOperator(op.kind, op.accuracy_order, op.grid, op.mass, op.offsets,
+                              coefficients, rows)
+
+
+@pytest.mark.parametrize("length, n", [(2.0, 200), FINE], ids=["dx_1e-2", "dx_1e-7"])
+def test_verify_refuses_one_coefficient_perturbed_by_1e_6(length, n):
+    for op in _every_operator(length, n):
+        for closure in (False, True) if op.grid.bc_kind == "bounded" else (False,):
+            report = verify_sbp_identity(_perturbed(op, closure))
+            assert not report.passed, (report.kind, closure, report.residuals)
+
+
 def test_unsupported_orders_rejected():
     with pytest.raises(ConfigurationError):
         build_periodic_central_d1(PGRID, 3)

@@ -205,6 +205,20 @@ def test_config_validation():
     assert cfg.gauges == [1.0, 2.5]
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"scenario": "lake_at_rest", "order": 4.0}, "order must be int, got 4.0"),
+    ({"scenario": "lake_at_rest", "t_end": "soon"}, "t_end must be float | None, got 'soon'"),
+    ({"scenario": "manufactured", "orders": [2.0, 4]},
+     "orders must be list[int] | None, got [2.0, 4]"),
+    ({"scenario": "dingemans", "gauges": [3.04, True]},
+     "gauges must be list[float], got [3.04, True]"),
+], ids=["plain", "or_none", "list_or_none", "list"])
+def test_config_type_error_names_the_key_and_its_type(mapping, message):
+    with pytest.raises(ConfigurationError) as info:
+        config_from_mapping(mapping)
+    assert str(info.value) == message
+
+
 def test_write_outputs_formats_17_digits(tmp_path):
     from dispersive_sw.scenarios import ScenarioResult
 
