@@ -8,9 +8,12 @@ The system evolves the total water height eta and the velocity v,
 with still water depth D(x) = -b(x).  The reference level is fixed at
 eta0 = 0: for another level, ``scenarios._discretize`` builds the model on
 b - eta0 and shifts its eta and b outputs back by eta0.
-Semidiscretizations factor the two elliptic operators once at build time
-and conserve the total mass, the total velocity, and (every variant but
-periodic_central_narrow) the quadratic energy
+``BbmBbmDiscretization(grid, operators, bathymetry_fn, gravity, variant)``
+validates its inputs and assembles and factors the two elliptic operators,
+once per run; ``build_bbm_discretization`` is the same call by the name
+that ``scenarios`` uses.  Semidiscretizations conserve the total mass, the
+total velocity, and (every variant but periodic_central_narrow) the
+quadratic energy
 
     E = sum_i M_ii (g eta_i^2 + (eta_i + D_i) v_i^2) / 2.
 
@@ -89,27 +92,87 @@ def bbm_phase_speed(k, h0, gravity):
 
 class BbmBbmDiscretization:
     """The BBM-BBM semidiscretization of one variant: its operators,
-    factored elliptic systems, right-hand side and invariants."""
+    factored elliptic systems, right-hand side and invariants, all built
+    by the constructor."""
 
-    def __init__(self, grid, gravity, bathymetry, still_depth, variant, operators,
-                 _d_outer_mass=None, _d_outer_vel=None, _solver_mass=None,
-                 _solver_vel=None, _vel_divisor=None, _wall_flux_weight=None,
-                 _source=None):
+    def __init__(self, grid, operators, bathymetry_fn, gravity, variant, *,
+                 source_terms=None):
+        """Assemble and factor one of the BBM-BBM semidiscretizations.
+
+        The outer pair (L, R) differentiates the (mass, velocity) fluxes:
+        (D-, D+) for the *_upwind variants, (D1, D1) otherwise.  The
+        periodic mass system is built from L K R, the velocity system from
+        R L, or from the narrow D2 for periodic_central_narrow; the
+        reflecting ones from R and L (module docstring).  The elliptic
+        operators are time independent, so they are factored here, once
+        each (once in all for ``periodic_const_narrow``, whose two systems
+        coincide and whose right-hand side solves both fields in one call).
+        ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
+        """
+        if variant not in VARIANTS:
+            raise ConfigurationError(f"unknown BBM-BBM variant {variant!r}")
+        if variant.startswith("periodic") != grid.is_periodic:
+            raise ConfigurationError(
+                f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
+            )
+        b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
+        if b.shape != grid.nodes.shape:
+            raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
+        depth = -b  # eta0 = 0 inside this model
+        if np.min(depth) <= 0.0:
+            raise DomainError(
+                f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
+            )
+        kdiag = depth**2
+        if variant == "periodic_const_narrow" and np.ptp(depth) > 1e-13 * np.max(depth):
+            raise ConfigurationError("periodic_const_narrow requires constant bathymetry")
         self.grid = grid
-        self.gravity = gravity
-        self.bathymetry = bathymetry
-        self.still_depth = still_depth
+        self.gravity = float(gravity)
+        self.bathymetry = b
+        self.still_depth = depth
         self.variant = variant
         self.operators = operators
+        self._source = source_terms  # source(t, x), or None
+
         # derivatives applied outside the fluxes; one batched apply when they coincide
-        self._d_outer_mass = _d_outer_mass
-        self._d_outer_vel = _d_outer_vel
-        self._solver_mass = _solver_mass
-        self._solver_vel = _solver_vel
-        self._vel_divisor = _vel_divisor  # K of a rescaled velocity system
+        if variant.endswith("upwind"):
+            pair = operators.upwind
+            d_outer_mass, d_outer_vel = pair.d_minus, pair.d_plus
+        else:
+            d_outer_mass = d_outer_vel = operators.d1
+        self._d_outer_mass, self._d_outer_vel = d_outer_mass, d_outer_vel
+
+        self._vel_divisor = None  # K of a rescaled velocity system
         # reflecting only: P_D K / 6 (module docstring); D+ is _d_outer_vel
-        self._wall_flux_weight = _wall_flux_weight
-        self._source = _source  # source(t, x), or None
+        self._wall_flux_weight = None
+        # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and
+        # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: the
+        # M-scaled SPD forms of the module docstring
+        if grid.is_periodic:
+            if variant == "periodic_const_narrow":
+                # K is constant, so I - D2 K / 6 is symmetric: one system for both
+                a_mass = a_vel = periodic_band(operators.d2, inner=kdiag)
+            else:
+                a_mass = periodic_band(d_outer_mass, d_outer_vel, inner=kdiag)
+                a_vel = (periodic_band(operators.d2) if variant == "periodic_central_narrow"
+                         else periodic_band(d_outer_vel, d_outer_mass))
+            solver_mass = solver_vel = linsolve.factor(a_mass.shifted(1.0, -6.0))
+            if a_vel is not a_mass:
+                self._vel_divisor = kdiag
+                solver_vel = linsolve.factor(a_vel.shifted(1.0 / kdiag, -6.0))
+        else:
+            m = operators.mass.diagonal
+            wall_flux_weight = kdiag / 6.0
+            wall_flux_weight[0] = wall_flux_weight[-1] = 0.0
+            self._wall_flux_weight = wall_flux_weight
+            solver_mass = linsolve.factor(
+                bounded_band(d_outer_vel, m * wall_flux_weight).shifted(m)
+            )
+            solver_vel = linsolve.factor(
+                bounded_band(d_outer_mass, m).shifted(m / kdiag, 6.0).interior()
+            )
+            self._vel_divisor = kdiag[1:-1]
+        self._solver_mass, self._solver_vel = solver_mass, solver_vel
 
     #: keys of invariants(), and the one relaxation keeps
     invariant_names = ("mass", "velocity", "energy")
@@ -214,81 +277,6 @@ class BbmEnergyFunctional(CubicIncrementFunctional):
 
 def build_bbm_discretization(grid, operators, bathymetry_fn, gravity, variant,
                              *, source_terms=None):
-    """Assemble and factor one of the BBM-BBM semidiscretizations.
-
-    The outer pair (L, R) differentiates the (mass, velocity) fluxes: (D-,
-    D+) for the *_upwind variants, (D1, D1) otherwise.  The periodic mass
-    system is built from L K R, the velocity system from R L, or from the
-    narrow D2 for periodic_central_narrow; the reflecting ones from R and L
-    (module docstring).  The elliptic operators are time independent, so
-    they are factored here, once each (once in all for
-    ``periodic_const_narrow``, whose two systems coincide and whose
-    right-hand side solves both fields in one call).
-    ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
-    """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown BBM-BBM variant {variant!r}")
-    if variant.startswith("periodic") != grid.is_periodic:
-        raise ConfigurationError(
-            f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
-        )
-    b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
-    if b.shape != grid.nodes.shape:
-        raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
-    depth = -b  # eta0 = 0 inside this model
-    if np.min(depth) <= 0.0:
-        raise DomainError(
-            f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
-        )
-    kdiag = depth**2
-    if variant == "periodic_const_narrow" and np.ptp(depth) > 1e-13 * np.max(depth):
-        raise ConfigurationError("periodic_const_narrow requires constant bathymetry")
-
-    if variant.endswith("upwind"):
-        d_outer_mass, d_outer_vel = operators.upwind.d_minus, operators.upwind.d_plus
-    else:
-        d_outer_mass = d_outer_vel = operators.d1
-
-    vel_divisor = wall_flux_weight = None
-    # periodic: a_mass = L K R and a_vel = S, factored as I - L K R / 6 and
-    # diag(1/K) - S / 6 (x = z / K solves I - S K / 6); reflecting: the
-    # M-scaled SPD forms of the module docstring
-    if grid.is_periodic:
-        if variant == "periodic_const_narrow":
-            # K is constant, so I - D2 K / 6 is symmetric: one system for both
-            a_mass = a_vel = periodic_band(operators.d2, inner=kdiag)
-        else:
-            a_mass = periodic_band(d_outer_mass, d_outer_vel, inner=kdiag)
-            a_vel = (periodic_band(operators.d2) if variant == "periodic_central_narrow"
-                     else periodic_band(d_outer_vel, d_outer_mass))
-        solver_mass = solver_vel = linsolve.factor(a_mass.shifted(1.0, -6.0))
-        if a_vel is not a_mass:
-            vel_divisor = kdiag
-            solver_vel = linsolve.factor(a_vel.shifted(1.0 / kdiag, -6.0))
-    else:
-        m = operators.mass.diagonal
-        wall_flux_weight = kdiag / 6.0
-        wall_flux_weight[0] = wall_flux_weight[-1] = 0.0
-        solver_mass = linsolve.factor(
-            bounded_band(d_outer_vel, m * wall_flux_weight).shifted(m)
-        )
-        solver_vel = linsolve.factor(
-            bounded_band(d_outer_mass, m).shifted(m / kdiag, 6.0).interior()
-        )
-        vel_divisor = kdiag[1:-1]
-
-    return BbmBbmDiscretization(
-        grid=grid,
-        gravity=float(gravity),
-        bathymetry=b,
-        still_depth=depth,
-        variant=variant,
-        operators=operators,
-        _d_outer_mass=d_outer_mass,
-        _d_outer_vel=d_outer_vel,
-        _solver_mass=solver_mass,
-        _solver_vel=solver_vel,
-        _vel_divisor=vel_divisor,
-        _wall_flux_weight=wall_flux_weight,
-        _source=source_terms,
-    )
+    """``BbmBbmDiscretization`` by the name that ``scenarios`` calls."""
+    return BbmBbmDiscretization(grid, operators, bathymetry_fn, gravity, variant,
+                                source_terms=source_terms)

@@ -3,11 +3,12 @@
     dispersive-sw run --scenario soliton --model bbm_bbm --order 4 ...
     dispersive-sw run --config config.yaml --check
 
-Exit codes: 0 success, 1 configuration error (a config file that cannot
-be read or an output directory that cannot be written included; an
-output path on a file is refused before the run), 2 runtime/solver
-failure (a failed factorization included), 3 threshold failure in
---check mode.  No given value falls back to a default: a config file
+Exit codes: 0 success, 1 configuration error (a malformed command line,
+such as an unknown flag or a value argparse cannot parse, a config file
+that cannot be read or an output directory that cannot be written
+included; an output path on a file is refused before the run), 2
+runtime/solver failure (a failed factorization included), 3 threshold
+failure in --check mode.  No given value falls back to a default: a config file
 value not of its key's type (a string for a number, say), an empty
 string, n_nodes below 3, a t_end, dt, atol, rtol, wavenumber or gauge
 interval that is not positive and finite, a non-finite gauge, empty or
@@ -48,8 +49,13 @@ def _parse_list(text, cast):
     return [cast(part) for part in text.split(",") if part.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's usage exit 2; subparsers too
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dispersive-sw",
         description="Structure-preserving solvers for dispersive shallow water models",
     )
@@ -86,9 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         mapping = load_config_file(args.config) if args.config else {}
         mapping.update((key, value) for key, value in vars(args).items()
                        if key not in ("command", "config") and value is not None)

@@ -43,13 +43,12 @@ def _solution_exprs(bc_kind):
 
 
 class ManufacturedCase:
-    """Exact solution, its time derivative, source terms and bathymetry of
-    one manufactured test, as numpy callables of (t, x)."""
+    """Exact solution, source terms and bathymetry of one manufactured
+    test, as numpy callables of (t, x)."""
 
-    def __init__(self, bc_kind, exact, exact_dt, source, bathymetry):
+    def __init__(self, bc_kind, exact, source, bathymetry):
         self.bc_kind = bc_kind
         self.exact = exact  # exact(t, x) -> (eta, v)
-        self.exact_dt = exact_dt  # time derivative of the exact fields
         self.source = source  # source(t, x) -> model-specific source pair
         self.bathymetry = bathymetry
 
@@ -74,17 +73,11 @@ def _pack(pair_exprs, bc_kind):
 
     eta_e, v_e = _solution_exprs(bc_kind)
     ex1, ex2 = _lambdify(eta_e), _lambdify(v_e)
-    dt1, dt2 = _lambdify(sp.diff(eta_e, _T)), _lambdify(sp.diff(v_e, _T))
 
     def exact(t, x):
         return ex1(t, x), ex2(t, x)
 
-    def exact_dt(t, x):
-        return dt1(t, x), dt2(t, x)
-
-    return ManufacturedCase(
-        bc_kind, exact, exact_dt, source, _lambdify(bathymetry_expr())
-    )
+    return ManufacturedCase(bc_kind, exact, source, _lambdify(bathymetry_expr()))
 
 
 @lru_cache(maxsize=None)
@@ -109,14 +102,15 @@ def bbm_manufactured(bc_kind, gravity) -> ManufacturedCase:
 
 
 @lru_cache(maxsize=None)
-def sk_manufactured(bc_kind, gravity, params, eta0=0.0) -> ManufacturedCase:
-    """Sources (s_h, s_hv) for the Svärd-Kalisch system in conservative form."""
+def sk_manufactured(bc_kind, gravity, params) -> ManufacturedCase:
+    """Sources (s_h, s_hv) for the Svärd-Kalisch system in conservative
+    form, at still-water level eta0 = 0 (D = -b, h = eta + D)."""
     params = sk_parameter_set(params)
     eta, v = _solution_exprs(bc_kind)
     b = bathymetry_expr()
     g = sp.Float(gravity, 17)
-    depth = sp.Float(eta0, 17) - b
-    h = eta + depth - sp.Float(eta0, 17)
+    depth = -b
+    h = eta + depth
     if params.alpha_tilde < 0:
         raise ConfigurationError(
             f"set {params.name} invalid for variable bathymetry (alpha_tilde < 0)"

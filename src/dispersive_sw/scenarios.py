@@ -40,12 +40,7 @@ from .config import ScenarioConfig
 from .errors import ConfigurationError, IngestionError
 from .grid import l2_norm, make_uniform_grid, split_flat
 from .sbp import bounded_operators, periodic_operators
-from .timestepping import (
-    DOPRI5,
-    RK4,
-    IntegratorConfig,
-    integrate,
-)
+from .timestepping import DOPRI5, RK4, integrate
 
 GRAVITY = 9.81
 
@@ -222,7 +217,7 @@ def _l2_errors(mass, y, exact_pair):
 
 
 def _eoc_study(result, cfg, name, orders, resolutions, t_end, tol, case, gated):
-    """Run case(order, n) -> (mass, disc, y0, exact) for every order and
+    """Run case(order, n) -> (disc, y0, exact) for every order and
     resolution to t_end at atol = rtol = tol; exact(t) is the (eta, v)
     reference.  Adds the eoc table and, when gated, the checks
     {name}_eoc_{eta,v}_p{order}: the finest pair's EOC within 0.3 of order."""
@@ -230,9 +225,9 @@ def _eoc_study(result, cfg, name, orders, resolutions, t_end, tol, case, gated):
     for order in orders:
         entries = []
         for n in resolutions:
-            mass, disc, y0, exact = case(order, n)
-            run = _run(result, disc, y0, t_end, cfg, atol=tol, rtol=tol)
-            entries.append((n, *_l2_errors(mass, run.y, exact(run.t))))
+            disc, y0, exact = case(order, n)
+            run = _run(result, disc, y0, t_end, cfg, tol=tol)
+            entries.append((n, *_l2_errors(disc.operators.mass, run.y, exact(run.t))))
         table = EocTable(order, entries)
         rows.extend(table.rows())
         if gated:
@@ -271,7 +266,7 @@ DEFAULT_VARIANTS = {
 
 def _discretize(cfg: ScenarioConfig, grid, bathymetry, eta0, order=None,
                 default=None, pset="set2", source_terms=None):
-    """(operators, discretization, level, shift) of cfg.model on grid at the
+    """(discretization, level, shift) of cfg.model on grid at the
     still-water level eta0; the module docstring states the variant defaults
     and the level / shift rule.  ``pset`` is the scenario's default
     Svärd-Kalisch parameter set."""
@@ -282,12 +277,12 @@ def _discretize(cfg: ScenarioConfig, grid, bathymetry, eta0, order=None,
             grid, ops, lambda x: bathymetry(x) - eta0, GRAVITY, variant,
             source_terms=source_terms,
         )
-        return ops, disc, 0.0, eta0
+        return disc, 0.0, eta0
     disc = sk.build_sk_discretization(
         grid, ops, bathymetry, GRAVITY, eta0, cfg.parameter_set or pset, variant,
         source_terms=source_terms,
     )
-    return ops, disc, eta0, 0.0
+    return disc, eta0, 0.0
 
 
 def _snapshot(disc, y, shift):
@@ -303,14 +298,10 @@ RUN_COUNTERS = ("n_steps", "n_rhs", "n_rejected", "relaxation_fallbacks")
 
 
 def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=None,
-         atol=None, rtol=None, recorders=(), dt_max=np.inf):
-    config = IntegratorConfig(
-        tableau=RK4 if (cfg.dt or dt) is not None else DOPRI5,
-        dt=cfg.dt if cfg.dt is not None else dt,
-        atol=cfg.atol if cfg.atol is not None else (atol or 1e-7),
-        rtol=cfg.rtol if cfg.rtol is not None else (rtol or 1e-7),
-        dt_max=dt_max,
-    )
+         tol=None, recorders=(), dt_max=np.inf):
+    """RK4 at the step cfg.dt (else dt) when one is given, else DOPRI5 at
+    cfg.atol and cfg.rtol, each defaulting to tol (else 1e-7)."""
+    dt = cfg.dt if cfg.dt is not None else dt
     for rec in recorders:
         rec.start(0.0, y0)
 
@@ -319,7 +310,10 @@ def _run(result: ScenarioResult, disc, y0, t_end, cfg: ScenarioConfig, *, dt=Non
             rec(record)
 
     run = integrate(
-        disc.rhs, y0, (0.0, t_end), config,
+        disc.rhs, y0, (0.0, t_end), DOPRI5 if dt is None else RK4, dt=dt,
+        atol=cfg.atol if cfg.atol is not None else (tol or 1e-7),
+        rtol=cfg.rtol if cfg.rtol is not None else (tol or 1e-7),
+        dt_max=dt_max,
         functional=disc.functional() if cfg.relaxation else None,
         on_step=on_step if recorders else None,
         dense_output=any(isinstance(r, GaugeRecorder) for r in recorders),
@@ -347,15 +341,14 @@ def soliton_reference(t, grid):
 
 
 def _soliton_case(cfg, order, n_nodes):
-    """(mass, disc, y0, exact); BBM-BBM at eta0 = 0 has level and shift 0."""
+    """(disc, y0, exact); BBM-BBM at eta0 = 0 has level and shift 0."""
     grid = make_uniform_grid(*SOLITON_DOMAIN, n_nodes, "periodic")
-    ops, disc, level, _ = _discretize(
+    disc, level, _ = _discretize(
         cfg, grid, lambda x: np.full_like(x, -SOLITON_DEPTH), 0.0, order,
         default="periodic_const_narrow",
     )
     eta, v = bbm_bbm.bbm_soliton(0.0, grid.nodes, GRAVITY, SOLITON_DEPTH)
-    return (ops.mass, disc, np.concatenate([level + eta, v]),
-            lambda t: soliton_reference(t, grid))
+    return disc, np.concatenate([level + eta, v]), lambda t: soliton_reference(t, grid)
 
 
 def soliton_period():
@@ -381,7 +374,8 @@ def scenario_soliton(cfg: ScenarioConfig) -> ScenarioResult:
         return result
 
     t_end = cfg.t_end if cfg.t_end is not None else 5 * soliton_period()
-    mass, disc, y0, exact = _soliton_case(cfg, cfg.order, cfg.n_nodes or 512)
+    disc, y0, exact = _soliton_case(cfg, cfg.order, cfg.n_nodes or 512)
+    mass = disc.operators.mass
     recorder = InvariantRecorder(disc)
     run = _run(result, disc, y0, t_end, cfg, recorders=[recorder])
     result.tables["invariants"] = (recorder.header(), recorder.rows)
@@ -437,17 +431,17 @@ def scenario_manufactured(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.model == "bbm_bbm":
         solution = bbm_manufactured(bc, GRAVITY)
     else:
-        solution = sk_manufactured(bc, GRAVITY, cfg.parameter_set or pset, 0.0)
+        solution = sk_manufactured(bc, GRAVITY, cfg.parameter_set or pset)
 
     def case(order, n):
         grid = make_uniform_grid(0.0, 1.0, n, bc)
-        ops, disc, level, _ = _discretize(
+        disc, level, _ = _discretize(
             cfg, grid, lambda x: solution.bathymetry(0.0, x), 0.0, order,
             default=None if reflecting else "periodic_upwind", pset=pset,
             source_terms=solution.source,
         )
         eta, v = solution.exact(0.0, grid.nodes)
-        return (ops.mass, disc, np.concatenate([level + eta, v]),
+        return (disc, np.concatenate([level + eta, v]),
                 lambda t: solution.exact(t, grid.nodes))
 
     default_t = 1.0 if cfg.model == "bbm_bbm" else 0.5
@@ -482,7 +476,7 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n_nodes or 200
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
     result = ScenarioResult("lake_at_rest")
-    ops, disc, level, _ = _discretize(cfg, grid, lake_bathymetry, LAKE_SURFACE)
+    disc, level, _ = _discretize(cfg, grid, lake_bathymetry, LAKE_SURFACE)
     y0 = np.concatenate([np.full(n, level), np.zeros(n)])
     bbm = cfg.model == "bbm_bbm"
     dt = cfg.dt if cfg.dt is not None else (0.5 if bbm else 2e-4)
@@ -490,8 +484,8 @@ def scenario_lake_at_rest(cfg: ScenarioConfig) -> ScenarioResult:
     run = _run(result, disc, y0, t_end, cfg, dt=dt)
     eta, v = split_flat(run.y)
     eta_ref, v_ref = split_flat(y0)
-    err_eta = l2_norm(eta - eta_ref, ops.mass)
-    err_v = l2_norm(v - v_ref, ops.mass)
+    err_eta = l2_norm(eta - eta_ref, disc.operators.mass)
+    err_v = l2_norm(v - v_ref, disc.operators.mass)
     result.tables["errors"] = (
         ["model", "order", "n_nodes", "t_end", "l2_error_eta", "l2_error_v"],
         [(cfg.model, cfg.order, n, run.t, err_eta, err_v)],
@@ -516,7 +510,7 @@ def scenario_reflecting_bump(cfg: ScenarioConfig) -> ScenarioResult:
     t_end = cfg.t_end if cfg.t_end is not None else 1.0
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
     result = ScenarioResult("reflecting_bump")
-    _, disc, level, _ = _discretize(
+    disc, level, _ = _discretize(
         cfg, grid, lambda x: 0.3 * np.cos(np.pi * x), BUMP_SURFACE, pset="set5"
     )
     y0 = np.concatenate([level + np.exp(-50.0 * grid.nodes**2), np.zeros(n)])
@@ -596,7 +590,7 @@ def scenario_traveling_wave(cfg: ScenarioConfig) -> ScenarioResult:
     grid = make_uniform_grid(0.0, length, n, "periodic")
     default_t = {0.8: 50.0, 5.0: 1.0, 15.0: 0.75}.get(k, 1.0)
     t_end = cfg.t_end if cfg.t_end is not None else default_t
-    _, disc, level, _ = _discretize(cfg, grid, lambda x: np.full_like(x, -h0), 0.0)
+    disc, level, _ = _discretize(cfg, grid, lambda x: np.full_like(x, -h0), 0.0)
     y0 = traveling_wave_initial(grid, k)
     y0[:n] += level
     recorder = PhaseRecorder(grid, N_WAVES)
@@ -698,7 +692,7 @@ def scenario_dingemans(cfg: ScenarioConfig) -> ScenarioResult:
     t_end = cfg.t_end if cfg.t_end is not None else 70.0
     grid = make_uniform_grid(*DINGEMANS_DOMAIN, n, "periodic")
     result = ScenarioResult("dingemans")
-    _, disc, level, shift = _discretize(cfg, grid, dingemans_bathymetry, DINGEMANS_H0)
+    disc, level, shift = _discretize(cfg, grid, dingemans_bathymetry, DINGEMANS_H0)
     x_tilde = 2.7 if cfg.model == "bbm_bbm" else 2.2
     y0 = dingemans_initial(grid, x_tilde, eta0=level)
     inv_rec = InvariantRecorder(disc)

@@ -28,6 +28,10 @@ reflecting walls, v_t = 0 there and diag(h) - D1 beta D1 holds in the
 interior rows; times M these read M diag(h) + D1^T (M beta) D1, because
 M D1 = B - D1^T M and B vanishes off the walls, and the wall unknowns
 drop out of that SPD form.
+``SkDiscretization(grid, operators, bathymetry_fn, gravity, eta0, params,
+variant)`` validates its inputs, builds the coefficient fields and packs
+the static part of that system once per run; ``build_sk_discretization``
+is the same call by the name that ``scenarios`` uses.
 
 The right-hand side applies its derivative operators in three dependency
 layers, with one batched ``apply`` per operator and layer (row i of a
@@ -140,33 +144,81 @@ def sk_dispersion_omega(k, params, h0, gravity):
 
 class SkDiscretization:
     """The Svärd-Kalisch semidiscretization of one variant: its operators,
-    coefficient fields, right-hand side and invariants."""
+    coefficient fields, right-hand side and invariants, all built by the
+    constructor."""
 
     #: keys of invariants(), and the one relaxation keeps
     invariant_names = ("mass", "discharge", "entropy", "modified_entropy")
     conserved = "modified_entropy"
 
-    def __init__(self, grid, gravity, eta0, bathymetry, still_depth, alpha_hat, beta_hat,
-                 gamma_hat, params, variant, operators, _source=None,
-                 _velocity_solver=None, _entropy_deriv=None):
+    def __init__(self, grid, operators, bathymetry_fn, gravity, eta0, params, variant, *,
+                 source_terms=None):
+        """Coefficient fields, static matrix blocks, and variant validation.
+
+        ``source_terms(t, x) -> (s_h, s_hv)`` supplies manufactured sources
+        in the conservative form; the velocity equation receives
+        s_hv - v s_h after the product-rule rewrite.
+        """
+        params = sk_parameter_set(params)
+        if variant not in VARIANTS:
+            raise ConfigurationError(f"unknown SK variant {variant!r}")
+        if variant.startswith("periodic") != grid.is_periodic:
+            raise ConfigurationError(
+                f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
+            )
+        if variant == "reflecting_beta_only" and (
+            params.alpha_tilde != 0.0 or params.gamma_tilde != 0.0
+        ):
+            raise ConfigurationError(
+                "reflecting boundaries require alpha_tilde = gamma_tilde = 0 "
+                f"(got set {params.name})"
+            )
+        b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
+        if b.shape != grid.nodes.shape:
+            raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
+        depth = eta0 - b
+        if np.min(depth) <= 0.0:
+            raise DomainError(
+                f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
+            )
+        if params.alpha_tilde < 0.0:
+            raise ConfigurationError(
+                f"parameter set {params.name} has alpha_tilde < 0 and cannot be "
+                "used with the variable-bathymetry coefficient law"
+            )
         self.grid = grid
-        self.gravity = gravity
-        self.eta0 = eta0
-        self.bathymetry = bathymetry
-        self.still_depth = still_depth
-        self.alpha_hat = alpha_hat
-        self.beta_hat = beta_hat
-        self.gamma_hat = gamma_hat
+        self.gravity = float(gravity)
+        self.eta0 = float(eta0)
+        self.bathymetry = b
+        self.still_depth = depth
+        root_gd = np.sqrt(gravity * depth)
+        self.alpha_hat = np.sqrt(params.alpha_tilde * root_gd) * depth
+        self.beta_hat = beta_hat = params.beta_tilde * depth**3
+        self.gamma_hat = params.gamma_tilde * root_gd * depth**3
         self.params = params
         self.variant = variant
         self.operators = operators
-        self._source = _source  # source(t, x), or None
-        self._velocity_solver = _velocity_solver  # static part packed once
-        self._entropy_deriv = _entropy_deriv  # derivative entering the modified entropy
+        self._source = source_terms  # source(t, x), or None
         # whether the alpha / gamma dispersion terms are present; the coefficient
         # fields are fixed, so this is decided once instead of on every RHS call
-        self._has_alpha = bool(np.any(alpha_hat))
-        self._has_gamma = bool(np.any(gamma_hat))
+        self._has_alpha = bool(np.any(self.alpha_hat))
+        self._has_gamma = bool(np.any(self.gamma_hat))
+
+        d1 = operators.d1
+        self._entropy_deriv = d1.apply  # derivative entering the modified entropy
+        # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind,
+        # or D1^T (M beta) D1 without the wall unknowns: symmetric positive
+        # semidefinite, so diag(h) (or M diag(h)) plus it is SPD for h > 0
+        if variant == "periodic_central_split":
+            beta_block = periodic_band(d1, d1, inner=-beta_hat)
+        elif variant == "periodic_upwind":
+            pair = operators.upwind
+            beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
+            self._entropy_deriv = pair.d_minus.apply
+        else:  # reflecting_beta_only
+            beta_block = bounded_band(d1, operators.mass.diagonal * beta_hat).interior()
+        # the static part, packed once; each right-hand side adds diag(h) and factors
+        self._velocity_solver = linsolve.ShiftedSolver(beta_block)
 
     @property
     def n(self) -> int:
@@ -329,71 +381,6 @@ class SkModifiedEntropyFunctional(CubicIncrementFunctional):
 
 def build_sk_discretization(grid, operators, bathymetry_fn, gravity, eta0,
                             params, variant, *, source_terms=None):
-    """Coefficient fields, static matrix blocks, and variant validation.
-
-    ``source_terms(t, x) -> (s_h, s_hv)`` supplies manufactured sources in
-    the conservative form; the velocity equation receives s_hv - v s_h
-    after the product-rule rewrite.
-    """
-    params = sk_parameter_set(params)
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown SK variant {variant!r}")
-    if variant.startswith("periodic") != grid.is_periodic:
-        raise ConfigurationError(
-            f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
-        )
-    if variant == "reflecting_beta_only" and (
-        params.alpha_tilde != 0.0 or params.gamma_tilde != 0.0
-    ):
-        raise ConfigurationError(
-            "reflecting boundaries require alpha_tilde = gamma_tilde = 0 "
-            f"(got set {params.name})"
-        )
-    b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
-    if b.shape != grid.nodes.shape:
-        raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
-    depth = eta0 - b
-    if np.min(depth) <= 0.0:
-        raise DomainError(
-            f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
-        )
-    if params.alpha_tilde < 0.0:
-        raise ConfigurationError(
-            f"parameter set {params.name} has alpha_tilde < 0 and cannot be "
-            "used with the variable-bathymetry coefficient law"
-        )
-    root_gd = np.sqrt(gravity * depth)
-    alpha_hat = np.sqrt(params.alpha_tilde * root_gd) * depth
-    beta_hat = params.beta_tilde * depth**3
-    gamma_hat = params.gamma_tilde * root_gd * depth**3
-
-    d1 = operators.d1
-    entropy_deriv = d1.apply
-    # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind,
-    # or D1^T (M beta) D1 without the wall unknowns: symmetric positive
-    # semidefinite, so diag(h) (or M diag(h)) plus it is SPD for h > 0
-    if variant == "periodic_central_split":
-        beta_block = periodic_band(d1, d1, inner=-beta_hat)
-    elif variant == "periodic_upwind":
-        pair = operators.upwind
-        beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
-        entropy_deriv = pair.d_minus.apply
-    else:  # reflecting_beta_only
-        beta_block = bounded_band(d1, operators.mass.diagonal * beta_hat).interior()
-
-    return SkDiscretization(
-        grid=grid,
-        gravity=float(gravity),
-        eta0=float(eta0),
-        bathymetry=b,
-        still_depth=depth,
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        gamma_hat=gamma_hat,
-        params=params,
-        variant=variant,
-        operators=operators,
-        _source=source_terms,
-        _velocity_solver=linsolve.ShiftedSolver(beta_block),
-        _entropy_deriv=entropy_deriv,
-    )
+    """``SkDiscretization`` by the name that ``scenarios`` calls."""
+    return SkDiscretization(grid, operators, bathymetry_fn, gravity, eta0, params,
+                            variant, source_terms=source_terms)

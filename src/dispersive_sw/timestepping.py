@@ -325,17 +325,6 @@ DT_MIN = 1e-12  # see the module docstring
 MAX_STEPS = 10_000_000
 
 
-class IntegratorConfig:
-    """Tableau, step size or tolerances, and the largest adaptive step."""
-
-    def __init__(self, tableau=DOPRI5, dt=None, atol=1e-7, rtol=1e-7, dt_max=np.inf):
-        self.tableau = tableau
-        self.dt = dt  # fixed step size; None selects adaptive mode
-        self.atol = atol
-        self.rtol = rtol
-        self.dt_max = dt_max
-
-
 class StepRecord:
     """One accepted step, enough for cubic Hermite dense output."""
 
@@ -378,14 +367,17 @@ class IntegrationResult:
         self.gammas = [] if gammas is None else gammas
 
 
-def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
-              on_step=None, dense_output=False) -> IntegrationResult:
-    """Drive steps from t_span[0] to t_span[1].
+def integrate(rhs, y0, t_span, tableau: ButcherTableau, *, dt=None, atol=1e-7,
+              rtol=1e-7, dt_max=np.inf, functional=None, on_step=None,
+              dense_output=False) -> IntegrationResult:
+    """Drive steps of ``tableau`` from t_span[0] to t_span[1].
 
-    on_step(record) is invoked after every accepted step; with
-    dense_output=True the record carries endpoint derivatives so callers
-    can sample gauges by Hermite interpolation.  Fixed-dt mode is selected
-    by config.dt; otherwise the embedded estimate feeds the PI controller.
+    A given ``dt`` selects fixed steps of that size; dt=None selects
+    adaptive steps, where the embedded estimate, weighted by
+    ``atol + rtol * |y|``, feeds the PI controller.  No step is longer
+    than ``dt_max``.  on_step(record) is invoked after every accepted step;
+    with dense_output=True the record carries endpoint derivatives so
+    callers can sample gauges by Hermite interpolation.
 
     Relaxation is on exactly when ``functional`` is given, and conserves
     it: ``rk_step`` finds gamma in every attempt, rejected ones
@@ -398,22 +390,23 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
     End time: the last step is cut to t_end - t, but a relaxed step
     advances t by gamma * dt, so a relaxed run ends at
     t_end + (gamma_last - 1) * dt_last rather than exactly at t_end (the
-    state is not interpolated back).  ``IntegrationResult.t`` is that true
-    end time; scenarios report the difference as ``end_time_overshoot``.
+    state is not interpolated back).  A relaxed run also stops once
+    t_end - t <= GAMMA_HALF_WIDTH * dt_last, the most its overshoot can
+    be, instead of paying a full step for the remainder that a gamma < 1
+    leaves.  ``IntegrationResult.t`` is that true end time; scenarios
+    report the difference as ``end_time_overshoot``.
     """
     t0, t_end = float(t_span[0]), float(t_span[-1])
     if not t_end > t0:
         raise ConfigurationError("empty time span")
-    tab = config.tableau
-    adaptive = config.dt is None
-    if adaptive and not tab.is_embedded:
-        raise ConfigurationError(f"tableau {tab.name} has no embedded error estimate")
+    adaptive = dt is None
+    if adaptive and not tableau.is_embedded:
+        raise ConfigurationError(f"tableau {tableau.name} has no embedded error estimate")
 
     result = IntegrationResult(t=t0, y=np.array(y0, dtype=float))
     y, t = result.y, t0
     span = t_end - t0
-    dt = config.dt if not adaptive else span / 1000.0
-    dt = min(dt, span, config.dt_max)
+    dt = min(span / 1000.0 if adaptive else dt, span, dt_max)
     err_prev = 1.0
     k1 = None  # f(t, y) of the current state, when known
 
@@ -426,8 +419,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             raise NumericsError(f"exceeded {MAX_STEPS} steps at t={t}")
         dt_step = min(dt, t_end - t)
         try:
-            du, err, k, gamma, fallback = rk_step(call_rhs, y, t, dt_step, tab, k1=k1,
-                                                  functional=functional)
+            du, err, k, gamma, fallback = rk_step(call_rhs, y, t, dt_step, tableau,
+                                                  k1=k1, functional=functional)
         except (_StepFailure, DomainError) as exc:
             # an inadmissible trial state is recoverable under step control
             if not adaptive:
@@ -444,9 +437,10 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             continue
 
         if adaptive:
-            err_norm = _error_norm(err, y, y + du, config.atol, config.rtol)
+            err_norm = _error_norm(err, y, y + du, atol, rtol)
             accept, dt_next = adaptive_controller(
-                err_norm, dt_step, err_prev, order=(tab.embedded_order or tab.order) + 1
+                err_norm, dt_step, err_prev,
+                order=(tableau.embedded_order or tableau.order) + 1,
             )
             if not accept:
                 result.n_rejected += 1
@@ -457,7 +451,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
                     )
                 continue
             err_prev = max(err_norm, 1e-16)
-            dt = min(dt_next, config.dt_max)
+            dt = min(dt_next, dt_max)
         if fallback is not None:
             result.relaxation_fallbacks += 1
             import logging
@@ -471,7 +465,7 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
 
         # f(t_new, y_new), when known, is the next step's first stage; an FSAL
         # rk_step evaluated it as its last stage already
-        if tab.is_fsal:
+        if tableau.is_fsal:
             f_new = k[-1]
         else:
             f_new = call_rhs(t_new, y_new) if dense_output else None
@@ -485,6 +479,8 @@ def integrate(rhs, y0, t_span, config: IntegratorConfig, functional=None,
             result.gammas.append(gamma)
         y, t = y_new, t_new
         result.n_steps += 1
+        if functional is not None and t_end - t <= GAMMA_HALF_WIDTH * dt_step:
+            break  # see the end-time paragraph of the docstring
 
     result.t, result.y = t, y
     return result

@@ -16,7 +16,7 @@ from dispersive_sw.errors import (
 )
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.sbp import bounded_operators, periodic_operators
-from dispersive_sw.timestepping import RK4, IntegratorConfig, integrate
+from dispersive_sw.timestepping import RK4, integrate
 
 from .oracles import dense_operator, energy_rate_scale
 
@@ -245,9 +245,8 @@ def test_energy_rate_matches_finite_difference_of_flow():
     func = disc.functional()
     y = _smooth_state(grid, 10)
     eps = 5e-3
-    cfg = IntegratorConfig(tableau=RK4, dt=eps / 8)
-    forward = integrate(disc.rhs, y, (0.0, eps), cfg).y
-    backward = integrate(lambda t, u: -disc.rhs(t, u), y, (0.0, eps), cfg).y
+    forward = integrate(disc.rhs, y, (0.0, eps), RK4, dt=eps / 8).y
+    backward = integrate(lambda t, u: -disc.rhs(t, u), y, (0.0, eps), RK4, dt=eps / 8).y
     fd_rate = (func.value(forward) - func.value(backward)) / (2 * eps)
     rate = func.delta_coefficients(y, disc.rhs(0.0, y))[0]
     assert rate == pytest.approx(fd_rate, rel=1e-3, abs=1e-12)

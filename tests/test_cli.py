@@ -183,6 +183,30 @@ def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, fie
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--order", "x"], "argument --order: invalid int value: 'x'"),
+    (["run", "--scenario", "bogus"], "argument --scenario: invalid choice: 'bogus'"),
+    (["run", "--model", "bogus"], "argument --model: invalid choice: 'bogus'"),
+    (["run", "--orders", "4,x"], "argument --orders: invalid"),
+    (["run", "--scenario", "soliton", "--no-such-flag"],
+     "unrecognized arguments: --no-such-flag"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_line_exits_one(argv, message, monkeypatch, capsys):
+    # a configuration error like the same bad value in a config file, not
+    # argparse's usage exit 2, which the CLI keeps for runtime failures
+    monkeypatch.setattr(scenarios, "integrate", lambda *a, **kw: pytest.fail("ran"))
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("t_end", ["inf", "nan", "0", "-1"])
 def test_bad_t_end_exits_one_before_the_run(t_end, tmp_path, capsys):
     # refused by the config, before integrate sees the span

@@ -98,7 +98,7 @@ def test_eoc_table_validation():
 
 
 def test_gauge_recorder_interpolates_between_steps():
-    from dispersive_sw.timestepping import RK4, IntegratorConfig, integrate
+    from dispersive_sw.timestepping import RK4, integrate
 
     grid = make_uniform_grid(0.0, 1.0, 32, "periodic")
     rec = GaugeRecorder(grid, [0.25, 0.5], interval=0.05)
@@ -111,8 +111,7 @@ def test_gauge_recorder_interpolates_between_steps():
 
     y0 = np.zeros(2 * n)
     rec.start(0.0, y0)
-    cfg = IntegratorConfig(tableau=RK4, dt=0.13)
-    integrate(rhs, y0, (0.0, 0.52), cfg, on_step=rec, dense_output=True)
+    integrate(rhs, y0, (0.0, 0.52), RK4, dt=0.13, on_step=rec, dense_output=True)
     times = np.array(rec.times)
     np.testing.assert_allclose(times, np.arange(len(times)) * 0.05, atol=1e-12)
     for series in rec.samples:
@@ -127,6 +126,42 @@ def test_traveling_wave_small_case():
     res = scenario_traveling_wave(cfg)
     assert all(c.passed for c in res.checks), [c for c in res.checks if not c.passed]
     assert res.info["c_fit"] == pytest.approx(res.info["c_model"], rel=2e-3)
+
+
+def test_traveling_wave_svaerd_kalisch_compares_with_its_own_dispersion_relation():
+    # the model's linear speed is omega / k of its flat-bottom dispersion
+    # relation (parameter set2 by default), not the BBM-BBM speed
+    k = 0.8
+    cfg = ScenarioConfig(
+        scenario="traveling_wave", model="svaerd_kalisch", wavenumber=k,
+        n_nodes=128, t_end=5.0,
+    )
+    res = scenario_traveling_wave(cfg)
+    h0, g = scenarios.TRAVELING_H0, scenarios.GRAVITY
+    c_model = sk.sk_dispersion_omega(k, sk.PARAMETER_SETS["set2"], h0, g) / k
+    assert res.info["c_model"] == c_model
+    assert abs(c_model - bbm_bbm.bbm_phase_speed(k, h0, g)) > 5e-3
+    assert [c.name for c in res.checks] == ["traveling_phase_speed_vs_linear"]
+    assert all(c.passed for c in res.checks), res.checks[0].value
+    assert res.info["c_fit"] == pytest.approx(c_model, rel=2e-3)
+
+
+def test_dingemans_writes_the_experimental_gauges(tmp_path):
+    # a header and three rows, copied to experimental.csv beside the run's tables
+    data = tmp_path / "gauges.csv"
+    data.write_text("gauge_id,t,eta\ng1,0.0,0.8\ng1,0.5,0.81\ng2,0.25,-0.002\n")
+    out = tmp_path / "out"
+    cfg = ScenarioConfig(scenario="dingemans", model="bbm_bbm", n_nodes=64, t_end=0.01,
+                         experimental_data=str(data), output_dir=str(out))
+    res = run_scenario(cfg)
+    assert res.tables["experimental"] == (
+        ["gauge_id", "t", "eta"],
+        [("g1", 0.0, 0.8), ("g1", 0.5, 0.81), ("g2", 0.25, -0.002)],
+    )
+    assert (out / "experimental.csv").read_text().splitlines() == [
+        "gauge_id,t,eta", "g1,0,0.80000000000000004", "g1,0.5,0.81000000000000005",
+        "g2,0.25,-0.002",
+    ]
 
 
 def test_csv_output_deterministic(tmp_path):

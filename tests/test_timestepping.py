@@ -15,7 +15,6 @@ from dispersive_sw.timestepping import (
     DOPRI5,
     RK4,
     ButcherTableau,
-    IntegratorConfig,
     _solve_gamma,
     adaptive_controller,
     integrate,
@@ -46,8 +45,7 @@ def test_rk4_matrix_exponential_convergence():
     ref = matrix_exponential_reference(a, y0, 1.0)
     errs = []
     for n_steps in (16, 32, 64):
-        cfg = IntegratorConfig(tableau=RK4, dt=1.0 / n_steps)
-        res = integrate(lambda t, y: a @ y, y0, (0.0, 1.0), cfg)
+        res = integrate(lambda t, y: a @ y, y0, (0.0, 1.0), RK4, dt=1.0 / n_steps)
         errs.append(np.max(np.abs(res.y - ref)))
     eocs = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(e - 4.0) <= 0.3 for e in eocs)
@@ -60,8 +58,7 @@ def test_dopri5_embedded_convergence_order():
     ref = matrix_exponential_reference(a, y0, 1.0)
     errs = []
     for n_steps in (8, 16):
-        cfg = IntegratorConfig(tableau=DOPRI5, dt=1.0 / n_steps)
-        res = integrate(lambda t, y: a @ y, y0, (0.0, 1.0), cfg)
+        res = integrate(lambda t, y: a @ y, y0, (0.0, 1.0), DOPRI5, dt=1.0 / n_steps)
         errs.append(np.max(np.abs(res.y - ref)))
     assert abs(np.log2(errs[0] / errs[1]) - 5.0) <= 0.4
 
@@ -75,8 +72,7 @@ def test_nan_rhs_signals_step_failure_for_retry():
             return np.array([np.nan])
         return -y
 
-    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6)
-    res = integrate(rhs, np.array([1.0]), (0.0, 0.5), cfg)
+    res = integrate(rhs, np.array([1.0]), (0.0, 0.5), DOPRI5, atol=1e-6, rtol=1e-6)
     assert res.n_rejected >= 1
     assert np.isfinite(res.y).all()
 
@@ -174,9 +170,8 @@ def test_step_size_underflow_aborts():
     def rhs(t, y):
         return np.array([np.nan])
 
-    cfg = IntegratorConfig(tableau=DOPRI5)
     with pytest.raises(NumericsError):
-        integrate(rhs, np.array([1.0]), (0.0, 1.0), cfg)
+        integrate(rhs, np.array([1.0]), (0.0, 1.0), DOPRI5)
 
 
 def test_tableau_validation():
@@ -224,8 +219,7 @@ def test_relaxation_gamma_one_for_linear_functional(dt, a, b):
     # vanishes identically and gamma = 1 exactly
     functional = FunctionalFromCallable(lambda y: a * y[0] + b * y[1] + 3.0)
     y = np.array([0.7, -0.2])
-    cfg = IntegratorConfig(tableau=RK4, dt=dt)
-    res = integrate(lambda t, y: np.zeros_like(y), y, (0.0, dt), cfg,
+    res = integrate(lambda t, y: np.zeros_like(y), y, (0.0, dt), RK4, dt=dt,
                     functional=functional)
     assert res.gammas == [1.0] and res.relaxation_fallbacks == 0
     np.testing.assert_array_equal(res.y, y)
@@ -237,8 +231,8 @@ def test_relaxation_harmonic_oscillator_conserves_quadratic():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
-    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0), cfg, functional=functional)
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 20.0), RK4, dt=0.1,
+                    functional=functional)
     assert abs(functional.value(res.y) - 1.0) <= 1e-13
     assert all(abs(g - 1.0) < 1e-2 for g in res.gammas)
     assert res.relaxation_fallbacks == 0
@@ -254,9 +248,8 @@ def test_relaxation_preserves_temporal_order():
     for relax in (False, True):
         errs[relax] = []
         for dt in (0.2, 0.1, 0.05):
-            cfg = IntegratorConfig(tableau=RK4, dt=dt)
             res = integrate(
-                rhs, np.array([1.0, 0.0]), (0.0, 5.0), cfg,
+                rhs, np.array([1.0, 0.0]), (0.0, 5.0), RK4, dt=dt,
                 functional=functional if relax else None,
             )
             exact = np.array([np.cos(res.t), -np.sin(res.t)])
@@ -278,10 +271,9 @@ def test_relaxation_fallback_warns_and_counts(caplog):
         return np.ones_like(y)
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.5)
     with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
         res = integrate(
-            rhs, np.array([0.0]), (0.0, 0.5), cfg, functional=functional
+            rhs, np.array([0.0]), (0.0, 0.5), RK4, dt=0.5, functional=functional
         )
     assert res.relaxation_fallbacks == 1
     assert res.gammas == [1.0]
@@ -320,10 +312,9 @@ def test_rejected_attempt_neither_counts_nor_warns_a_fallback(reject_by, caplog)
         return f
 
     functional = _FirstCallFallsBack()
-    cfg = IntegratorConfig(tableau=DOPRI5, atol=1e-6, rtol=1e-6)
     with caplog.at_level("WARNING", logger="dispersive_sw.timestepping"):
-        res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 2.0), cfg,
-                        functional=functional)
+        res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 2.0), DOPRI5, atol=1e-6,
+                        rtol=1e-6, functional=functional)
     assert res.n_rejected == 1
     assert functional.coefficient_calls == res.n_steps + res.n_rejected
     assert res.relaxation_fallbacks == 0
@@ -341,8 +332,7 @@ def test_relaxation_searches_gamma_within_one_percent_of_one(root, found):
     dt = 0.5
     c = 0.5 * root * dt
     functional = FunctionalFromCallable(lambda y: float((y[0] - c) ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=dt)
-    res = integrate(rhs, np.array([0.0]), (0.0, dt), cfg, functional=functional)
+    res = integrate(rhs, np.array([0.0]), (0.0, dt), RK4, dt=dt, functional=functional)
     assert res.relaxation_fallbacks == (0 if found else 1)
     assert res.gammas == [pytest.approx(root if found else 1.0, abs=1e-12)]
 
@@ -398,8 +388,7 @@ def test_relaxation_builds_the_cubic_once_per_step(problem, monkeypatch):
     monkeypatch.setattr(timestepping, "_solve_gamma", counting_solve_gamma)
     rhs, y0, t_end, inner = problem()
     functional = _CountingFunctional(inner)
-    cfg = IntegratorConfig(tableau=DOPRI5)
-    res = integrate(rhs, y0, (0.0, t_end), cfg, functional=functional)
+    res = integrate(rhs, y0, (0.0, t_end), DOPRI5, functional=functional)
     assert res.relaxation_fallbacks == 0 and res.n_steps >= 5
     assert functional.calls["delta_coefficients"] == len(res.gammas) == res.n_steps
     assert functional.calls["delta"] == len(residuals) > res.n_steps
@@ -464,10 +453,9 @@ def test_fsal_reevaluated_after_relaxed_step():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=DOPRI5, dt=0.25)
     y0 = np.array([1.0, 0.0])
     records = []
-    res = integrate(rhs, y0, (0.0, 1.0), cfg, functional=functional,
+    res = integrate(rhs, y0, (0.0, 1.0), DOPRI5, dt=0.25, functional=functional,
                     on_step=records.append)
     assert res.n_steps == len(records) >= 3
     assert all(record.gamma != 1.0 for record in records)
@@ -494,16 +482,15 @@ def test_relaxed_run_evaluates_each_end_state_once(tab, dt, dense_output, per_st
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=tab, dt=dt)
-    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 3.0), cfg, functional=functional,
-                    dense_output=dense_output)
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 3.0), tab, dt=dt,
+                    functional=functional, dense_output=dense_output)
     assert res.n_rejected == 0 and res.n_steps >= 5
     assert res.n_rhs == len(calls) == per_step * res.n_steps + 1
 
 
 def test_fixed_step_count_and_final_time():
-    cfg = IntegratorConfig(tableau=RK4, dt=0.5)
-    res = integrate(lambda t, y: np.zeros_like(y), np.array([2.0]), (0.0, 10.0), cfg)
+    res = integrate(lambda t, y: np.zeros_like(y), np.array([2.0]), (0.0, 10.0), RK4,
+                    dt=0.5)
     assert res.n_steps == 20
     assert res.t == pytest.approx(10.0, abs=1e-12)
     assert res.y[0] == 2.0
@@ -517,9 +504,8 @@ def test_dense_output_hermite_accuracy():
         tq = 0.5 * (record.t_old + record.t_new)
         samples.append((tq, record.interpolate(tq)[0]))
 
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
     integrate(
-        lambda t, y: np.array([np.cos(t)]), np.array([0.0]), (0.0, 2.0), cfg,
+        lambda t, y: np.array([np.cos(t)]), np.array([0.0]), (0.0, 2.0), RK4, dt=0.1,
         on_step=on_step, dense_output=True,
     )
     errs = [abs(val - np.sin(tq)) for tq, val in samples]
@@ -527,15 +513,13 @@ def test_dense_output_hermite_accuracy():
 
 
 def test_empty_time_span_rejected():
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
     with pytest.raises(ConfigurationError):
-        integrate(lambda t, y: y, np.array([1.0]), (1.0, 1.0), cfg)
+        integrate(lambda t, y: y, np.array([1.0]), (1.0, 1.0), RK4, dt=0.1)
 
 
 def test_adaptive_needs_embedded_weights():
-    cfg = IntegratorConfig(tableau=RK4, dt=None)
     with pytest.raises(ConfigurationError):
-        integrate(lambda t, y: y, np.array([1.0]), (0.0, 1.0), cfg)
+        integrate(lambda t, y: y, np.array([1.0]), (0.0, 1.0), RK4, dt=None)
 
 
 def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
@@ -545,10 +529,9 @@ def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
         return np.array([y[1], -y[0]])
 
     functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
-    cfg = IntegratorConfig(tableau=RK4, dt=0.1)
     records = []
     t_end = 2.05
-    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, t_end), cfg,
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, t_end), RK4, dt=0.1,
                     functional=functional, on_step=records.append)
     last = records[-1]
     assert last.gamma != 1.0
@@ -556,3 +539,24 @@ def test_relaxed_run_ends_at_t_end_plus_gamma_overshoot():
     dt_last = t_end - last.t_old
     assert res.t - t_end == pytest.approx((last.gamma - 1.0) * dt_last, abs=1e-15)
     assert res.t != t_end
+
+
+def test_relaxed_run_takes_no_step_for_the_remainder_of_gammas_below_one():
+    # Heun's method gains oscillator energy, so every relaxed gamma < 1 and
+    # the 25 planned steps end short of t_end by less than
+    # GAMMA_HALF_WIDTH * dt, the most a relaxed run may overshoot: that
+    # shortfall is left, not paid for with a 26th step
+    heun = ButcherTableau("heun", np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]),
+                          np.array([0.0, 1.0]), 2)
+
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    functional = FunctionalFromCallable(lambda y: float(y[0] ** 2 + y[1] ** 2))
+    dt = 0.02
+    res = integrate(rhs, np.array([1.0, 0.0]), (0.0, 0.5), heun, dt=dt,
+                    functional=functional)
+    assert max(res.gammas) < 1.0 and res.relaxation_fallbacks == 0
+    assert (res.n_steps, res.n_rhs) == (25, 50)
+    assert 1e-12 < 0.5 - res.t <= timestepping.GAMMA_HALF_WIDTH * dt
+    assert abs(functional.value(res.y) - 1.0) <= 1e-14
