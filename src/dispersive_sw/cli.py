@@ -33,11 +33,15 @@ extension, without their package ``__init__``.  ``logging`` is imported
 only when a relaxation fallback is logged.  Importing runs no generated
 code: records are plain classes with written-out ``__init__`` methods,
 not classes whose methods a decorator generates and compiles at import.
+The parser reads the terminal width once per build; the rest of the
+parser's share of a run's start-up is argparse's own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 
 from .config import MODELS, SCENARIOS, config_from_mapping, load_config_file
@@ -46,7 +50,19 @@ from .scenarios import run_scenario
 
 
 def _parse_list(text, cast):
-    return [cast(part) for part in text.split(",") if part.strip()]
+    try:
+        return [cast(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {cast.__name__} list: {text!r}") from None
+
+
+def _int_list(text):
+    return _parse_list(text, int)
+
+
+def _float_list(text):
+    return _parse_list(text, float)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,20 +71,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the width the stock formatter computes, read once: argparse builds a
+    # formatter per add_argument, and each would probe the terminal again
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="dispersive-sw",
         description="Structure-preserving solvers for dispersive shallow water models",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a scenario")
+    # a given prog spares add_subparsers formatting the whole usage to find it
+    sub = parser.add_subparsers(dest="command", required=True, prog="dispersive-sw")
+    run = sub.add_parser("run", help="run a scenario", formatter_class=formatter)
     run.add_argument("--config", help="YAML config file; flags override its values")
     run.add_argument("--scenario", choices=SCENARIOS)
     run.add_argument("--model", choices=MODELS)
     run.add_argument("--variant")
     run.add_argument("--order", type=int)
-    run.add_argument("--orders", type=lambda s: _parse_list(s, int),
+    run.add_argument("--orders", type=_int_list,
                      help="comma separated operator orders (EOC mode)")
-    run.add_argument("--resolutions", type=lambda s: _parse_list(s, int),
+    run.add_argument("--resolutions", type=_int_list,
                      help="comma separated grid sizes (EOC mode)")
     run.add_argument("--n-nodes", dest="n_nodes", type=int)
     run.add_argument("--t-end", dest="t_end", type=float)
@@ -77,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rtol", type=float)
     run.add_argument("--parameter-set", dest="parameter_set")
     run.add_argument("--wavenumber", type=float)
-    run.add_argument("--gauges", type=lambda s: _parse_list(s, float),
+    run.add_argument("--gauges", type=_float_list,
                      help="comma separated gauge positions")
     run.add_argument("--gauge-interval", dest="gauge_interval", type=float)
     run.add_argument("--output-dir", dest="output_dir")

@@ -42,14 +42,17 @@ eta_t = D1 q.  D1 is linear, so its advective and alpha terms
 + y_disp D1 v)/2 are (D1(v q) - v D1 q + q D1 v)/2 in exact arithmetic,
 and its layers are
 
-1. D1 of [eta, v], and D2 v;
-2. D1 of [ahat D1 eta, ghat D2 v], and D2 (ghat D1 v);
-3. D1 of [q, v q].
+1. D1 of [eta, v];
+2. D1 (ahat D1 eta), and D2 of [v, ghat D1 v];
+3. D1 of [q, v q, ghat D2 v].
 
-The upwind variant applies D1 to [eta, v, h v, h v^2] and D+ to [eta, v]
-in layer 1, takes y_disp = ahat D-(ahat D+ eta) in layer 2 and applies
-D- to [y_disp, v y_disp] in layer 3; the reflecting variant needs the D1
-stack of layer 1 only.  The gamma rows are left out when ghat vanishes.
+Each derivative sits in the latest layer that can take it, and a layer
+applies each operator at most once.  The upwind variant applies D1 to
+[eta, v, h v, h v^2] and D+ to [eta, v] in layer 1, takes
+y_disp = ahat D-(ahat D+ eta) and D2 of [v, ghat D1 v] in layer 2, and
+applies D- to [y_disp, v y_disp] and D1 to ghat D2 v in layer 3; the
+reflecting variant needs the D1 stack of layer 1 only.  The gamma rows
+are left out when ghat vanishes.
 ``rhs_fields(state, t)`` reads, never writes, the (2, N) view [eta, v] of
 the flat state, checked for NaN and inf at once; layer 1 differentiates it.
 """
@@ -253,33 +256,26 @@ class SkDiscretization:
         if upwind:
             dp, dm = ops.upwind.d_plus.apply, ops.upwind.d_minus.apply
             dp_eta, dp_v = dp(state)
-        if gamma_terms:
-            d2 = ops.d2.apply
-            d2_v = d2(v)
 
         # layer 2: the inner derivative of the displacement
-        # y_disp = ahat D(ahat D eta) and the inner fluxes of the gamma term
+        # y_disp = ahat D(ahat D eta), and D2 of [v, ghat D1 v]
         if upwind:
             y_disp = self.alpha_hat * dm(self.alpha_hat * dp_eta)
-            if gamma_terms:
-                d1_gamma = d1(self.gamma_hat * d2_v)
         elif central:
-            if gamma_terms:
-                d1_alpha, d1_gamma = d1(
-                    np.array([self.alpha_hat * d1_eta, self.gamma_hat * d2_v])
-                )
-            else:
-                d1_alpha = d1(self.alpha_hat * d1_eta)
-            y_disp = self.alpha_hat * d1_alpha
+            y_disp = self.alpha_hat * d1(self.alpha_hat * d1_eta)
         if gamma_terms:
-            d2_gamma = d2(self.gamma_hat * d1_v)
+            d2_v, d2_gamma = ops.d2.apply(np.array([v, self.gamma_hat * d1_v]))
 
         # layer 3 and the split form: centrally in the flux q (see the module
-        # docstring); otherwise the shallow water terms apart (after the time
-        # product rule moved v * h_t to the left), plus the upwind alpha terms
+        # docstring), with D1 (ghat D2 v) in the same stack; otherwise the
+        # shallow water terms apart (after the time product rule moved
+        # v * h_t to the left), plus the upwind alpha terms
         if central:
             q = y_disp - hv
-            deta, d_vq = d1(np.array([q, v * q]))
+            if gamma_terms:
+                deta, d_vq, d1_gamma = d1(np.array([q, v * q, self.gamma_hat * d2_v]))
+            else:
+                deta, d_vq = d1(np.array([q, v * q]))
             rhs_v = 0.5 * (d_vq - v * deta + q * d1_v)
         else:
             rhs_v = -0.5 * (d1_hvv + hv * d1_v - v * d1_hv)
@@ -292,6 +288,8 @@ class SkDiscretization:
             deta = -d1_hv + d_y
             if self._has_alpha:
                 rhs_v = rhs_v + 0.5 * (d_vy - v * d_y + y_disp * dp_v)
+            if gamma_terms:
+                d1_gamma = d1(self.gamma_hat * d2_v)
 
         if gamma_terms:
             rhs_v = rhs_v + 0.5 * (d2_gamma + d1_gamma)

@@ -143,12 +143,12 @@ def _apply_calls_per_rhs(monkeypatch, disc):
 
 
 @pytest.mark.parametrize("disc, calls", [
-    # D1 [eta, v], D2 v | D1 [ahat D1 eta, ghat D2 v], D2 (ghat D1 v)
-    # | D1 [q, v q] with the flux q = y - hv
-    (lambda: _sk("periodic_central_split", "set2", False), 5),
-    # layer 1 adds D+ [eta, v]; layer 2 D- (ahat D+ eta) and D1 (ghat D2 v)
-    # apart; layer 3 D- [y, v y]
-    (lambda: _sk("periodic_upwind", "set2", False), 7),
+    # D1 [eta, v] | D1 (ahat D1 eta), D2 [v, ghat D1 v]
+    # | D1 [q, v q, ghat D2 v] with the flux q = y - hv
+    (lambda: _sk("periodic_central_split", "set2", False), 4),
+    # layer 1 adds D+ [eta, v]; layer 2 D- (ahat D+ eta), D2 [v, ghat D1 v];
+    # layer 3 D- [y, v y] and D1 (ghat D2 v) apart
+    (lambda: _sk("periodic_upwind", "set2", False), 6),
     (lambda: _sk("reflecting_beta_only", "set5", False), 1),
     (lambda: _bbm("periodic_const_narrow", False), 1),
     # reflecting: D1 [mass flux, velocity flux] | D1 of the solution | D1 of

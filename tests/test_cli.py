@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import dispersive_sw
 from dispersive_sw import linsolve, scenarios
 from dispersive_sw.bbm_bbm import BbmBbmDiscretization, BbmEnergyFunctional
-from dispersive_sw.cli import run_cli
+from dispersive_sw.cli import build_parser, run_cli
 from dispersive_sw.config import MODELS, SCENARIOS, load_config_file
 from dispersive_sw.svaerd_kalisch import SkDiscretization, SkModifiedEntropyFunctional
 
@@ -191,13 +192,19 @@ def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, fie
     (["run", "--scenario", "soliton", "--no-such-flag"],
      "unrecognized arguments: --no-such-flag"),
     ([], "the following arguments are required: command"),
+    (["run", "--orders", "4,x"], "argument --orders: invalid int list: '4,x'"),
+    (["run", "--resolutions", "64,y"],
+     "argument --resolutions: invalid int list: '64,y'"),
+    (["run", "--gauges", "3.04,z"], "argument --gauges: invalid float list: '3.04,z'"),
 ])
 def test_malformed_command_line_exits_one(argv, message, monkeypatch, capsys):
     # a configuration error like the same bad value in a config file, not
     # argparse's usage exit 2, which the CLI keeps for runtime failures
     monkeypatch.setattr(scenarios, "integrate", lambda *a, **kw: pytest.fail("ran"))
     assert run_cli(argv) == 1
-    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert "<lambda>" not in err  # each converter names its type
 
 
 def test_help_still_exits_zero(capsys):
@@ -205,6 +212,36 @@ def test_help_still_exits_zero(capsys):
         run_cli(["run", "--help"])
     assert exc.value.code == 0
     assert "--scenario" in capsys.readouterr().out
+
+
+def test_parser_build_probes_the_terminal_at_most_once(monkeypatch):
+    # argparse builds a formatter per add_argument; a stock one probes again
+    calls, probe = [0], shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    build_parser()
+    assert calls[0] <= 1
+
+
+def test_help_follows_the_terminal_width(monkeypatch, capsys):
+    # the width is fixed once per build, still from the terminal: argparse
+    # wraps the text to COLUMNS - 2, and never breaks a usage part such as
+    # "[--config CONFIG]" or an option's invocation
+    texts = []
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            run_cli(["run", "--help"])
+        text = capsys.readouterr().out
+        assert all(len(line) <= columns - 2 or line.lstrip().startswith(("[", "--"))
+                   for line in text.splitlines())
+        texts.append(text)
+    assert all(len(line) <= 198 for line in texts[1].splitlines())
+    assert texts[0] != texts[1]
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan", "0", "-1"])
