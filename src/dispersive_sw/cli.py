@@ -33,8 +33,11 @@ extension, without their package ``__init__``.  ``logging`` is imported
 only when a relaxation fallback is logged.  Importing runs no generated
 code: records are plain classes with written-out ``__init__`` methods,
 not classes whose methods a decorator generates and compiles at import.
-The parser reads the terminal width once per build; the rest of the
-parser's share of a run's start-up is argparse's own work.
+Every ``run`` flag but ``--config`` and ``--no-relaxation`` is generated
+from ``config.KEYS``, the one table of run keys: its name, type, choices
+(``config.CHOICES``) and help text.  The parser reads the terminal width
+once per build; the rest of the parser's share of a run's start-up is
+argparse's own work.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import functools
 import shutil
 import sys
 
-from .config import MODELS, SCENARIOS, config_from_mapping, load_config_file
+from .config import CHOICES, KEYS, config_from_mapping, load_config_file
 from .errors import ConfigurationError, DispersiveSwError
 from .scenarios import run_scenario
 
@@ -63,6 +66,11 @@ def _int_list(text):
 
 def _float_list(text):
     return _parse_list(text, float)
+
+
+# the converter of a key's value, by the first option of its type; str keys
+# (and bool flags) take none
+_VALUE_TYPES = {"int": int, "float": float, "list[int]": _int_list, "list[float]": _float_list}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,32 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, prog="dispersive-sw")
     run = sub.add_parser("run", help="run a scenario", formatter_class=formatter)
     run.add_argument("--config", help="YAML config file; flags override its values")
-    run.add_argument("--scenario", choices=SCENARIOS)
-    run.add_argument("--model", choices=MODELS)
-    run.add_argument("--variant")
-    run.add_argument("--order", type=int)
-    run.add_argument("--orders", type=_int_list,
-                     help="comma separated operator orders (EOC mode)")
-    run.add_argument("--resolutions", type=_int_list,
-                     help="comma separated grid sizes (EOC mode)")
-    run.add_argument("--n-nodes", dest="n_nodes", type=int)
-    run.add_argument("--t-end", dest="t_end", type=float)
-    run.add_argument("--dt", type=float, help="fixed step size (default: adaptive)")
-    run.add_argument("--atol", type=float)
-    run.add_argument("--rtol", type=float)
-    run.add_argument("--parameter-set", dest="parameter_set")
-    run.add_argument("--wavenumber", type=float)
-    run.add_argument("--gauges", type=_float_list,
-                     help="comma separated gauge positions")
-    run.add_argument("--gauge-interval", dest="gauge_interval", type=float)
-    run.add_argument("--output-dir", dest="output_dir")
-    run.add_argument("--experimental-data", dest="experimental_data")
-    run.add_argument("--relaxation", action="store_true", default=None)
-    run.add_argument("--no-relaxation", dest="relaxation", action="store_false")
-    run.add_argument("--reflecting", action="store_true", default=None)
-    run.add_argument("--eoc", action="store_true", default=None)
-    run.add_argument("--check", action="store_true", default=None,
-                     help="assert scenario thresholds; exit 3 on failure")
+    for name, (kind, _, text) in KEYS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
+            run.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            run.add_argument(flag, type=_VALUE_TYPES.get(kind.split(" | ")[0]),
+                             choices=CHOICES.get(name), help=text)
+        if name == "relaxation":
+            run.add_argument("--no-relaxation", dest="relaxation", action="store_false")
     return parser
 
 

@@ -1,6 +1,8 @@
 """Scenario configuration: keys, YAML loading, validation.
 
-Config files are YAML mappings using exactly the keys of ``KEYS``;
+``KEYS`` is the one table of run keys: each key's type, default and
+help text, in command-line order; ``cli`` builds the ``run`` flags from
+it.  Config files are YAML mappings using exactly the keys of ``KEYS``;
 unknown keys are errors, not warnings, and so is a value that is not of
 its key's type (an int passes for a float, a bool for no number) and a
 key that the run does not read (``wavenumber`` outside a traveling-wave
@@ -26,30 +28,34 @@ SCENARIOS = (
 MODELS = ("bbm_bbm", "svaerd_kalisch")
 
 
-# every config key: its type, as a refused value is told it, and its default
+# every run key, in command-line order: its type, as a refused value is
+# told it, its default and its --help text
 KEYS = {
-    "scenario": ("str", None),  # required
-    "model": ("str", "bbm_bbm"),
-    "variant": ("str | None", None),  # scenario default when None
-    "order": ("int", 4),
-    "n_nodes": ("int | None", None),
-    "t_end": ("float | None", None),
-    "dt": ("float | None", None),  # fixed step size; None means adaptive
-    "atol": ("float | None", None),
-    "rtol": ("float | None", None),
-    "relaxation": ("bool", False),
-    "parameter_set": ("str | None", None),  # Svärd-Kalisch coefficient set
-    "gauges": ("list[float]", ()),
-    "gauge_interval": ("float", 0.1),
-    "output_dir": ("str | None", None),
-    "orders": ("list[int] | None", None),  # EOC mode: operator orders
-    "resolutions": ("list[int] | None", None),  # EOC mode: grid sizes
-    "eoc": ("bool", False),
-    "check": ("bool", False),
-    "experimental_data": ("str | None", None),
-    "wavenumber": ("float", 0.8),  # traveling-wave scenario
-    "reflecting": ("bool", False),  # manufactured scenario: use wall conditions
+    "scenario": ("str", None, None),  # required
+    "model": ("str", "bbm_bbm", None),
+    "variant": ("str | None", None, None),  # scenario default when None
+    "order": ("int", 4, None),
+    "orders": ("list[int] | None", None, "comma separated operator orders (EOC mode)"),
+    "resolutions": ("list[int] | None", None, "comma separated grid sizes (EOC mode)"),
+    "n_nodes": ("int | None", None, None),
+    "t_end": ("float | None", None, None),
+    "dt": ("float | None", None, "fixed step size (default: adaptive)"),
+    "atol": ("float | None", None, None),
+    "rtol": ("float | None", None, None),
+    "parameter_set": ("str | None", None, None),  # Svärd-Kalisch coefficient set
+    "wavenumber": ("float", 0.8, None),  # traveling-wave scenario
+    "gauges": ("list[float]", (), "comma separated gauge positions"),
+    "gauge_interval": ("float", 0.1, None),
+    "output_dir": ("str | None", None, None),
+    "experimental_data": ("str | None", None, None),
+    "relaxation": ("bool", False, None),
+    "reflecting": ("bool", False, None),  # manufactured scenario: use wall conditions
+    "eoc": ("bool", False, None),
+    "check": ("bool", False, "assert scenario thresholds; exit 3 on failure"),
 }
+
+# the keys whose value must be one of a fixed set
+CHOICES = {"scenario": SCENARIOS, "model": MODELS}
 
 
 class ScenarioConfig:
@@ -61,9 +67,9 @@ class ScenarioConfig:
         unknown = values.keys() - KEYS.keys()
         if unknown:
             raise TypeError(f"unknown config keys {sorted(unknown)}")
-        for name, (_, default) in KEYS.items():
+        for name, (_, default, _) in KEYS.items():
             setattr(self, name, values.get(name, default))
-        for name, choices in (("scenario", SCENARIOS), ("model", MODELS)):
+        for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigurationError(
                     f"unknown {name} {getattr(self, name)!r}; available: {choices}")
@@ -75,8 +81,8 @@ class ScenarioConfig:
         if self.n_nodes is not None and self.n_nodes < 3:
             raise ConfigurationError(f"n_nodes must be at least 3, got {self.n_nodes}")
         # NaN fails every comparison, so "not 0 < v < inf" refuses it too
-        for name in ("t_end", "dt", "atol", "rtol", "wavenumber", "gauge_interval"):
-            v = getattr(self, name)
+        for name, (kind, _, _) in KEYS.items():
+            v = getattr(self, name) if kind.startswith("float") else None
             if v is not None and not 0 < v < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {v}")
         self.gauges = [float(gx) for gx in self.gauges]

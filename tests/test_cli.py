@@ -12,7 +12,7 @@ import dispersive_sw
 from dispersive_sw import linsolve, scenarios
 from dispersive_sw.bbm_bbm import BbmBbmDiscretization, BbmEnergyFunctional
 from dispersive_sw.cli import build_parser, run_cli
-from dispersive_sw.config import MODELS, SCENARIOS, load_config_file
+from dispersive_sw.config import CHOICES, KEYS, MODELS, SCENARIOS, load_config_file
 from dispersive_sw.svaerd_kalisch import SkDiscretization, SkModifiedEntropyFunctional
 
 
@@ -171,10 +171,18 @@ def test_field_that_the_run_does_not_read_exits_one(scenario, model, flags, fiel
     ("dingemans", "bbm_bbm", ["--gauges", "3.04", "--gauge-interval", "nan",
                               "--n-nodes", "64"], "gauge_interval"),
     ("dingemans", "bbm_bbm", ["--gauges", "3.04,nan", "--n-nodes", "64"], "gauges"),
+    # an EOC order the variant does not have, after one it has: every case is
+    # built before the first run, so the refused one stops the run first
+    ("manufactured", "svaerd_kalisch", ["--variant", "periodic_central_split",
+                                        "--orders", "2,3", "--resolutions", "16,32"],
+     "order"),
+    ("soliton", "bbm_bbm", ["--eoc", "--orders", "4,5", "--resolutions", "32,64"],
+     "order"),
 ])
 def test_bad_explicit_value_exits_one_before_the_run(scenario, model, flags, field,
-                                                     tmp_path, capsys):
+                                                     tmp_path, monkeypatch, capsys):
     # neither a silent default nor a traceback: exit 1 naming the key, no output
+    monkeypatch.setattr(scenarios, "integrate", lambda *a, **kw: pytest.fail("ran"))
     out = tmp_path / "out"
     code = run_cli(["run", "--scenario", scenario, "--model", model, *flags,
                     "--t-end", "0.01", "--output-dir", str(out)])
@@ -242,6 +250,55 @@ def test_help_follows_the_terminal_width(monkeypatch, capsys):
         texts.append(text)
     assert all(len(line) <= 198 for line in texts[1].splitlines())
     assert texts[0] != texts[1]
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def test_run_parser_dests_are_the_config_keys():
+    # one flag per key of config.KEYS, none with a default of its own
+    args = vars(build_parser().parse_args(["run"]))
+    assert args.keys() == {*KEYS, "config", "command"}
+    assert all(args[name] is None for name in KEYS)
+
+
+# one command-line value of each key type, and what it parses to
+_PARSED = {"str": ("x", "x"), "int": ("3", 3), "float": ("0.5", 0.5),
+           "list[int]": ("2,4", [2, 4]), "list[float]": ("1.5,2", [1.5, 2.0])}
+
+
+@pytest.mark.parametrize("name", [name for name, (kind, _, _) in KEYS.items()
+                                  if kind != "bool"])
+def test_each_valued_flag_parses_to_its_key_type(name):
+    text, value = _PARSED[KEYS[name][0].split(" | ")[0]]
+    if name in CHOICES:
+        text = value = CHOICES[name][-1]
+    parsed = getattr(build_parser().parse_args(["run", _flag(name), text]), name)
+    assert repr(parsed) == repr(value)  # 3, not 3.0 or "3"
+
+
+@pytest.mark.parametrize("name", [name for name, (kind, _, _) in KEYS.items()
+                                  if kind == "bool"])
+def test_each_bool_flag_stores_true(name):
+    parser = build_parser()
+    assert getattr(parser.parse_args(["run", _flag(name)]), name) is True
+    assert getattr(parser.parse_args(["run"]), name) is None
+
+
+def test_no_relaxation_stores_false():
+    assert build_parser().parse_args(["run", "--no-relaxation"]).relaxation is False
+
+
+def test_run_help_lists_the_flags_in_keys_order(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["run", "--help"])
+    options = capsys.readouterr().out.split("options:")[1]
+    flags = [line.split()[0] for line in options.splitlines()
+             if line.startswith("  --")]
+    expected = ["--config", *map(_flag, KEYS)]
+    expected.insert(expected.index("--relaxation") + 1, "--no-relaxation")
+    assert flags == expected
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan", "0", "-1"])
