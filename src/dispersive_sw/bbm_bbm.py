@@ -52,14 +52,14 @@ from .grid import split_flat
 from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
-VARIANTS = (
-    "periodic_central_wide",
-    "periodic_central_narrow",
-    "periodic_const_narrow",
-    "periodic_upwind",
-    "reflecting_central",
-    "reflecting_upwind",
-)
+#: each variant, and what its semidiscretization does to the energy: every
+#: one but periodic_central_narrow (narrow D2 against the wide D1 D1 of the
+#: mass equation) conserves it
+VARIANTS = {
+    "periodic_central_wide": "conserves", "periodic_central_narrow": "neither",
+    "periodic_const_narrow": "conserves", "periodic_upwind": "conserves",
+    "reflecting_central": "conserves", "reflecting_upwind": "conserves",
+}
 
 
 def bbm_soliton(t, x, gravity, depth):
@@ -131,6 +131,7 @@ class BbmBbmDiscretization:
         self.bathymetry = b
         self.still_depth = depth
         self.variant = variant
+        self.balance = VARIANTS[variant]  # conserves, dissipates or neither
         self.operators = operators
         self._source = source_terms  # source(t, x), or None
 

@@ -7,8 +7,14 @@ Exit codes: 0 success, 1 configuration error (a malformed command line,
 such as an unknown flag or a value argparse cannot parse, a config file
 that cannot be read or an output directory that cannot be written
 included; an output path on a file is refused before the run), 2
-runtime/solver failure (a failed factorization included), 3 threshold
-failure in --check mode.  No given value falls back to a default: a config file
+runtime/solver failure (a failed factorization included), 3 an applied
+gate failed in --check mode.  --check prints PASS or FAIL for each applied
+gate of ``scenarios.GATES`` (an EOC gate shows ``target=<order> width=<bound>``)
+and, for each gate out of the run's scope, a line that never fails the run:
+
+    REPORTED: soliton_gamma_max value=3.401251e-05 threshold=1.000000e-06 needs=conserves
+
+No given value falls back to a default: a config file
 value not of its key's type (a string for a number, say), an empty
 string, n_nodes below 3, a t_end, dt, atol, rtol, wavenumber or gauge
 interval that is not positive and finite, a non-finite gauge, empty or
@@ -49,7 +55,7 @@ import sys
 
 from .config import CHOICES, KEYS, config_from_mapping, load_config_file
 from .errors import ConfigurationError, DispersiveSwError
-from .scenarios import run_scenario
+from .scenarios import apply_gates, run_scenario
 
 
 def _parse_list(text, cast):
@@ -124,10 +130,14 @@ def run_cli(argv=None) -> int:
     if cfg.output_dir:
         print(f"outputs written to {cfg.output_dir}")
     if cfg.check:
-        for check in result.checks:
-            print(f"{'PASS' if check.passed else 'FAIL'}: {check.name} "
-                  f"value={check.value:.6e} threshold={check.threshold:.6e}")
-        if not all(check.passed for check in result.checks):
+        applied, reported = apply_gates(result.scenario, result.measured, result.declared)
+        for check in applied + reported:
+            status = "REPORTED" if check.missing else "PASS" if check.passed else "FAIL"
+            bound = (f"threshold={check.threshold:.6e}" if check.target is None
+                     else f"target={check.target} width={check.threshold:.6e}")
+            needs = f" needs={','.join(check.missing)}" if check.missing else ""
+            print(f"{status}: {check.name} value={check.value:.6e} {bound}{needs}")
+        if not all(check.passed for check in applied):
             return 3
     return 0
 

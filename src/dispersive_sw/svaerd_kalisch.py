@@ -67,7 +67,10 @@ from .grid import split_flat
 from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
-VARIANTS = ("periodic_central_split", "periodic_upwind", "reflecting_beta_only")
+#: each variant, and what its semidiscretization does to the modified
+#: entropy: the upwind alpha terms dissipate it, the others conserve it
+VARIANTS = {"periodic_central_split": "conserves", "periodic_upwind": "dissipates",
+            "reflecting_beta_only": "conserves"}
 
 
 class SkParameterSet:
@@ -200,6 +203,7 @@ class SkDiscretization:
         self.gamma_hat = params.gamma_tilde * root_gd * depth**3
         self.params = params
         self.variant = variant
+        self.balance = VARIANTS[variant]  # conserves, dissipates or neither
         self.operators = operators
         self._source = source_terms  # source(t, x), or None
         # whether the alpha / gamma dispersion terms are present; the coefficient

@@ -314,3 +314,6 @@ def test_variant_list_matches_conservative_tags():
     assert "periodic_central_wide" in ENERGY_CONSERVATIVE_VARIANTS
     # every model variant but the narrow negative control is listed
     assert set(VARIANTS) - set(ENERGY_CONSERVATIVE_VARIANTS) == {"periodic_central_narrow"}
+    # and the model declares exactly these as conserving (the --check scope)
+    assert {v for v, balance in VARIANTS.items() if balance == "conserves"} == set(
+        ENERGY_CONSERVATIVE_VARIANTS)

@@ -449,18 +449,14 @@ def test_eoc_csv_written(tmp_path):
 
 
 def test_check_failure_exits_three(tmp_path, monkeypatch):
-    # force an impossible threshold by shrinking the soliton EOC span so the
-    # observed order cannot match; use a tampered scenario via config instead:
-    # run the manufactured scenario at a single coarse resolution pair with
-    # mismatched expectations is intrusive, so instead assert the plumbing on
-    # a synthetic result
+    # the plumbing on a synthetic result: a lake that moved fails an applied gate
     from dispersive_sw import cli
-    from dispersive_sw.scenarios import CheckResult, ScenarioResult
+    from dispersive_sw.scenarios import ScenarioResult
 
     def fake_run(cfg):
-        return ScenarioResult(
-            "fake", checks=[CheckResult("always_fails", 1.0, 0.5, False)]
-        )
+        result = ScenarioResult("lake_at_rest")
+        result.measured["l2_error_eta"] = 1.0
+        return result
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)
     code = run_cli(["run", "--scenario", "soliton", "--check"])

@@ -215,6 +215,7 @@ def test_central_flux_form_equals_term_by_term_split_form(params, order, sourced
 
 def test_central_split_conserves_modified_entropy():
     grid, ops, disc = _build("periodic_central_split", params="set2")
+    assert disc.balance == "conserves"  # as the model declares
     func = disc.functional()
     for seed in range(10):
         y = _positive_state(grid, seed)
@@ -226,6 +227,7 @@ def test_central_split_conserves_modified_entropy():
 
 def test_upwind_dissipates_modified_entropy():
     grid, ops, disc = _build("periodic_upwind", params="set2")
+    assert disc.balance == "dissipates"  # as the model declares
     func = disc.functional()
     for seed in range(10):
         y = _positive_state(grid, seed)
@@ -258,6 +260,7 @@ def test_naive_split_breaks_conservation_by_orders_of_magnitude():
 
 def test_reflecting_conserves_modified_entropy_and_mass():
     grid, ops, disc = _build("reflecting_beta_only", params="set5", bc="bounded")
+    assert disc.balance == "conserves"  # as the model declares
     func = disc.functional()
     n = grid.n_nodes
     for seed in range(5):
