@@ -5,9 +5,9 @@ The system evolves the total water height eta and the velocity v,
     eta_t + ((eta + D) v)_x - (D^2 eta_{xt})_x / 6 = 0,
     v_t + g eta_x + v v_x - (D^2 v_t)_{xx} / 6 = 0,
 
-with still water depth D(x) = -b(x).  The reference level is fixed at
-eta0 = 0: for another level, ``scenarios._discretize`` builds the model on
-b - eta0 and shifts its eta and b outputs back by eta0.
+with still water depth D(x) = -b(x).  The still-water level is fixed at
+the class attribute ``eta0 = 0.0``: a scenario at another level h0 builds
+the model on b - h0 and shifts its eta and b outputs back by h0 - eta0.
 ``BbmBbmDiscretization(grid, operators, bathymetry_fn, gravity, variant)``
 validates its inputs and assembles and factors the two elliptic operators,
 once per run; ``build_bbm_discretization`` is the same call by the name
@@ -47,18 +47,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import linsolve
-from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
-from .grid import split_flat
+from .errors import ConfigurationError, DomainError, NumericsError
+from .grid import split_flat, still_water, variant_row
 from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
-#: each variant, and what its semidiscretization does to the energy: every
-#: one but periodic_central_narrow (narrow D2 against the wide D1 D1 of the
-#: mass equation) conserves it
+#: each variant: (grid kind, whether it takes the upwind pair D-, D+, what
+#: its semidiscretization does to the energy); the first row of a grid kind
+#: is that kind's default.  Every variant but periodic_central_narrow (narrow
+#: D2 against the wide D1 D1 of the mass equation) conserves the energy.
 VARIANTS = {
-    "periodic_central_wide": "conserves", "periodic_central_narrow": "neither",
-    "periodic_const_narrow": "conserves", "periodic_upwind": "conserves",
-    "reflecting_central": "conserves", "reflecting_upwind": "conserves",
+    "periodic_central_wide": ("periodic", False, "conserves"),
+    "periodic_central_narrow": ("periodic", False, "neither"),
+    "periodic_const_narrow": ("periodic", False, "conserves"),
+    "periodic_upwind": ("periodic", True, "conserves"),
+    "reflecting_central": ("bounded", False, "conserves"),
+    "reflecting_upwind": ("bounded", True, "conserves"),
 }
 
 
@@ -109,20 +113,8 @@ class BbmBbmDiscretization:
         coincide and whose right-hand side solves both fields in one call).
         ``source_terms(t, x) -> (s_eta, s_v)`` adds manufactured sources.
         """
-        if variant not in VARIANTS:
-            raise ConfigurationError(f"unknown BBM-BBM variant {variant!r}")
-        if variant.startswith("periodic") != grid.is_periodic:
-            raise ConfigurationError(
-                f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
-            )
-        b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
-        if b.shape != grid.nodes.shape:
-            raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
-        depth = -b  # eta0 = 0 inside this model
-        if np.min(depth) <= 0.0:
-            raise DomainError(
-                f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
-            )
+        _, upwind, self.balance = variant_row(VARIANTS, "BBM-BBM", variant, grid.bc_kind)
+        b, depth = still_water(grid, bathymetry_fn, self.eta0)
         kdiag = depth**2
         if variant == "periodic_const_narrow" and np.ptp(depth) > 1e-13 * np.max(depth):
             raise ConfigurationError("periodic_const_narrow requires constant bathymetry")
@@ -131,12 +123,11 @@ class BbmBbmDiscretization:
         self.bathymetry = b
         self.still_depth = depth
         self.variant = variant
-        self.balance = VARIANTS[variant]  # conserves, dissipates or neither
         self.operators = operators
         self._source = source_terms  # source(t, x), or None
 
         # derivatives applied outside the fluxes; one batched apply when they coincide
-        if variant.endswith("upwind"):
+        if upwind:
             pair = operators.upwind
             d_outer_mass, d_outer_vel = pair.d_minus, pair.d_plus
         else:
@@ -178,10 +169,7 @@ class BbmBbmDiscretization:
     #: keys of invariants(), and the one relaxation keeps
     invariant_names = ("mass", "velocity", "energy")
     conserved = "energy"
-
-    @property
-    def n(self) -> int:
-        return self.grid.n_nodes
+    eta0 = 0.0  # the fixed still-water level
 
     # -- right-hand side -----------------------------------------------------
 
@@ -222,7 +210,7 @@ class BbmBbmDiscretization:
         deta = -d_mass.apply(flux)
         if s_eta is not None:
             deta = deta + s_eta
-        dv = np.zeros(self.n)
+        dv = np.zeros(self.grid.n_nodes)
         dv[1:-1] = self._solver_vel.solve((m * rhs_v)[1:-1]) / self._vel_divisor
         return np.array([deta, dv])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError, DomainError
 
 
 class Grid:
@@ -52,6 +52,31 @@ def make_uniform_grid(x_min, x_max, n_nodes, bc_kind="periodic") -> Grid:
         dx = (x_max - x_min) / (n_nodes - 1)
         nodes = np.linspace(x_min, x_max, n_nodes)
     return Grid(float(x_min), float(x_max), n_nodes, float(dx), bc_kind, nodes)
+
+
+def variant_row(variants, model, variant, bc_kind):
+    """The row of variant in a model's VARIANTS table; ConfigurationError for
+    an unknown variant, or one made for another grid kind than bc_kind."""
+    if variant not in variants:
+        raise ConfigurationError(f"unknown {model} variant {variant!r}")
+    row = variants[variant]
+    if row[0] != bc_kind:
+        raise ConfigurationError(f"variant {variant} incompatible with bc_kind {bc_kind}")
+    return row
+
+
+def still_water(grid, bathymetry_fn, eta0):
+    """(b, D) on the grid's nodes: the bathymetry b and the still water
+    depth D = eta0 - b, which must be positive everywhere."""
+    b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
+    if b.shape != grid.nodes.shape:
+        raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
+    depth = eta0 - b
+    if np.min(depth) <= 0.0:
+        raise DomainError(
+            f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
+        )
+    return b, depth
 
 
 class MassMatrix:

@@ -62,15 +62,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import linsolve
-from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
-from .grid import split_flat
+from .errors import ConfigurationError, DomainError, NumericsError
+from .grid import split_flat, still_water, variant_row
 from .sbp import bounded_band, periodic_band
 from .timestepping import CubicIncrementFunctional
 
-#: each variant, and what its semidiscretization does to the modified
-#: entropy: the upwind alpha terms dissipate it, the others conserve it
-VARIANTS = {"periodic_central_split": "conserves", "periodic_upwind": "dissipates",
-            "reflecting_beta_only": "conserves"}
+#: each variant: (grid kind, whether it takes the upwind pair D-, D+, what
+#: its semidiscretization does to the modified entropy); the first row of a
+#: grid kind is that kind's default.  The upwind alpha terms dissipate the
+#: modified entropy, the others conserve it.
+VARIANTS = {
+    "periodic_central_split": ("periodic", False, "conserves"),
+    "periodic_upwind": ("periodic", True, "dissipates"),
+    "reflecting_beta_only": ("bounded", False, "conserves"),
+}
 
 
 class SkParameterSet:
@@ -166,27 +171,13 @@ class SkDiscretization:
         s_hv - v s_h after the product-rule rewrite.
         """
         params = sk_parameter_set(params)
-        if variant not in VARIANTS:
-            raise ConfigurationError(f"unknown SK variant {variant!r}")
-        if variant.startswith("periodic") != grid.is_periodic:
-            raise ConfigurationError(
-                f"variant {variant} incompatible with bc_kind {grid.bc_kind}"
-            )
-        if variant == "reflecting_beta_only" and (
-            params.alpha_tilde != 0.0 or params.gamma_tilde != 0.0
-        ):
+        _, upwind, self.balance = variant_row(VARIANTS, "SK", variant, grid.bc_kind)
+        if not grid.is_periodic and (params.alpha_tilde != 0.0 or params.gamma_tilde != 0.0):
             raise ConfigurationError(
                 "reflecting boundaries require alpha_tilde = gamma_tilde = 0 "
                 f"(got set {params.name})"
             )
-        b = np.asarray(bathymetry_fn(grid.nodes), dtype=float)
-        if b.shape != grid.nodes.shape:
-            raise DimensionError(f"bathymetry shape {b.shape} is not {grid.nodes.shape}")
-        depth = eta0 - b
-        if np.min(depth) <= 0.0:
-            raise DomainError(
-                f"still water depth must be positive everywhere, min={np.min(depth):.3e}"
-            )
+        b, depth = still_water(grid, bathymetry_fn, eta0)
         if params.alpha_tilde < 0.0:
             raise ConfigurationError(
                 f"parameter set {params.name} has alpha_tilde < 0 and cannot be "
@@ -203,7 +194,6 @@ class SkDiscretization:
         self.gamma_hat = params.gamma_tilde * root_gd * depth**3
         self.params = params
         self.variant = variant
-        self.balance = VARIANTS[variant]  # conserves, dissipates or neither
         self.operators = operators
         self._source = source_terms  # source(t, x), or None
         # whether the alpha / gamma dispersion terms are present; the coefficient
@@ -216,20 +206,17 @@ class SkDiscretization:
         # static block -(D beta D), or -(D+ beta D-) = D+ beta D+^T for upwind,
         # or D1^T (M beta) D1 without the wall unknowns: symmetric positive
         # semidefinite, so diag(h) (or M diag(h)) plus it is SPD for h > 0
-        if variant == "periodic_central_split":
-            beta_block = periodic_band(d1, d1, inner=-beta_hat)
-        elif variant == "periodic_upwind":
+        self._upwind = upwind
+        if upwind:
             pair = operators.upwind
             beta_block = periodic_band(pair.d_plus, pair.d_minus, inner=-beta_hat)
             self._entropy_deriv = pair.d_minus.apply
+        elif grid.is_periodic:
+            beta_block = periodic_band(d1, d1, inner=-beta_hat)
         else:  # reflecting_beta_only
             beta_block = bounded_band(d1, operators.mass.diagonal * beta_hat).interior()
         # the static part, packed once; each right-hand side adds diag(h) and factors
         self._velocity_solver = linsolve.ShiftedSolver(beta_block)
-
-    @property
-    def n(self) -> int:
-        return self.grid.n_nodes
 
     def water_height(self, eta):
         return eta + self.still_depth - self.eta0
@@ -246,8 +233,7 @@ class SkDiscretization:
             raise DomainError(f"water height must stay positive, min={h_min:.3e}")
         ops = self.operators
         d1 = ops.d1.apply
-        upwind = self.variant == "periodic_upwind"
-        reflecting = self.variant == "reflecting_beta_only"
+        upwind, reflecting = self._upwind, not self.grid.is_periodic
         central = not (upwind or reflecting)
         gamma_terms = not reflecting and self._has_gamma
         hv = h * v
@@ -307,7 +293,7 @@ class SkDiscretization:
             return deta, self._velocity_solver.factor(h).solve(rhs_v)
         # the M-scaled interior system; v_t is zero at the walls exactly
         m = self.operators.mass.diagonal
-        dv = np.zeros(self.n)
+        dv = np.zeros(self.grid.n_nodes)
         dv[1:-1] = self._velocity_solver.factor((m * h)[1:-1]).solve((m * rhs_v)[1:-1])
         return deta, dv
 

@@ -173,15 +173,15 @@ def test_criterion_05_well_balancedness():
 def test_every_variant_is_exactly_at_rest(model, variant, data):
     # v = 0 under a constant surface over random bathymetry: the right-hand
     # side of every variant of both models, periodic and reflecting, is 0.0
-    if variant.startswith("reflecting"):
-        orders, bc = BOUNDED_ORDERS, "bounded"
+    bc, upwind, _ = (bbm_bbm if model == "bbm_bbm" else svaerd_kalisch).VARIANTS[variant]
+    if bc == "bounded":
+        orders = BOUNDED_ORDERS
     else:
-        upwind = variant.endswith("upwind")
-        orders, bc = UPWIND_ORDERS if upwind else PERIODIC_CENTRAL_ORDERS, "periodic"
+        orders = UPWIND_ORDERS if upwind else PERIODIC_CENTRAL_ORDERS
     order = data.draw(st.sampled_from(orders))
     n = data.draw(st.integers(24, 80))
     grid = make_uniform_grid(-1.0, 1.0, n, bc)
-    ops = scenarios._operators(grid, variant, order)
+    ops = scenarios._operators(grid, upwind, order)
     if variant == "periodic_const_narrow":
         depth = np.full(n, data.draw(st.floats(0.05, 3.0)))
     else:

@@ -12,12 +12,13 @@ and inf in one pass and never written.
 import numpy as np
 import pytest
 
+from dispersive_sw import scenarios
 from dispersive_sw.bbm_bbm import VARIANTS as BBM_VARIANTS
 from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.errors import NumericsError
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.manufactured import bbm_manufactured, sk_manufactured
-from dispersive_sw.sbp import DerivativeOperator, bounded_operators, periodic_operators
+from dispersive_sw.sbp import DerivativeOperator
 from dispersive_sw.svaerd_kalisch import VARIANTS as SK_VARIANTS
 from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
@@ -33,16 +34,10 @@ def _flat(x):
     return np.full_like(x, -2.0)
 
 
-def _operators(grid, order, upwind):
-    if grid.is_periodic:
-        return periodic_operators(grid, order, upwind=upwind)
-    return bounded_operators(grid, order, upwind=upwind)
-
-
 def _bbm(variant, sourced):
-    bc = "periodic" if variant.startswith("periodic") else "bounded"
+    bc, upwind, _ = BBM_VARIANTS[variant]
     grid = make_uniform_grid(-1.0, 1.0, N, bc)
-    ops = _operators(grid, 4, variant.endswith("upwind"))
+    ops = scenarios._operators(grid, upwind, 4)
     source = bbm_manufactured(bc, G).source if sourced else None
     bathymetry = _flat if variant == "periodic_const_narrow" else _bathymetry
     return build_bbm_discretization(grid, ops, bathymetry, G, variant,
@@ -50,9 +45,9 @@ def _bbm(variant, sourced):
 
 
 def _sk(variant, params, sourced, order=4):
-    bc = "periodic" if variant.startswith("periodic") else "bounded"
+    bc, upwind, _ = SK_VARIANTS[variant]
     grid = make_uniform_grid(-1.0, 1.0, N, bc)
-    ops = _operators(grid, order, variant == "periodic_upwind")
+    ops = scenarios._operators(grid, upwind, order)
     source = sk_manufactured(bc, G, params).source if sourced else None
     return build_sk_discretization(grid, ops, _bathymetry, G, 0.0, params, variant,
                                    source_terms=source)
@@ -170,7 +165,7 @@ EVERY_VARIANT = [("bbm_bbm", variant) for variant in BBM_VARIANTS] + [
 def _discretization(model, variant):
     if model == "bbm_bbm":
         return _bbm(variant, False)
-    return _sk(variant, "set5" if variant.startswith("reflecting") else "set2", False)
+    return _sk(variant, "set5" if SK_VARIANTS[variant][0] == "bounded" else "set2", False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -230,4 +225,4 @@ def test_const_narrow_solves_both_fields_in_one_call_with_the_bits_of_two():
 
     solver.solve = counting_solve
     assert disc.rhs(0.3, y).tobytes() == np.concatenate([deta, dv]).tobytes()
-    assert calls == [(2, disc.n)]
+    assert calls == [(2, disc.grid.n_nodes)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersive_sw import scenarios
 from dispersive_sw.bbm_bbm import (
     VARIANTS,
     bbm_phase_speed,
@@ -45,12 +46,10 @@ def _smooth_state(grid, seed=0):
     return np.concatenate([eta, v])
 
 
-def _build(variant, order=4, n=80, bc="periodic"):
+def _build(variant, order=4, n=80):
+    bc, upwind, _ = VARIANTS[variant]
     grid = make_uniform_grid(-1.0, 1.0, n, bc)
-    if bc == "periodic":
-        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
-    else:
-        ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
+    ops = scenarios._operators(grid, upwind, order)
     disc = build_bbm_discretization(grid, ops, _variable_bathymetry, G, variant)
     return grid, ops, disc
 
@@ -105,39 +104,27 @@ def test_phase_speed_monotone_decreasing():
 # -- semidiscrete structure ---------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "variant,bc",
-    [
-        ("periodic_central_wide", "periodic"),
-        ("periodic_central_narrow", "periodic"),
-        ("periodic_upwind", "periodic"),
-        ("reflecting_central", "bounded"),
-        ("reflecting_upwind", "bounded"),
-    ],
-)
-def test_lake_at_rest_rhs_vanishes(variant, bc):
-    grid, ops, disc = _build(variant, bc=bc)
+@pytest.mark.parametrize("variant", [
+    "periodic_central_wide", "periodic_central_narrow", "periodic_upwind",
+    "reflecting_central", "reflecting_upwind",
+])
+def test_lake_at_rest_rhs_vanishes(variant):
+    grid, ops, disc = _build(variant)
     y = np.concatenate([0.7 * np.ones(grid.n_nodes), np.zeros(grid.n_nodes)])
     rhs = disc.rhs(0.0, y)
     assert np.max(np.abs(rhs)) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "variant,bc",
-    [
-        ("periodic_central_wide", "periodic"),
-        ("periodic_upwind", "periodic"),
-        ("reflecting_central", "bounded"),
-        ("reflecting_upwind", "bounded"),
-    ],
-)
-def test_energy_conservative_variants_have_zero_energy_rate(variant, bc):
-    grid, ops, disc = _build(variant, bc=bc)
+@pytest.mark.parametrize("variant", [
+    "periodic_central_wide", "periodic_upwind", "reflecting_central", "reflecting_upwind",
+])
+def test_energy_conservative_variants_have_zero_energy_rate(variant):
+    grid, ops, disc = _build(variant)
     assert disc.variant in ENERGY_CONSERVATIVE_VARIANTS
     func = disc.functional()
     for seed in range(5):
         y = _smooth_state(grid, seed)
-        if bc == "bounded":
+        if not grid.is_periodic:
             n = grid.n_nodes
             y[n] = y[-1] = 0.0  # wall condition on v
         ydot = disc.rhs(0.0, y)
@@ -158,11 +145,8 @@ def test_central_narrow_violates_energy_measurably():
 
 
 def test_linear_invariant_rates_vanish():
-    for variant, bc in (
-        ("periodic_central_wide", "periodic"),
-        ("periodic_upwind", "periodic"),
-    ):
-        grid, ops, disc = _build(variant, bc=bc)
+    for variant in ("periodic_central_wide", "periodic_upwind"):
+        grid, ops, disc = _build(variant)
         y = _smooth_state(grid, 3)
         ydot = disc.rhs(0.0, y)
         deta, dv = split_flat(ydot)
@@ -172,7 +156,7 @@ def test_linear_invariant_rates_vanish():
 
 
 def test_reflecting_conserves_mass_not_velocity():
-    grid, ops, disc = _build("reflecting_central", bc="bounded")
+    grid, ops, disc = _build("reflecting_central")
     y = _smooth_state(grid, 4)
     n = grid.n_nodes
     y[n] = y[-1] = 0.0
@@ -202,7 +186,7 @@ def test_constant_bathymetry_wide_matches_const_scheme_formula():
 
 
 def test_reflecting_dirichlet_rows_return_exact_zeros():
-    grid, ops, disc = _build("reflecting_central", bc="bounded")
+    grid, ops, disc = _build("reflecting_central")
     y = _smooth_state(grid, 7)
     n = grid.n_nodes
     y[n] = y[-1] = 0.0
@@ -315,5 +299,5 @@ def test_variant_list_matches_conservative_tags():
     # every model variant but the narrow negative control is listed
     assert set(VARIANTS) - set(ENERGY_CONSERVATIVE_VARIANTS) == {"periodic_central_narrow"}
     # and the model declares exactly these as conserving (the --check scope)
-    assert {v for v, balance in VARIANTS.items() if balance == "conserves"} == set(
+    assert {v for v, (_, _, balance) in VARIANTS.items() if balance == "conserves"} == set(
         ENERGY_CONSERVATIVE_VARIANTS)

@@ -524,6 +524,60 @@ def test_manufactured_reflecting_variants_get_their_operators(model, variant, tm
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--scenario", "manufactured", "--model", "bbm_bbm", "--variant", "bogus"],
+     "unknown BBM-BBM variant 'bogus'"),
+    (["--scenario", "manufactured", "--model", "svaerd_kalisch", "--reflecting",
+      "--variant", "periodic_upwind"], "variant periodic_upwind incompatible with bc_kind bounded"),
+    (["--scenario", "soliton", "--variant", "reflecting_central"],
+     "variant reflecting_central incompatible with bc_kind periodic"),
+    (["--scenario", "soliton", "--eoc", "--variant", "bogus"], "unknown BBM-BBM variant 'bogus'"),
+    (["--scenario", "reflecting_bump", "--variant", "periodic_upwind"],
+     "variant periodic_upwind incompatible with bc_kind bounded"),
+    (["--scenario", "lake_at_rest", "--model", "svaerd_kalisch", "--variant",
+      "reflecting_central"], "unknown SK variant 'reflecting_central'"),
+], ids=["manufactured-unknown", "manufactured-reflecting-periodic", "soliton-bounded",
+        "soliton-eoc-unknown", "bump-periodic", "lake-sk-unknown"])
+def test_refused_variant_exits_one_before_any_operator_is_built(args, message, monkeypatch,
+                                                                 capsys):
+    # the model's VARIANTS row is read before any work, so the model's own
+    # message names the variant, and no operator set is built
+    calls = []
+    for name in ("periodic_operators", "bounded_operators"):
+        monkeypatch.setattr(scenarios, name, lambda *a, _name=name, **kw: calls.append(_name))
+    assert run_cli(["run", *args]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert calls == []
+
+
+_REFUSED_VARIANT_PROBE = """
+import sys
+from dispersive_sw.cli import run_cli
+codes = [run_cli(["run", "--scenario", "manufactured", "--model", "bbm_bbm",
+                  "--variant", "bogus"]),
+         run_cli(["run", "--scenario", "manufactured", "--model", "svaerd_kalisch",
+                  "--reflecting", "--variant", "periodic_upwind"])]
+print("sympy" in sys.modules)
+sys.exit(max(codes) if len(set(codes)) == 1 else 99)
+"""
+
+
+def test_refused_manufactured_variant_exits_before_sympy_is_imported():
+    # a fresh interpreter: this pytest session has long imported sympy
+    src = str(Path(dispersive_sw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_VARIANT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert proc.stderr.splitlines() == [
+        "configuration error: unknown BBM-BBM variant 'bogus'",
+        "configuration error: variant periodic_upwind incompatible with bc_kind bounded",
+    ]
+
+
 def test_failed_cholesky_exits_two_with_runtime_error(monkeypatch, capsys):
     # a velocity system that does not factor ends the run with a typed error
     monkeypatch.setattr(linsolve.lapack, "dpbtrf", lambda ab, **kw: (ab, 1))

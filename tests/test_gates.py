@@ -14,7 +14,6 @@ from dispersive_sw.cli import run_cli
 from dispersive_sw.config import ScenarioConfig
 from dispersive_sw.grid import make_uniform_grid
 from dispersive_sw.scenarios import GATES, ScenarioResult, apply_gates
-from dispersive_sw.sbp import periodic_operators
 
 from .oracles import energy_rate_scale, modified_entropy_rate_scale
 
@@ -151,7 +150,7 @@ def test_every_row_names_a_known_kind_and_scope_tag():
 # -- the declarations that scope the rows ------------------------------------
 
 PERIODIC_VARIANTS = [(model, variant) for model in (bbm_bbm, sk)
-                     for variant in model.VARIANTS if variant.startswith("periodic")]
+                     for variant, row in model.VARIANTS.items() if row[0] == "periodic"]
 
 
 @pytest.mark.parametrize("model, variant", PERIODIC_VARIANTS, ids=[
@@ -161,7 +160,7 @@ def test_each_periodic_variant_declares_what_its_rhs_does_to_its_functional(mode
     # state and at its mirror image (v negated): a variant that neither
     # conserves nor dissipates changes sign between the two
     grid = make_uniform_grid(-1.0, 1.0, 128, "periodic")
-    ops = periodic_operators(grid, 4, upwind=variant.endswith("upwind"))
+    ops = scenarios._operators(grid, model.VARIANTS[variant][1], 4)
     x = grid.nodes
     eta, v = 0.1 * np.exp(-10.0 * x**2), 0.1 * np.sin(np.pi * x)
     if model is bbm_bbm:

@@ -307,6 +307,9 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+MODELS = {"bbm_bbm": bbm_bbm, "svaerd_kalisch": svaerd_kalisch}
+
+
 def _model_bands(monkeypatch, model, variant, order, n):
     """Every band the discretization of (model, variant) hands to ``linsolve`` on n
     nodes, each as (band, whether a ``ShiftedSolver`` re-factors it)."""
@@ -324,9 +327,9 @@ def _model_bands(monkeypatch, model, variant, order, n):
 
     monkeypatch.setattr(linsolve, "factor", recording_factor)
     monkeypatch.setattr(linsolve, "ShiftedSolver", RecordingShiftedSolver)
-    bc = "bounded" if variant.startswith("reflecting") else "periodic"
+    bc, upwind, _ = MODELS[model].VARIANTS[variant]
     grid = make_uniform_grid(-1.0, 1.0, n, bc)
-    ops = scenarios._operators(grid, variant, order)
+    ops = scenarios._operators(grid, upwind, order)
     if variant == "periodic_const_narrow":
         depth = np.full(n, 0.7)
     else:
@@ -343,15 +346,14 @@ def _model_bands(monkeypatch, model, variant, order, n):
 
 
 def _variant_cases():
-    for model, variants in (("bbm_bbm", bbm_bbm.VARIANTS),
-                            ("svaerd_kalisch", svaerd_kalisch.VARIANTS)):
-        for variant in variants:
-            if variant.startswith("reflecting"):
+    for model, module in MODELS.items():
+        for variant, (bc, upwind, _) in module.VARIANTS.items():
+            if bc == "bounded":
                 # the smallest grids the p = 6 closures take, and a larger one
                 orders, sizes = BOUNDED_ORDERS, (24, 41)
             else:
                 # n = 10: offsets of the wider bands wrap (2w + 1 > n)
-                orders = UPWIND_ORDERS if variant.endswith("upwind") else PERIODIC_CENTRAL_ORDERS
+                orders = UPWIND_ORDERS if upwind else PERIODIC_CENTRAL_ORDERS
                 sizes = (10, 41)
             for order in orders:
                 for n in sizes:

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dispersive_sw import linsolve
+from dispersive_sw import linsolve, scenarios
+from dispersive_sw.bbm_bbm import VARIANTS as BBM_VARIANTS
 from dispersive_sw.bbm_bbm import build_bbm_discretization
 from dispersive_sw.grid import make_uniform_grid
-from dispersive_sw.sbp import bounded_operators, periodic_operators
+from dispersive_sw.sbp import bounded_operators
+from dispersive_sw.svaerd_kalisch import VARIANTS as SK_VARIANTS
 from dispersive_sw.svaerd_kalisch import build_sk_discretization
 
 from .oracles import (
@@ -91,8 +93,9 @@ def _dense_bbm_products(ops, variant, k):
 def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, n):
     captured = _capture(monkeypatch, "factor")
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
-    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
-    bathymetry = (lambda x: np.full_like(x, -2.0)) if "const" in variant else _bathymetry
+    ops = scenarios._operators(grid, BBM_VARIANTS[variant][1], order)
+    const = variant == "periodic_const_narrow"
+    bathymetry = (lambda x: np.full_like(x, -2.0)) if const else _bathymetry
     build_bbm_discretization(grid, ops, bathymetry, G, variant)
     k = bathymetry(grid.nodes) ** 2
     eye = np.eye(n)
@@ -117,7 +120,7 @@ def test_bbm_bands_equal_dense_products(monkeypatch, variant, order, n):
 def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
     captured = _capture(monkeypatch, "ShiftedSolver")
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
-    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+    ops = scenarios._operators(grid, SK_VARIANTS[variant][1], order)
     disc = build_sk_discretization(grid, ops, _bathymetry, G, 0.0, "set2", variant)
     beta = disc.beta_hat
     if variant == "periodic_upwind":
@@ -136,7 +139,7 @@ def test_sk_beta_bands_equal_dense_products(monkeypatch, variant, order, n):
 def test_bbm_solves_equal_dense_solves_of_unscaled_systems(variant, order, n):
     # the rescaled velocity system must solve I - S K / 6, not diag(1/K) - S / 6
     grid = make_uniform_grid(-1.0, 1.0, n, "periodic")
-    ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+    ops = scenarios._operators(grid, BBM_VARIANTS[variant][1], order)
     disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
     depth = disc.still_depth
     a_mass, _, a_vel, _, d_mass, d_vel = _dense_bbm_products(ops, variant, depth**2)
@@ -176,15 +179,15 @@ def test_periodic_discretizations_hold_no_dense_array():
     n = 4096
     grid = make_uniform_grid(-35.0, 35.0, n, "periodic")
     for variant, order in BBM_CASES:
-        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+        ops = scenarios._operators(grid, BBM_VARIANTS[variant][1], order)
         bathymetry = (
-            (lambda x: np.full_like(x, -2.0)) if "const" in variant
+            (lambda x: np.full_like(x, -2.0)) if variant == "periodic_const_narrow"
             else lambda x: -2.0 - 0.3 * np.cos(2 * np.pi * x / 70.0)
         )
         disc = build_bbm_discretization(grid, ops, bathymetry, G, variant)
         assert _largest_array(disc) <= 64 * n, variant
     for variant, order in (("periodic_central_split", 8), ("periodic_upwind", 4)):
-        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
+        ops = scenarios._operators(grid, SK_VARIANTS[variant][1], order)
         disc = build_sk_discretization(
             grid, ops, lambda x: np.full_like(x, -2.0), G, 0.0, "set2", variant
         )
@@ -194,7 +197,7 @@ def test_periodic_discretizations_hold_no_dense_array():
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
     for order in (2, 4, 6):
         for variant in ("reflecting_central", "reflecting_upwind"):
-            ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
+            ops = scenarios._operators(grid, BBM_VARIANTS[variant][1], order)
             disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
             assert _largest_array(disc) <= 64 * n, (variant, order)
         disc = build_sk_discretization(grid, bounded_operators(grid, order), _bathymetry,
@@ -263,7 +266,7 @@ def test_reflecting_bbm_rhs_equals_dense_wall_row_systems(variant, order):
     # densely; the M-scaled SPD forms must give the same solutions
     n = 97
     grid = make_uniform_grid(-1.0, 1.0, n, "bounded")
-    ops = bounded_operators(grid, order, upwind=variant == "reflecting_upwind")
+    ops = scenarios._operators(grid, BBM_VARIANTS[variant][1], order)
     disc = build_bbm_discretization(grid, ops, _bathymetry, G, variant)
     if variant == "reflecting_upwind":
         dp, dm, _ = dense_bounded_upwind(grid, order)

@@ -272,20 +272,43 @@ def test_relaxed_soliton_reports_end_time_overshoot():
     assert overshoot != 0.0 and abs(overshoot) <= 1e-6 * 0.5
 
 
-@pytest.mark.parametrize("variant", sorted({*bbm_bbm.VARIANTS, *sk.VARIANTS}))
-def test_operator_set_follows_the_variant(variant, monkeypatch):
-    # bc from the prefix, upwind from the suffix, through the module globals
+EVERY_VARIANT = [("bbm_bbm", variant) for variant in bbm_bbm.VARIANTS] + [
+    ("svaerd_kalisch", variant) for variant in sk.VARIANTS]
+
+
+def _flat_discretization(model, variant, bc):
+    # constant depth 1 and set5 (no alpha or gamma terms) suit every variant
+    cfg = ScenarioConfig("lake_at_rest", model=model, variant=variant)
+    return scenarios._discretize(cfg, make_uniform_grid(-1.0, 1.0, 64, bc),
+                                 lambda x: np.full_like(x, -1.0), 0.0, pset="set5")
+
+
+@pytest.mark.parametrize("model, variant", EVERY_VARIANT)
+def test_operator_set_follows_the_variant(model, variant, monkeypatch):
+    # the variant's row drives the choice: its grid kind picks periodic or
+    # bounded operators, its flag the upwind pair, through the module globals
+    bc, upwind, _ = (bbm_bbm if model == "bbm_bbm" else sk).VARIANTS[variant]
     calls = []
     for name in ("periodic_operators", "bounded_operators"):
         def recording(*args, _name=name, _real=getattr(scenarios, name), **kwargs):
             calls.append((_name, kwargs))
             return _real(*args, **kwargs)
         monkeypatch.setattr(scenarios, name, recording)
-    bc = "bounded" if variant.startswith("reflecting") else "periodic"
-    ops = scenarios._operators(make_uniform_grid(-1.0, 1.0, 64, bc), variant, 4)
-    upwind = variant.endswith("upwind")
+    disc = _flat_discretization(model, variant, bc)
     assert calls == [(f"{bc}_operators", {"upwind": upwind})]
-    assert (ops.upwind is not None) == upwind
+    assert (disc.operators.upwind is not None) == upwind
+    assert disc.variant == variant and disc.grid.bc_kind == bc
+
+
+@pytest.mark.parametrize("model, bc, default", [
+    ("bbm_bbm", "periodic", "periodic_central_wide"),
+    ("bbm_bbm", "bounded", "reflecting_central"),
+    ("svaerd_kalisch", "periodic", "periodic_central_split"),
+    ("svaerd_kalisch", "bounded", "reflecting_beta_only"),
+])
+def test_default_variant_of_each_model_and_grid_kind(model, bc, default):
+    # the first row of the grid kind in the model's VARIANTS
+    assert _flat_discretization(model, None, bc).variant == default
 
 
 @pytest.mark.parametrize("model, x_tilde", [("bbm_bbm", 2.7), ("svaerd_kalisch", 2.2)])
@@ -314,8 +337,9 @@ def test_dingemans_outputs_are_on_the_surface_level(model, x_tilde):
     ("periodic_central_wide", True, True),
     ("periodic_upwind", True, True),
     ("periodic_central_wide", False, False),
-    # the non-conservative variant: its drift is reported, not gated
-    ("periodic_central_narrow", True, False),
+    # the non-conservative variant too: relaxation holds the energy whatever
+    # the variant, so its relaxed drift is gated
+    ("periodic_central_narrow", True, True),
 ])
 def test_dingemans_bbm_bbm_reports_energy_drift_and_gates_it_when_relaxed(
         variant, relaxation, gated):
@@ -329,3 +353,15 @@ def test_dingemans_bbm_bbm_reports_energy_drift_and_gates_it_when_relaxed(
         check = checks["dingemans_energy_relaxed"]
         assert check.value == drift and check.threshold == 1e-12 and check.passed
     assert "modified_entropy_drift" not in res.info
+
+
+def test_dingemans_sk_upwind_relaxed_gates_its_modified_entropy_drift():
+    # relaxation holds the modified entropy of the dissipating variant too
+    cfg = ScenarioConfig(scenario="dingemans", model="svaerd_kalisch",
+                         variant="periodic_upwind", relaxation=True, n_nodes=256, t_end=2.0)
+    res = run_scenario(cfg)
+    checks = {c.name: c for c in res.checks}
+    check = checks["dingemans_modified_entropy_relaxed"]
+    assert check.value == res.info["modified_entropy_drift"]
+    assert check.threshold == 1e-12 and check.passed
+    assert checks["dingemans_upwind_monotone"].passed

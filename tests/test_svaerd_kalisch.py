@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dispersive_sw import scenarios
 from dispersive_sw.errors import ConfigurationError, DimensionError, DomainError
 from dispersive_sw.grid import make_uniform_grid, split_flat
 from dispersive_sw.manufactured import sk_manufactured
 from dispersive_sw.sbp import bounded_operators, periodic_operators
 from dispersive_sw.svaerd_kalisch import (
     PARAMETER_SETS,
+    VARIANTS,
     build_sk_discretization,
     euler_phase_speed,
     sk_dispersion_omega,
@@ -45,12 +47,10 @@ def _positive_state(grid, seed=0, eta0=ETA0):
     return np.concatenate([eta, v])
 
 
-def _build(variant, params="set2", order=4, n=80, bc="periodic"):
+def _build(variant, params="set2", order=4, n=80):
+    bc, upwind, _ = VARIANTS[variant]
     grid = make_uniform_grid(-1.0, 1.0, n, bc)
-    if bc == "periodic":
-        ops = periodic_operators(grid, order, upwind=variant == "periodic_upwind")
-    else:
-        ops = bounded_operators(grid, order)
+    ops = scenarios._operators(grid, upwind, order)
     disc = build_sk_discretization(
         grid, ops, _bathymetry, G, ETA0, params, variant
     )
@@ -145,15 +145,15 @@ def test_discontinuous_bathymetry_accepted():
 
 
 @pytest.mark.parametrize(
-    "variant,params,bc",
+    "variant,params",
     [
-        ("periodic_central_split", "set2", "periodic"),
-        ("periodic_upwind", "set2", "periodic"),
-        ("reflecting_beta_only", "set5", "bounded"),
+        ("periodic_central_split", "set2"),
+        ("periodic_upwind", "set2"),
+        ("reflecting_beta_only", "set5"),
     ],
 )
-def test_lake_at_rest_rhs_vanishes(variant, params, bc):
-    grid, ops, disc = _build(variant, params=params, bc=bc)
+def test_lake_at_rest_rhs_vanishes(variant, params):
+    grid, ops, disc = _build(variant, params=params)
     y = np.concatenate([ETA0 * np.ones(grid.n_nodes), np.zeros(grid.n_nodes)])
     assert np.max(np.abs(disc.rhs(0.0, y))) <= 1e-13
 
@@ -259,7 +259,7 @@ def test_naive_split_breaks_conservation_by_orders_of_magnitude():
 
 
 def test_reflecting_conserves_modified_entropy_and_mass():
-    grid, ops, disc = _build("reflecting_beta_only", params="set5", bc="bounded")
+    grid, ops, disc = _build("reflecting_beta_only", params="set5")
     assert disc.balance == "conserves"  # as the model declares
     func = disc.functional()
     n = grid.n_nodes
@@ -275,11 +275,8 @@ def test_reflecting_conserves_modified_entropy_and_mass():
 
 
 def test_mass_rate_vanishes_all_variants():
-    for variant, params, bc in (
-        ("periodic_central_split", "set2", "periodic"),
-        ("periodic_upwind", "set3", "periodic"),
-    ):
-        grid, ops, disc = _build(variant, params=params, bc=bc)
+    for variant, params in (("periodic_central_split", "set2"), ("periodic_upwind", "set3")):
+        grid, ops, disc = _build(variant, params=params)
         y = _positive_state(grid, 7)
         deta = split_flat(disc.rhs(0.0, y))[0]
         assert abs(ops.mass.diagonal @ deta) <= 1e-12
